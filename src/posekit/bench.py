@@ -2,13 +2,14 @@
 
 Three timed stages per frame: resize feature maps, extract keypoints, group
 keypoints (scoring, greedy matching, assembly, coordinate mapping). The
-naive mode mirrors a first straightforward implementation: feature maps are
-resized all the way to network input size channel by channel in float64 with
-fresh allocations, extraction walks every pixel in Python single-threaded,
-and pair scoring loops over samples one candidate at a time. The optimized
-mode upsamples by the configured factor into preallocated buffers, extracts
-with batched comparisons (in parallel when threads allow), and scores whole
-candidate matrices at once.
+naive mode mirrors a first straightforward implementation: heatmaps and PAFs
+are resized all the way to network input size channel by channel in float64
+with fresh allocations, extraction walks every pixel in Python
+single-threaded, and pair scoring loops over samples one candidate at a
+time. The optimized mode runs ``decoder.decode``'s code: it upsamples only
+the heatmaps (the resize stage covers nothing else) into preallocated
+buffers, extracts with batched comparisons (in parallel when threads
+allow), and scores whole candidate matrices on the stride-level PAFs.
 
 Before any timing, both modes decode the scenario once and their skeletons
 are compared (counts, slot patterns, coordinates); a mismatch aborts with a
@@ -31,13 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decoder
-from .decoder import (
-    assemble_skeletons,
-    collect_limb_candidates,
-    extract_keypoints,
-    group_limbs,
-    resolve_threads,
-)
+from .decoder import assemble_skeletons, extract_keypoints, group_limbs, resolve_threads
 from .errors import DimensionMismatchError, GateFailureError
 from .featuremaps import STRIDE, FeatureMaps, InputGeometry
 from .fileio import read_scene_truth, read_tensor
@@ -45,7 +40,6 @@ from .skeleton import (
     LIMBS,
     NUM_HEATMAP_CHANNELS,
     NUM_KEYPOINTS,
-    NUM_PAF_CHANNELS,
     DecoderConfig,
     Keypoint,
     LimbConnection,
@@ -260,36 +254,19 @@ def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeomet
 # ---------------------------------------------------------------------------
 
 class DecodeWorkspace:
-    """Preallocated buffers for repeated decodes of equally sized maps."""
+    """Preallocated heatmap buffers for repeated decodes of equally sized maps."""
 
     def __init__(self, map_height: int, map_width: int, factor: int):
         uh, uw = map_height * factor, map_width * factor
         self.factor = factor
         self.heat_up = np.empty((NUM_HEATMAP_CHANNELS, uh, uw), dtype=np.float32)
         self.heat_tmp = np.empty((NUM_HEATMAP_CHANNELS, map_height, uw), dtype=np.float32)
-        self.paf_up = np.empty((NUM_PAF_CHANNELS, uh, uw), dtype=np.float32)
-        self.paf_tmp = np.empty((NUM_PAF_CHANNELS, map_height, uw), dtype=np.float32)
 
 
-def _opt_resize(heatmaps: FeatureMaps, pafs: FeatureMaps, ws: DecodeWorkspace,
-                threads: int):
+def _opt_resize(heatmaps: FeatureMaps, ws: DecodeWorkspace, threads: int) -> FeatureMaps:
     decoder._resize_stack(heatmaps.data, ws.factor, out=ws.heat_up,
                           tmp=ws.heat_tmp, threads=threads)
-    decoder._resize_stack(pafs.data, ws.factor, out=ws.paf_up,
-                          tmp=ws.paf_tmp, threads=threads)
-    return FeatureMaps(ws.heat_up), FeatureMaps(ws.paf_up)
-
-
-def _opt_group(up_paf: FeatureMaps, keypoints: list, cfg: DecoderConfig,
-               geometry: InputGeometry, factor: int) -> list:
-    candidates = [
-        collect_limb_candidates(up_paf, limb, keypoints[limb.from_kind],
-                                keypoints[limb.to_kind], cfg)
-        for limb in LIMBS
-    ]
-    accepted = group_limbs(candidates, cfg)
-    skeletons = assemble_skeletons(accepted, keypoints, cfg)
-    return [decoder._to_original(s, geometry, factor) for s in skeletons]
+    return FeatureMaps(ws.heat_up)
 
 
 def optimized_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
@@ -301,9 +278,9 @@ def optimized_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGe
     threads = resolve_threads(threads)
     if workspace is None:
         workspace = DecodeWorkspace(heatmaps.height, heatmaps.width, cfg.upsample_factor)
-    up_heat, up_paf = _opt_resize(heatmaps, pafs, workspace, threads)
+    up_heat = _opt_resize(heatmaps, workspace, threads)
     keypoints = extract_keypoints(up_heat, cfg, threads=threads)
-    return _opt_group(up_paf, keypoints, cfg, geometry, cfg.upsample_factor)
+    return decoder._group_keypoints(pafs, keypoints, cfg, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +426,11 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     for frame in range(warmups + frames):
         if mode == "optimized":
             t0 = time.perf_counter_ns()
-            up_heat, up_paf = _opt_resize(heat, pafs, ws, threads)
+            up_heat = _opt_resize(heat, ws, threads)
             t1 = time.perf_counter_ns()
             keypoints = extract_keypoints(up_heat, cfg, threads=threads)
             t2 = time.perf_counter_ns()
-            _opt_group(up_paf, keypoints, cfg, geometry, cfg.upsample_factor)
+            decoder._group_keypoints(pafs, keypoints, cfg, geometry)
             t3 = time.perf_counter_ns()
         else:
             t0 = time.perf_counter_ns()

@@ -1,5 +1,6 @@
 """Decoding pipeline: peaks -> scored limb candidates -> greedy grouping -> skeletons.
 
+Only the heatmaps are upsampled; limb scoring samples the stride-level PAFs.
 All stages are deterministic. Peak extraction may fan out across channels on
 a thread pool; per-channel work is independent and results are merged in
 channel order, so the output is bit-identical regardless of thread count.
@@ -14,7 +15,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .featuremaps import FeatureMaps, InputGeometry, _resize_planes, resize_bilinear
+from .featuremaps import (
+    FeatureMaps,
+    InputGeometry,
+    _require_finite,
+    _resize_planes,
+    _sample_upsampled,
+)
 from .skeleton import (
     BACKGROUND_CHANNEL,
     LIMBS,
@@ -59,7 +66,7 @@ def resolve_threads(threads: int) -> int:
 
 
 def _chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, count, min(parts, count) + 1, dtype=int)
+    bounds = np.linspace(0, count, max(1, min(parts, count)) + 1, dtype=int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
@@ -74,44 +81,11 @@ def _resize_stack(src: np.ndarray, factor: int, out: np.ndarray | None = None,
         out = np.empty((c, h * factor, w * factor), dtype=np.float32)
     if tmp is None:
         tmp = np.empty((c, h, w * factor), dtype=np.float32)
-    if threads > 1 and c > 1:
-        chunks = _chunk_bounds(c, threads)
-        list(_pool(len(chunks)).map(
-            lambda b: _resize_planes(src[b[0]:b[1]], factor,
-                                     out=out[b[0]:b[1]], tmp=tmp[b[0]:b[1]]),
-            chunks,
-        ))
-    else:
-        _resize_planes(src, factor, out=out, tmp=tmp)
+    chunks = _chunk_bounds(c, threads)
+    run = map if len(chunks) == 1 else _pool(len(chunks)).map
+    list(run(lambda b: _resize_planes(src[b[0]:b[1]], factor, out=out[b[0]:b[1]],
+                                      tmp=tmp[b[0]:b[1]]), chunks))
     return out
-
-
-def _peak_mask(stack: np.ndarray, threshold: float) -> np.ndarray:
-    """Boolean mask of local maxima over 8-neighborhoods, interior pixels only.
-
-    A pixel wins against earlier neighbors (row-major order) only when
-    strictly greater, and against later neighbors when greater or equal, so
-    plateaus of equal values yield exactly one peak: the first in scan order.
-    The outermost ring is never a peak: on upsampled maps the edge-clamped
-    interpolation replicates the adjacent interior values there, producing
-    ridges that would duplicate every peak sitting near a border. That rule
-    also means every candidate has a full 8-neighborhood, so the comparisons
-    run on shifted views with no padding. The mask covers ``stack[:, 1:-1,
-    1:-1]``; add 1 to its coordinates.
-    """
-    center = stack[:, 1:-1, 1:-1]
-    mask = center > threshold
-    # Neighbors that precede the center in row-major order: must be strictly smaller.
-    mask &= center > stack[:, :-2, :-2]
-    mask &= center > stack[:, :-2, 1:-1]
-    mask &= center > stack[:, :-2, 2:]
-    mask &= center > stack[:, 1:-1, :-2]
-    # Neighbors that follow the center: ties go to the center.
-    mask &= center >= stack[:, 1:-1, 2:]
-    mask &= center >= stack[:, 2:, :-2]
-    mask &= center >= stack[:, 2:, 1:-1]
-    mask &= center >= stack[:, 2:, 2:]
-    return mask
 
 
 def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -131,22 +105,46 @@ def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
 def _channel_peaks(stack: np.ndarray, first_channel: int, threshold: float):
     """Peaks with refined coordinates for a contiguous channel slice.
 
-    Returns arrays ``(kind, y, x, score)`` with ``kind`` given in absolute
-    channel indices. ``y``/``x`` are float64 refined positions.
+    A peak is a local maximum over its 8-neighborhood above ``threshold``. A
+    pixel wins against earlier neighbors (row-major order) only when strictly
+    greater, and against later neighbors when greater or equal, so plateaus
+    of equal values yield exactly one peak: the first in scan order. The
+    outermost ring is never a peak: on upsampled maps the edge-clamped
+    interpolation replicates the adjacent interior values there, producing
+    ridges that would duplicate every peak sitting near a border. That rule
+    also means every candidate has a full 8-neighborhood, so no padding is
+    needed. Only the threshold and the two same-row neighbors are tested on
+    every pixel, on the flattened stack; the survivors off the border ring
+    then face the other six neighbors.
+
+    Returns arrays ``(kind, y, x, score)`` in row-major order, with ``kind``
+    given in absolute channel indices. ``y``/``x`` are float64 refined
+    positions.
     """
-    ch, ys, xs = np.nonzero(_peak_mask(stack, threshold))
-    if ch.size == 0:
-        empty_f = np.empty(0, dtype=np.float64)
-        return ch + first_channel, empty_f, empty_f, empty_f
-    ys = ys + 1  # mask covers the interior; every peak has all 8 neighbors
-    xs = xs + 1
-    v = stack[ch, ys, xs].astype(np.float64)
-    left = stack[ch, ys, xs - 1].astype(np.float64)
-    right = stack[ch, ys, xs + 1].astype(np.float64)
-    up = stack[ch, ys - 1, xs].astype(np.float64)
-    down = stack[ch, ys + 1, xs].astype(np.float64)
-    dx = _refine_axis(v, left, right)
-    dy = _refine_axis(v, up, down)
+    _, h, w = stack.shape
+    flat = stack.reshape(-1)
+    center = flat[1:-1]
+    mask = center > threshold
+    mask &= center > flat[:-2]
+    mask &= center >= flat[2:]
+    idx = np.flatnonzero(mask) + 1
+    ys, xs = np.divmod(idx % (h * w), w)
+    idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
+    v = flat[idx]
+    # Neighbors that precede the center in row-major order: must be strictly smaller.
+    keep = v > flat[idx - w - 1]
+    keep &= v > flat[idx - w]
+    keep &= v > flat[idx - w + 1]
+    # Neighbors that follow the center: ties go to the center.
+    keep &= v >= flat[idx + w - 1]
+    keep &= v >= flat[idx + w]
+    keep &= v >= flat[idx + w + 1]
+    idx = idx[keep]
+    ch, pos = np.divmod(idx, h * w)
+    ys, xs = np.divmod(pos, w)
+    v = flat[idx].astype(np.float64)
+    dx = _refine_axis(v, flat[idx - 1].astype(np.float64), flat[idx + 1].astype(np.float64))
+    dy = _refine_axis(v, flat[idx - w].astype(np.float64), flat[idx + w].astype(np.float64))
     return ch + first_channel, ys + dy, xs + dx, v
 
 
@@ -165,18 +163,10 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
         )
     stack = heatmaps.data[:BACKGROUND_CHANNEL]
     threshold = cfg.peak_threshold
-    if threads > 1:
-        chunks = _chunk_bounds(NUM_KEYPOINTS, threads)
-        parts = list(_pool(len(chunks)).map(
-            lambda c: _channel_peaks(stack[c[0]:c[1]], c[0], threshold),
-            chunks,
-        ))
-        kinds = np.concatenate([p[0] for p in parts])
-        ys = np.concatenate([p[1] for p in parts])
-        xs = np.concatenate([p[2] for p in parts])
-        scores = np.concatenate([p[3] for p in parts])
-    else:
-        kinds, ys, xs, scores = _channel_peaks(stack, 0, threshold)
+    chunks = _chunk_bounds(NUM_KEYPOINTS, threads)
+    run = map if len(chunks) == 1 else _pool(len(chunks)).map
+    parts = list(run(lambda c: _channel_peaks(stack[c[0]:c[1]], c[0], threshold), chunks))
+    kinds, ys, xs, scores = (np.concatenate(column) for column in zip(*parts))
 
     result: list[list[Keypoint]] = []
     next_id = 0
@@ -207,18 +197,18 @@ def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
     return coords.astype(np.intp)
 
 
-def _affinity_matrix(pafs: FeatureMaps, limb, kps_a, kps_b, cfg: DecoderConfig):
+def _affinity_matrix(pafs: FeatureMaps, factor: int, limb, kps_a, kps_b,
+                     cfg: DecoderConfig):
     """Affinity and valid-ratio matrices, shape ``(len(kps_a), len(kps_b))``.
 
-    Samples the field at ``paf_sample_count`` evenly spaced points from a to b
-    (endpoints included, nearest-neighbor lookup) and dots each sample with
+    Keypoint coordinates live on ``pafs`` upsampled by ``factor``. Samples
+    the field at ``paf_sample_count`` evenly spaced points from a to b
+    (endpoints included, nearest upsampled pixel) and dots each sample with
     the unit direction. Affinity is the mean; valid ratio is the fraction of
     samples whose alignment exceeds the threshold. Zero-length candidates
     score (0, 0).
     """
-    plane_x = pafs.data[limb.paf_x_channel]
-    plane_y = pafs.data[limb.paf_y_channel]
-    h, w = plane_x.shape
+    h, w = pafs.height * factor, pafs.width * factor
     ax = np.array([k.x for k in kps_a], dtype=np.float64)
     ay = np.array([k.y for k in kps_a], dtype=np.float64)
     bx = np.array([k.x for k in kps_b], dtype=np.float64)
@@ -232,7 +222,9 @@ def _affinity_matrix(pafs: FeatureMaps, limb, kps_a, kps_b, cfg: DecoderConfig):
     t = _sample_offsets(cfg.paf_sample_count)
     ix = _nearest_index(ax[:, None, None] + dx[:, :, None] * t, w - 1)
     iy = _nearest_index(ay[:, None, None] + dy[:, :, None] * t, h - 1)
-    aligned = plane_x[iy, ix] * ux[:, :, None] + plane_y[iy, ix] * uy[:, :, None]
+    field_x, field_y = _sample_upsampled(
+        pafs.data, (limb.paf_x_channel, limb.paf_y_channel), factor, iy, ix)
+    aligned = field_x * ux[:, :, None] + field_y * uy[:, :, None]
     affinity = np.where(nonzero, aligned.mean(axis=2), 0.0)
     valid = np.where(
         nonzero,
@@ -245,17 +237,8 @@ def _affinity_matrix(pafs: FeatureMaps, limb, kps_a, kps_b, cfg: DecoderConfig):
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
                       cfg: DecoderConfig | None = None) -> list[LimbConnection]:
     """Score every (a, b) pair of keypoints against the limb's PAF channels."""
-    cfg = cfg or DecoderConfig()
-    if not kps_a or not kps_b:
-        return []
-    affinity, valid = _affinity_matrix(pafs, limb, kps_a, kps_b, cfg)
-    out = []
-    for i, a in enumerate(kps_a):
-        for j, b in enumerate(kps_b):
-            out.append(LimbConnection(limb=limb, from_kp=a.id, to_kp=b.id,
-                                      affinity=float(affinity[i, j]),
-                                      valid_ratio=float(valid[i, j])))
-    return out
+    return _limb_candidates(pafs, 1, limb, kps_a, kps_b, cfg or DecoderConfig(),
+                            keep_all=True)
 
 
 def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
@@ -267,17 +250,20 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
     list; building objects for pairs that are about to be discarded is the
     bulk of the grouping stage's cost on crowded scenes.
     """
-    cfg = cfg or DecoderConfig()
+    return _limb_candidates(pafs, 1, limb, kps_a, kps_b, cfg or DecoderConfig())
+
+
+def _limb_candidates(pafs: FeatureMaps, factor: int, limb, kps_a, kps_b,
+                     cfg: DecoderConfig, keep_all: bool = False) -> list[LimbConnection]:
+    """Connections in row-major (a, b) order for keypoints on ``pafs``
+    upsampled by ``factor``: all pairs, or those passing the grouping filter."""
     if not kps_a or not kps_b:
         return []
-    affinity, valid = _affinity_matrix(pafs, limb, kps_a, kps_b, cfg)
+    affinity, valid = _affinity_matrix(pafs, factor, limb, kps_a, kps_b, cfg)
     keep = (valid >= cfg.min_valid_ratio) & (affinity > 0.0)
-    out = []
-    for i, j in np.argwhere(keep):
-        out.append(LimbConnection(limb=limb, from_kp=kps_a[i].id, to_kp=kps_b[j].id,
-                                  affinity=float(affinity[i, j]),
-                                  valid_ratio=float(valid[i, j])))
-    return out
+    return [LimbConnection(limb=limb, from_kp=kps_a[i].id, to_kp=kps_b[j].id,
+                           affinity=float(affinity[i, j]), valid_ratio=float(valid[i, j]))
+            for i, j in np.argwhere(keep | keep_all)]
 
 
 def score_connection(pafs: FeatureMaps, limb, a: Keypoint, b: Keypoint,
@@ -423,13 +409,29 @@ def _to_original(skeleton: PoseSkeleton, geometry: InputGeometry,
     return PoseSkeleton(tuple(moved), skeleton.score, skeleton.num_keypoints)
 
 
+def _group_keypoints(pafs: FeatureMaps, keypoints, cfg: DecoderConfig,
+                     geometry: InputGeometry) -> list[PoseSkeleton]:
+    """Skeletons in original-image pixels from keypoints on heatmaps upsampled
+    by ``cfg.upsample_factor``, scored against the stride-level ``pafs``."""
+    factor = cfg.upsample_factor
+    candidates = [
+        _limb_candidates(pafs, factor, limb, keypoints[limb.from_kind],
+                         keypoints[limb.to_kind], cfg)
+        for limb in LIMBS
+    ]
+    accepted = group_limbs(candidates, cfg)
+    skeletons = assemble_skeletons(accepted, keypoints, cfg)
+    return [_to_original(s, geometry, factor) for s in skeletons]
+
+
 def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
            cfg: DecoderConfig | None = None, threads: int = 1) -> list[PoseSkeleton]:
     """Full pipeline from stride-level maps to skeletons in original-image pixels.
 
-    Upsamples both map sets by ``cfg.upsample_factor``, extracts keypoints,
-    scores and groups limb candidates, assembles skeletons, then maps
-    coordinates back through stride, upsample factor, scale, and padding.
+    Upsamples the heatmaps (only) by ``cfg.upsample_factor``, extracts
+    keypoints, scores limb candidates on the stride-level PAFs, groups and
+    assembles them, then maps coordinates back through stride, upsample
+    factor, scale, and padding. Non-finite maps raise ``ValueError``.
     """
     cfg = cfg or DecoderConfig()
     if heatmaps.channels != NUM_HEATMAP_CHANNELS:
@@ -451,23 +453,14 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
             f"geometry net input {geometry.net_input_height}x{geometry.net_input_width} "
             f"does not match maps {heatmaps.height}x{heatmaps.width} at stride {geometry.stride}"
         )
+    # A FeatureMaps built directly skips the check in ``from_planes``; NaN
+    # would fail every comparison and silently decode to nothing.
+    _require_finite(heatmaps.data, pafs.data)
     threads = resolve_threads(threads)
     if cfg.upsample_factor == 1:
-        up_heat, up_paf = heatmaps, pafs
-    elif threads > 1:
+        up_heat = heatmaps
+    else:
         up_heat = FeatureMaps(_resize_stack(heatmaps.data, cfg.upsample_factor,
                                             threads=threads))
-        up_paf = FeatureMaps(_resize_stack(pafs.data, cfg.upsample_factor,
-                                           threads=threads))
-    else:
-        up_heat = resize_bilinear(heatmaps, cfg.upsample_factor)
-        up_paf = resize_bilinear(pafs, cfg.upsample_factor)
     keypoints = extract_keypoints(up_heat, cfg, threads=threads)
-    candidates = [
-        collect_limb_candidates(up_paf, limb, keypoints[limb.from_kind],
-                                keypoints[limb.to_kind], cfg)
-        for limb in LIMBS
-    ]
-    accepted = group_limbs(candidates, cfg)
-    skeletons = assemble_skeletons(accepted, keypoints, cfg)
-    return [_to_original(s, geometry, cfg.upsample_factor) for s in skeletons]
+    return _group_keypoints(pafs, keypoints, cfg, geometry)

@@ -37,8 +37,7 @@ class FeatureMaps:
             )
         if min(arr.shape) < 1:
             raise DimensionMismatchError(f"all dimensions must be >= 1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("feature maps must contain only finite values")
+        _require_finite(arr)
         return cls(arr)
 
     @classmethod
@@ -63,6 +62,11 @@ class FeatureMaps:
 
     def plane(self, channel: int) -> np.ndarray:
         return self.data[channel]
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise ValueError("feature maps must contain only finite values")
 
 
 @lru_cache(maxsize=64)
@@ -112,6 +116,31 @@ def _axis_blocks(size: int, factor: int):
         return None
     weights.flags.writeable = False
     return head, tail, weights
+
+
+def _sample_upsampled(src: np.ndarray, channels, factor: int, ys: np.ndarray,
+                      xs: np.ndarray) -> np.ndarray:
+    """``up[c, ys, xs]`` for each ``c`` in ``channels``, stacked, where ``up``
+    is ``_resize_planes(src, factor)``, computed without the resize.
+
+    Repeats the resize's float32 operations from ``_axis_tables``: columns
+    first, then rows, each as ``(b - a) * w + a``. For finite maps the values
+    are therefore bit-equal to the dense upsample, except that a -0.0 the
+    resize copies into a clamped edge sample comes out as +0.0.
+    """
+    ch = np.asarray(channels, dtype=np.intp).reshape((-1,) + (1,) * ys.ndim)
+    if factor == 1:
+        return src[ch, ys, xs]
+    _, h, w = src.shape
+    ylo, yhi, wy = _axis_tables(h, factor)
+    xlo, xhi, wx = _axis_tables(w, factor)
+    y0, y1, fy = ylo[ys], yhi[ys], wy[ys]
+    x0, x1, fx = xlo[xs], xhi[xs], wx[xs]
+    a = src[ch, y0, x0]
+    top = (src[ch, y0, x1] - a) * fx + a
+    a = src[ch, y1, x0]
+    bottom = (src[ch, y1, x1] - a) * fx + a
+    return (bottom - top) * fy + top
 
 
 def _resize_planes(src: np.ndarray, factor: int, out: np.ndarray | None = None,

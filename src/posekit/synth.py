@@ -151,14 +151,6 @@ def render_pafs(persons, cfg: RenderConfig) -> FeatureMaps:
     return FeatureMaps(vec_sum.astype(np.float32))
 
 
-def _instantiate(template: dict[int, tuple[int, int]], anchor: tuple[int, int]):
-    ax, ay = anchor
-    slots: list = [None] * NUM_KEYPOINTS
-    for kind, (dx, dy) in template.items():
-        slots[kind] = (float(ax + dx), float(ay + dy))
-    return GroundTruthPerson(tuple(slots))
-
-
 def _anchor_range(template, cfg: RenderConfig):
     off_x = [dx for dx, _ in template.values()]
     off_y = [dy for _, dy in template.values()]
@@ -182,24 +174,29 @@ def _min_same_kind_distance(a: GroundTruthPerson, b: GroundTruthPerson) -> float
 
 
 def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | None:
-    persons: list[GroundTruthPerson] = []
+    # Placed keypoints as (person, kind, xy), NaN where a person lacks a kind,
+    # so each attempt is one array comparison instead of a loop over persons.
+    placed = np.empty((0, NUM_KEYPOINTS, 2))
     for template in templates:
         rng_range = _anchor_range(template, cfg)
         if rng_range is None:
             return None
         x_lo, x_hi, y_lo, y_hi = rng_range
+        kinds = list(template)
+        offsets = np.array([template[k] for k in kinds], dtype=np.float64)
+        others = placed[:, kinds]
         for _ in range(_PLACEMENT_ATTEMPTS):
             anchor = (int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1)))
-            candidate = _instantiate(template, anchor)
-            if all(
-                _min_same_kind_distance(candidate, other) >= MIN_SAME_KIND_SEPARATION
-                for other in persons
-            ):
-                persons.append(candidate)
+            spots = offsets + anchor
+            d = np.hypot(others[..., 0] - spots[:, 0], others[..., 1] - spots[:, 1])
+            if not (d < MIN_SAME_KIND_SEPARATION).any():
+                placed = np.concatenate([placed, np.full((1, NUM_KEYPOINTS, 2), np.nan)])
+                placed[-1, kinds] = spots
                 break
         else:
             return None
-    return persons
+    return [GroundTruthPerson(tuple(None if np.isnan(x) else (float(x), float(y))
+                                    for x, y in person)) for person in placed]
 
 
 def generate_scene(num_persons: int, cfg: RenderConfig):

@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from posekit import read_poses
+from posekit import FeatureMaps, read_poses, read_tensor
 from posekit.cli import main
 
 
@@ -150,6 +151,22 @@ def test_dimension_mismatch_exits_3(tmp_path, capsys):
     code = main(["decode", "--heatmaps", str(big / "heatmaps.ptns"),
                  "--pafs", str(small / "pafs.ptns"), "--orig-size", "256x456"])
     assert code == 3
+
+
+def test_non_finite_maps_exit_2(tmp_path, capsys, monkeypatch):
+    # read_tensor rejects non-finite payloads itself; maps that reach decode
+    # another way must be refused there with the same exit code.
+    fixture = _synth(tmp_path, "scene", persons=1)
+    pafs = read_tensor(fixture / "pafs.ptns")
+    data = pafs.data.copy()
+    data[0, 3, 3] = np.nan
+    real_read = read_tensor
+    monkeypatch.setattr("posekit.cli.read_tensor", lambda path: (
+        FeatureMaps(data) if str(path).endswith("pafs.ptns") else real_read(path)))
+    code = main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
+                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_infeasible_scene_exits_4(tmp_path, capsys):

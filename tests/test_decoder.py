@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import posekit.decoder
+import posekit.featuremaps
 from posekit import (
     DecoderConfig,
     FeatureMaps,
@@ -12,6 +14,7 @@ from posekit import (
     LimbConnection,
     LIMBS,
     NUM_KEYPOINTS,
+    PoseDocument,
     assemble_skeletons,
     collect_limb_candidates,
     decode,
@@ -21,8 +24,10 @@ from posekit import (
     score_connection,
     score_connections,
 )
-from posekit.bench import identity_geometry
+from posekit.bench import _naive_extract, identity_geometry, optimized_decode
 from posekit.errors import DimensionMismatchError
+from posekit.featuremaps import compute_input_geometry
+from posekit.fileio import pose_document_bytes
 from posekit.skeleton import BACKGROUND_CHANNEL, NUM_HEATMAP_CHANNELS, NUM_PAF_CHANNELS
 from posekit.synth import GroundTruthPerson, RenderConfig, generate_scene, render_pafs
 
@@ -157,6 +162,55 @@ def test_extract_threads_do_not_change_results():
     data[:NUM_KEYPOINTS] = rng.uniform(0.0, 1.0, size=(NUM_KEYPOINTS, 20, 20))
     maps = FeatureMaps(data)
     assert extract_keypoints(maps, threads=1) == extract_keypoints(maps, threads=4)
+
+
+def _border_blobs(rng, h, w) -> np.ndarray:
+    """Gaussian blobs centred on the map's border rows and columns."""
+    plane = np.zeros((h, w))
+    for _ in range(int(rng.integers(1, 4))):
+        cy, cx = rng.choice([0, h - 1]), rng.uniform(0, w - 1)
+        if rng.random() < 0.5:
+            cy, cx = rng.uniform(0, h - 1), rng.choice([0, w - 1])
+        plane = np.maximum(plane, _gaussian(h, w, cx, cy, amp=rng.uniform(0.2, 1.0),
+                                            sigma=rng.uniform(0.5, 2.0)))
+    return plane
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=6, kind="plateau", h=4, w=7, factor=3)  # the tie described below
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       kind=st.sampled_from(["noise", "plateau", "border"]),
+       h=st.integers(min_value=1, max_value=9),
+       w=st.integers(min_value=1, max_value=9),
+       factor=st.integers(min_value=1, max_value=4))
+def test_extract_matches_scalar_reference(seed, kind, h, w, factor):
+    rng = np.random.default_rng(seed)
+    data = np.zeros((NUM_HEATMAP_CHANNELS, h, w), dtype=np.float32)
+    for c in range(NUM_KEYPOINTS):
+        if kind == "noise":
+            plane = rng.uniform(0.0, 1.0, size=(h, w))
+        elif kind == "plateau":
+            plane = rng.integers(0, 3, size=(h, w)) / 4.0  # many equal neighbors
+        else:
+            plane = _border_blobs(rng, h, w) + rng.normal(0.0, 0.02, size=(h, w))
+        data[c] = plane
+    up = resize_bilinear(FeatureMaps(data), factor)
+    cfg = DecoderConfig()
+    got = extract_keypoints(up, cfg, threads=int(rng.integers(1, 4)))
+    want = _naive_extract(list(up.data), cfg.peak_threshold)
+    # The scalar reference refines in float32 and the batched path in
+    # float64, so positions agree to float32 precision and equal scores may
+    # come in another order (rows 7 - 9e-8 and 7 - 4e-8 are both 7.0 in
+    # float32, leaving the column to decide): match each peak by exact score
+    # and position within that precision. Peaks sit at least one pixel
+    # apart, so a match is unique.
+    for got_bucket, want_bucket in zip(got, want):
+        assert {k.id for k in got_bucket} == {r.id for r in want_bucket}
+        remaining = list(want_bucket)
+        for k in got_bucket:
+            (match,) = [r for r in remaining if r.score == k.score
+                        and abs(r.x - k.x) <= 1e-4 and abs(r.y - k.y) <= 1e-4]
+            remaining.remove(match)
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +536,87 @@ def test_decoder_config_validation():
         DecoderConfig(min_valid_ratio=1.5)
     with pytest.raises(ValueError):
         DecoderConfig(min_keypoints=0)
+
+
+def test_decode_rejects_non_finite_maps():
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(32, 57, seed=7))
+    geometry = identity_geometry(32, 57)
+    heat = heatmaps.data.copy()
+    heat[4, 10, 20] = np.inf
+    paf = pafs.data.copy()
+    paf[LIMBS[0].paf_x_channel, 5, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decode(FeatureMaps(heat), pafs, geometry)
+    with pytest.raises(ValueError, match="finite"):
+        decode(heatmaps, FeatureMaps(paf), geometry)
+
+
+@pytest.mark.parametrize("decode_fn", [decode, optimized_decode])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_decode_never_upsamples_the_paf_stack(monkeypatch, decode_fn, threads):
+    seen = []
+    resize = posekit.featuremaps._resize_planes
+
+    def recording(src, *args, **kwargs):
+        seen.append(src)
+        return resize(src, *args, **kwargs)
+
+    monkeypatch.setattr(posekit.featuremaps, "_resize_planes", recording)
+    monkeypatch.setattr(posekit.decoder, "_resize_planes", recording)
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(32, 57, seed=7))
+    skeletons = decode_fn(heatmaps, pafs, identity_geometry(32, 57), DecoderConfig(),
+                          threads=threads)
+    assert len(skeletons) == 3
+    # Only the heatmap stack is resized, possibly in channel chunks.
+    assert sum(src.shape[0] for src in seen) == NUM_HEATMAP_CHANNELS
+    assert not any(np.shares_memory(src, pafs.data) for src in seen)
+
+
+def _dense_decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
+    """``decode`` as the composition of the public stages on upsampled maps."""
+    up_heat = resize_bilinear(heatmaps, cfg.upsample_factor)
+    up_paf = resize_bilinear(pafs, cfg.upsample_factor)
+    keypoints = extract_keypoints(up_heat, cfg)
+    candidates = [collect_limb_candidates(up_paf, limb, keypoints[limb.from_kind],
+                                          keypoints[limb.to_kind], cfg)
+                  for limb in LIMBS]
+    skeletons = assemble_skeletons(group_limbs(candidates, cfg), keypoints, cfg)
+    moved = [posekit.decoder._to_original(sk, geometry, cfg.upsample_factor)
+             for sk in skeletons]
+    return pose_document_bytes(PoseDocument(geometry, tuple(moved)))
+
+
+def _decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
+    skeletons = decode(heatmaps, pafs, geometry, cfg)
+    return pose_document_bytes(PoseDocument(geometry, tuple(skeletons)))
+
+
+def test_decode_matches_dense_composition_on_acceptance_scenes():
+    # The 50 scenes of acceptance criterion 5, clean and with sigma=0.02 noise.
+    geometry = identity_geometry(32, 57)
+    cfg = DecoderConfig()
+    rng = np.random.default_rng(2)
+    mismatches = []
+    for seed in range(50):
+        _, heatmaps, pafs = generate_scene(seed % 20 + 1, RenderConfig(32, 57, seed=seed))
+        noisy = [FeatureMaps.from_planes(m.data + rng.normal(0.0, 0.02, m.data.shape))
+                 for m in (heatmaps, pafs)]
+        for variant, (heat, paf) in (("clean", (heatmaps, pafs)), ("noisy", noisy)):
+            if (_decode_bytes(heat, paf, geometry, cfg)
+                    != _dense_decode_bytes(heat, paf, geometry, cfg)):
+                mismatches.append((seed, variant))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 8])
+def test_decode_matches_dense_composition_at_other_factors(factor):
+    cfg = DecoderConfig(upsample_factor=factor)
+    _, heatmaps, pafs = generate_scene(2, RenderConfig(23, 31, seed=factor))
+    geometry = identity_geometry(23, 31)
+    assert _decode_bytes(heatmaps, pafs, geometry, cfg) == \
+        _dense_decode_bytes(heatmaps, pafs, geometry, cfg)
+    # A padded, scaled geometry with the wide-frame map size.
+    geometry = compute_input_geometry(720, 1280, 368)
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(46, 82, seed=20 + factor))
+    assert _decode_bytes(heatmaps, pafs, geometry, cfg) == \
+        _dense_decode_bytes(heatmaps, pafs, geometry, cfg)

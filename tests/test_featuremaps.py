@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from posekit import FeatureMaps, STRIDE, compute_input_geometry, resize_bilinear
 from posekit.errors import DimensionMismatchError
+from posekit.featuremaps import _sample_upsampled
 
 # Hand-computed 2x2 -> 4x4 case. Output sample i reads source (i + 0.5)/2 - 0.5,
 # so interior weights alternate 0.25/0.75 and the border replicates edge values.
@@ -87,6 +88,19 @@ def test_plateau_around_integer_peak_is_bit_exact():
         block = up[top:top + 2, top:top + 2]
         assert block[0, 0] == block[0, 1] == block[1, 0] == block[1, 1]
         assert block[0, 0] == up.max()
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("shape", [(23, 31), (1, 9), (9, 1)])
+def test_point_sampler_is_bit_equal_to_dense_upsample(factor, shape):
+    rng = np.random.default_rng(factor)
+    data = rng.uniform(-1.0, 1.0, size=(3, *shape)).astype(np.float32)
+    dense = resize_bilinear(FeatureMaps(data), factor).data
+    ys, xs = np.indices(dense.shape[1:])
+    sampled = _sample_upsampled(data, (2, 0, 1), factor, ys, xs)
+    assert sampled.dtype == np.float32
+    np.testing.assert_array_equal(sampled.view(np.uint32),
+                                  dense[[2, 0, 1]].view(np.uint32))
 
 
 def test_rejects_bad_factor():

@@ -1,5 +1,6 @@
 """Synthetic scene generation: analytic renderers and placement guarantees."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from posekit import GroundTruthPerson, RenderConfig, generate_scene
 from posekit.errors import PlacementInfeasibleError
+from posekit.fileio import scene_truth_bytes
 from posekit.skeleton import (
     BACKGROUND_CHANNEL,
     LIMBS,
@@ -144,6 +146,22 @@ def test_generate_scene_is_deterministic():
     assert persons_a == persons_b
     np.testing.assert_array_equal(heat_a.data, heat_b.data)
     np.testing.assert_array_equal(paf_a.data, paf_b.data)
+
+
+def test_generate_scene_output_is_pinned():
+    # Digest of truth documents and both tensors for the first ten acceptance
+    # scenes, the canonical 20-person scene and a 46x82 three-person scene.
+    # Placement must keep its random draw order, or every fixture changes.
+    digest = hashlib.sha256()
+    for num, size, seed in ([(s % 20 + 1, (32, 57), s) for s in range(10)]
+                            + [(20, (32, 57), 20), (3, (46, 82), 20)]):
+        cfg = RenderConfig(*size, seed=seed)
+        persons, heatmaps, pafs = generate_scene(num, cfg)
+        for blob in (scene_truth_bytes(persons, cfg), heatmaps.data.tobytes(),
+                     pafs.data.tobytes()):
+            digest.update(blob)
+    assert digest.hexdigest() == \
+        "80fc3be0791b00d1c45dcad61c724cbba5c0d1f4caa6537e5ed915879c98d8cb"
 
 
 def test_generate_scene_seeds_differ():
