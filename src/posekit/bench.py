@@ -9,12 +9,12 @@ single-threaded, and pair scoring loops over samples one candidate at a
 time. The optimized mode runs ``decoder.decode``'s code: it upsamples only
 the heatmaps (the resize stage covers nothing else) into preallocated
 buffers, extracts with batched comparisons (in parallel when threads
-allow), and scores whole candidate matrices on the stride-level PAFs.
+allow), and scores every limb's candidates in one batch on stride-level PAFs.
 
-Before any timing, both modes decode the scenario once and their skeletons
-are compared (counts, slot patterns, coordinates); a mismatch aborts with a
-diff. Scores are excluded from the comparison since the two paths
-accumulate in different float widths.
+Before any timing, both paths decode the scenario once at the configured
+upsample factor and their skeletons are compared (counts, slot patterns,
+coordinates); a mismatch aborts with a diff. Scores are excluded from the
+comparison since the two paths accumulate in different float widths.
 """
 
 from __future__ import annotations
@@ -240,13 +240,14 @@ def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
 
 
 def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-                 cfg: DecoderConfig | None = None) -> list:
-    """Full-input-size decode along the naive path."""
+                 cfg: DecoderConfig | None = None, factor: int | None = None) -> list:
+    """Naive decode upsampling by ``factor``; by default the stride, to input size."""
     cfg = cfg or DecoderConfig()
-    up_heat, up_paf = _naive_resize(heatmaps, pafs, geometry.stride)
+    factor = geometry.stride if factor is None else factor
+    up_heat, up_paf = _naive_resize(heatmaps, pafs, factor)
     keypoints = _naive_extract(up_heat, cfg.peak_threshold)
     skeletons = _naive_group(up_paf, keypoints, cfg)
-    return [decoder._to_original(s, geometry, geometry.stride) for s in skeletons]
+    return [decoder._to_original(s, geometry, factor) for s in skeletons]
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +404,8 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
                   threads: int = 0) -> BenchReport:
     """Time one mode on a scenario, gating on naive/optimized agreement first.
 
-    The gate always runs both pipelines once, whatever ``mode`` says;
-    benchmark numbers for code that decodes incorrectly are worthless.
+    The gate runs both pipelines once at ``cfg.upsample_factor``, whatever
+    ``mode`` says; benchmark numbers for incorrect decoding are worthless.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -416,7 +417,8 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
     ws = DecodeWorkspace(heat.height, heat.width, cfg.upsample_factor)
 
-    naive_sk = naive_decode(heat, pafs, geometry, cfg)
+    # Off-lattice peaks refine to other positions at another upsample factor.
+    naive_sk = naive_decode(heat, pafs, geometry, cfg, factor=cfg.upsample_factor)
     opt_sk = optimized_decode(heat, pafs, geometry, cfg, workspace=ws, threads=threads)
     diff = compare_skeletons(naive_sk, opt_sk)
     if diff is not None:

@@ -1,9 +1,9 @@
 """Decoding pipeline: peaks -> scored limb candidates -> greedy grouping -> skeletons.
 
-Only the heatmaps are upsampled; limb scoring samples the stride-level PAFs.
-All stages are deterministic. Peak extraction may fan out across channels on
-a thread pool; per-channel work is independent and results are merged in
-channel order, so the output is bit-identical regardless of thread count.
+Only the heatmaps are upsampled; one batch scores every limb's pairs on the
+stride-level PAFs. All stages are deterministic. Peak extraction may fan out
+across channels on a thread pool; per-channel work is independent and results
+are merged in channel order, so the output is bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -167,19 +167,12 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
     run = map if len(chunks) == 1 else _pool(len(chunks)).map
     parts = list(run(lambda c: _channel_peaks(stack[c[0]:c[1]], c[0], threshold), chunks))
     kinds, ys, xs, scores = (np.concatenate(column) for column in zip(*parts))
-
-    result: list[list[Keypoint]] = []
-    next_id = 0
-    for kind in range(NUM_KEYPOINTS):
-        sel = kinds == kind
-        kx, ky, ks = xs[sel], ys[sel], scores[sel]
-        order = np.lexsort((kx, ky, -ks))
-        bucket = []
-        for i in order:
-            bucket.append(Keypoint(id=next_id, kind=kind, x=float(kx[i]), y=float(ky[i]),
-                                   score=float(ks[i])))
-            next_id += 1
-        result.append(bucket)
+    # Stable, on peaks merged in channel-major, row-major order.
+    order = np.lexsort((xs, ys, -scores, kinds))
+    result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
+    columns = (column[order].tolist() for column in (kinds, xs, ys, scores))
+    for kp_id, (kind, x, y, score) in enumerate(zip(*columns)):
+        result[kind].append(Keypoint(id=kp_id, kind=kind, x=x, y=y, score=score))
     return result
 
 
@@ -197,48 +190,65 @@ def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
     return coords.astype(np.intp)
 
 
-def _affinity_matrix(pafs: FeatureMaps, factor: int, limb, kps_a, kps_b,
-                     cfg: DecoderConfig):
-    """Affinity and valid-ratio matrices, shape ``(len(kps_a), len(kps_b))``.
+def _score_limbs(pafs: FeatureMaps, factor: int, limbs, keypoints, cfg: DecoderConfig,
+                 keep_all: bool = False) -> list[list[LimbConnection]]:
+    """One candidate list per limb; every limb's pairs are scored in one batch.
 
-    Keypoint coordinates live on ``pafs`` upsampled by ``factor``. Samples
-    the field at ``paf_sample_count`` evenly spaced points from a to b
-    (endpoints included, nearest upsampled pixel) and dots each sample with
-    the unit direction. Affinity is the mean; valid ratio is the fraction of
-    samples whose alignment exceeds the threshold. Zero-length candidates
-    score (0, 0).
+    ``keypoints[kind]`` lists the keypoints of ``kind`` on ``pafs`` upsampled
+    by ``factor``. A pair samples the field at ``paf_sample_count`` evenly
+    spaced points from a to b (endpoints included, nearest upsampled pixel)
+    and dots each sample with the unit direction. Affinity is the mean; valid
+    ratio is the fraction of samples whose alignment exceeds the threshold.
+    Zero-length pairs score (0, 0). Lists are in row-major (a, b) order and
+    hold all pairs with ``keep_all``, else those passing the grouping filter.
     """
+    kinds = sorted({kind for limb in limbs for kind in (limb.from_kind, limb.to_kind)})
+    flat = [kp for kind in kinds for kp in keypoints[kind]]
+    start = dict(zip(kinds, np.cumsum([0] + [len(keypoints[k]) for k in kinds]).tolist()))
+    x = np.array([kp.x for kp in flat], dtype=np.float64)
+    y = np.array([kp.y for kp in flat], dtype=np.float64)
+    a_start, na, b_start, nb, x_channel, y_channel = np.array(
+        [(start[limb.from_kind], len(keypoints[limb.from_kind]), start[limb.to_kind],
+          len(keypoints[limb.to_kind]), limb.paf_x_channel, limb.paf_y_channel)
+         for limb in limbs], dtype=np.intp).reshape(-1, 6).T
+    # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
+    # na x nb block gives the row-major (i, j).
+    counts = na * nb
+    owner = np.repeat(np.arange(len(limbs)), counts)
+    i, j = np.divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
+    ia, ib = a_start[owner] + i, b_start[owner] + j
+
     h, w = pafs.height * factor, pafs.width * factor
-    ax = np.array([k.x for k in kps_a], dtype=np.float64)
-    ay = np.array([k.y for k in kps_a], dtype=np.float64)
-    bx = np.array([k.x for k in kps_b], dtype=np.float64)
-    by = np.array([k.y for k in kps_b], dtype=np.float64)
-    dx = bx[None, :] - ax[:, None]
-    dy = by[None, :] - ay[:, None]
+    dx, dy = x[ib] - x[ia], y[ib] - y[ia]
     length = np.hypot(dx, dy)
     nonzero = length > 0.0
     ux = np.divide(dx, length, out=np.zeros_like(dx), where=nonzero)
     uy = np.divide(dy, length, out=np.zeros_like(dy), where=nonzero)
     t = _sample_offsets(cfg.paf_sample_count)
-    ix = _nearest_index(ax[:, None, None] + dx[:, :, None] * t, w - 1)
-    iy = _nearest_index(ay[:, None, None] + dy[:, :, None] * t, h - 1)
-    field_x, field_y = _sample_upsampled(
-        pafs.data, (limb.paf_x_channel, limb.paf_y_channel), factor, iy, ix)
-    aligned = field_x * ux[:, :, None] + field_y * uy[:, :, None]
-    affinity = np.where(nonzero, aligned.mean(axis=2), 0.0)
+    ix = _nearest_index(x[ia, None] + dx[:, None] * t, w - 1)
+    iy = _nearest_index(y[ia, None] + dy[:, None] * t, h - 1)
+    channels = np.stack((x_channel[owner], y_channel[owner]))[:, :, None]
+    field_x, field_y = _sample_upsampled(pafs.data, channels, factor, iy, ix)
+    aligned = field_x * ux[:, None] + field_y * uy[:, None]
+    affinity = np.where(nonzero, aligned.mean(axis=-1), 0.0)
     valid = np.where(
         nonzero,
-        (aligned > cfg.paf_alignment_threshold).sum(axis=2) / cfg.paf_sample_count,
+        (aligned > cfg.paf_alignment_threshold).sum(axis=-1) / cfg.paf_sample_count,
         0.0,
     )
-    return affinity, valid
+    keep = keep_all | ((valid >= cfg.min_valid_ratio) & (affinity > 0.0))
+    result: list[list[LimbConnection]] = [[] for _ in limbs]
+    for p, a, b, aff, ratio in zip(*(c[keep].tolist() for c in (owner, ia, ib, affinity, valid))):
+        result[p].append(LimbConnection(limb=limbs[p], from_kp=flat[a].id, to_kp=flat[b].id,
+                                        affinity=aff, valid_ratio=ratio))
+    return result
 
 
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
                       cfg: DecoderConfig | None = None) -> list[LimbConnection]:
-    """Score every (a, b) pair of keypoints against the limb's PAF channels."""
-    return _limb_candidates(pafs, 1, limb, kps_a, kps_b, cfg or DecoderConfig(),
-                            keep_all=True)
+    """Score every (a, b) pair, in row-major order, against the limb's PAF channels."""
+    return _score_limbs(pafs, 1, (limb,), {limb.from_kind: kps_a, limb.to_kind: kps_b},
+                        cfg or DecoderConfig(), keep_all=True)[0]
 
 
 def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
@@ -250,20 +260,8 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
     list; building objects for pairs that are about to be discarded is the
     bulk of the grouping stage's cost on crowded scenes.
     """
-    return _limb_candidates(pafs, 1, limb, kps_a, kps_b, cfg or DecoderConfig())
-
-
-def _limb_candidates(pafs: FeatureMaps, factor: int, limb, kps_a, kps_b,
-                     cfg: DecoderConfig, keep_all: bool = False) -> list[LimbConnection]:
-    """Connections in row-major (a, b) order for keypoints on ``pafs``
-    upsampled by ``factor``: all pairs, or those passing the grouping filter."""
-    if not kps_a or not kps_b:
-        return []
-    affinity, valid = _affinity_matrix(pafs, factor, limb, kps_a, kps_b, cfg)
-    keep = (valid >= cfg.min_valid_ratio) & (affinity > 0.0)
-    return [LimbConnection(limb=limb, from_kp=kps_a[i].id, to_kp=kps_b[j].id,
-                           affinity=float(affinity[i, j]), valid_ratio=float(valid[i, j]))
-            for i, j in np.argwhere(keep | keep_all)]
+    return _score_limbs(pafs, 1, (limb,), {limb.from_kind: kps_a, limb.to_kind: kps_b},
+                        cfg or DecoderConfig())[0]
 
 
 def score_connection(pafs: FeatureMaps, limb, a: Keypoint, b: Keypoint,
@@ -412,14 +410,10 @@ def _to_original(skeleton: PoseSkeleton, geometry: InputGeometry,
 def _group_keypoints(pafs: FeatureMaps, keypoints, cfg: DecoderConfig,
                      geometry: InputGeometry) -> list[PoseSkeleton]:
     """Skeletons in original-image pixels from keypoints on heatmaps upsampled
-    by ``cfg.upsample_factor``, scored against the stride-level ``pafs``."""
+    by ``cfg.upsample_factor``, with all limbs scored in one batch against
+    the stride-level ``pafs``."""
     factor = cfg.upsample_factor
-    candidates = [
-        _limb_candidates(pafs, factor, limb, keypoints[limb.from_kind],
-                         keypoints[limb.to_kind], cfg)
-        for limb in LIMBS
-    ]
-    accepted = group_limbs(candidates, cfg)
+    accepted = group_limbs(_score_limbs(pafs, factor, LIMBS, keypoints, cfg), cfg)
     skeletons = assemble_skeletons(accepted, keypoints, cfg)
     return [_to_original(s, geometry, factor) for s in skeletons]
 

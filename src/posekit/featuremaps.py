@@ -118,29 +118,31 @@ def _axis_blocks(size: int, factor: int):
     return head, tail, weights
 
 
-def _sample_upsampled(src: np.ndarray, channels, factor: int, ys: np.ndarray,
-                      xs: np.ndarray) -> np.ndarray:
-    """``up[c, ys, xs]`` for each ``c`` in ``channels``, stacked, where ``up``
-    is ``_resize_planes(src, factor)``, computed without the resize.
+def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
+                      ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``up[channels, ys, xs]`` (index arrays that broadcast together), where
+    ``up`` is ``_resize_planes(src, factor)``, gathered without the resize.
 
     Repeats the resize's float32 operations from ``_axis_tables``: columns
     first, then rows, each as ``(b - a) * w + a``. For finite maps the values
     are therefore bit-equal to the dense upsample, except that a -0.0 the
     resize copies into a clamped edge sample comes out as +0.0.
     """
-    ch = np.asarray(channels, dtype=np.intp).reshape((-1,) + (1,) * ys.ndim)
-    if factor == 1:
-        return src[ch, ys, xs]
     _, h, w = src.shape
+    flat = src.reshape(-1)
+    planes = np.asarray(channels, dtype=np.intp) * h
+    if factor == 1:
+        return flat[(planes + ys) * w + xs]
     ylo, yhi, wy = _axis_tables(h, factor)
     xlo, xhi, wx = _axis_tables(w, factor)
-    y0, y1, fy = ylo[ys], yhi[ys], wy[ys]
     x0, x1, fx = xlo[xs], xhi[xs], wx[xs]
-    a = src[ch, y0, x0]
-    top = (src[ch, y0, x1] - a) * fx + a
-    a = src[ch, y1, x0]
-    bottom = (src[ch, y1, x1] - a) * fx + a
-    return (bottom - top) * fy + top
+    row = (planes + ylo[ys]) * w
+    a = flat[row + x0]
+    top = (flat[row + x1] - a) * fx + a
+    row = (planes + yhi[ys]) * w
+    a = flat[row + x0]
+    bottom = (flat[row + x1] - a) * fx + a
+    return (bottom - top) * wy[ys] + top
 
 
 def _resize_planes(src: np.ndarray, factor: int, out: np.ndarray | None = None,

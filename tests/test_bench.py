@@ -82,6 +82,18 @@ def test_run_benchmark_rejects_bad_arguments():
         run_benchmark(sc, "optimized", frames=1)
 
 
+def test_run_benchmark_gate_passes_on_noisy_canonical_scene():
+    # Noise moves peaks off the lattice, where positions refined at the
+    # stride and at the upsample factor differ by up to ~0.1 px.
+    sc = make_canonical_scenario()
+    rng = np.random.default_rng(7)
+    heat, pafs = (FeatureMaps.from_planes(m.data + rng.normal(0.0, 0.02, m.data.shape))
+                  for m in (sc.heatmaps, sc.pafs))
+    noisy = Scenario(label="noisy", heatmaps=heat, pafs=pafs, geometry=sc.geometry)
+    report = run_benchmark(noisy, "optimized", threads=1)
+    assert report.timings.frames == MIN_FRAMES
+
+
 def test_run_benchmark_gate_failure_raises(monkeypatch):
     sc = _scenario(1, height=24, width=33)
     monkeypatch.setattr("posekit.bench.compare_skeletons", lambda *a, **k: "forced diff")

@@ -1,5 +1,7 @@
 """Peak extraction, limb scoring, greedy grouping, and skeleton assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,12 @@ from posekit import (
     score_connection,
     score_connections,
 )
-from posekit.bench import _naive_extract, identity_geometry, optimized_decode
+from posekit.bench import (
+    _naive_extract,
+    identity_geometry,
+    make_canonical_scenario,
+    optimized_decode,
+)
 from posekit.errors import DimensionMismatchError
 from posekit.featuremaps import compute_input_geometry
 from posekit.fileio import pose_document_bytes
@@ -162,6 +169,39 @@ def test_extract_threads_do_not_change_results():
     data[:NUM_KEYPOINTS] = rng.uniform(0.0, 1.0, size=(NUM_KEYPOINTS, 20, 20))
     maps = FeatureMaps(data)
     assert extract_keypoints(maps, threads=1) == extract_keypoints(maps, threads=4)
+
+
+def test_equal_scores_keep_row_then_column_order():
+    # Isolated single-pixel peaks of one value refine to their own pixel.
+    plane = np.zeros((12, 12))
+    spots = [(9, 2), (3, 8), (3, 2), (6, 5), (9, 9), (6, 1)]
+    for y, x in spots:
+        plane[y, x] = 0.5
+    plane[1, 10] = 0.7
+    (bucket,) = [b for b in extract_keypoints(_heat_stack(12, 12, [(6, plane)])) if b]
+    assert [(kp.y, kp.x) for kp in bucket] == [(1.0, 10.0)] + sorted(spots)
+    assert [kp.id for kp in bucket] == list(range(len(spots) + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       kind=st.sampled_from(["noise", "plateau"]))
+def test_extract_order_and_ids_across_thread_counts(seed, kind):
+    rng = np.random.default_rng(seed)
+    shape = (NUM_KEYPOINTS, 10, 13)
+    data = np.zeros((NUM_HEATMAP_CHANNELS, *shape[1:]), dtype=np.float32)
+    if kind == "noise":
+        data[:NUM_KEYPOINTS] = rng.uniform(0.0, 1.0, size=shape)
+    else:
+        data[:NUM_KEYPOINTS] = rng.integers(0, 3, size=shape) / 4.0
+    up = resize_bilinear(FeatureMaps(data), int(rng.integers(1, 4)))
+    single = extract_keypoints(up, threads=1)
+    assert extract_keypoints(up, threads=2) == single
+    flat = [kp for bucket in single for kp in bucket]
+    assert [kp.id for kp in flat] == list(range(len(flat)))
+    for bucket in single:
+        keys = [(-kp.score, kp.y, kp.x) for kp in bucket]
+        assert keys == sorted(keys)
 
 
 def _border_blobs(rng, h, w) -> np.ndarray:
@@ -315,6 +355,124 @@ def test_collect_limb_candidates_matches_filtered_score_connections():
     full = score_connections(pafs, limb, kps_a, kps_b, cfg)
     kept = [c for c in full if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0]
     assert collect_limb_candidates(pafs, limb, kps_a, kps_b, cfg) == kept
+
+
+def _scalar_score(up_paf, limb, a, b, cfg):
+    """Per-pair reference for the scoring rule, one sample at a time."""
+    dx, dy = b.x - a.x, b.y - a.y
+    length = float(np.hypot(dx, dy))
+    if length == 0.0:
+        return 0.0, 0.0
+    _, h, w = up_paf.data.shape
+    aligned = []
+    for t in np.linspace(0.0, 1.0, cfg.paf_sample_count):
+        ix = min(max(int(np.floor(a.x + dx * t + 0.5)), 0), w - 1)
+        iy = min(max(int(np.floor(a.y + dy * t + 0.5)), 0), h - 1)
+        aligned.append(float(up_paf.data[limb.paf_x_channel, iy, ix]) * dx / length
+                       + float(up_paf.data[limb.paf_y_channel, iy, ix]) * dy / length)
+    valid = sum(v > cfg.paf_alignment_threshold for v in aligned)
+    return sum(aligned) / len(aligned), valid / len(aligned)
+
+
+@pytest.mark.parametrize("factor", [1, 3, 4])
+def test_batched_scorer_on_mixed_limbs(factor):
+    # Some kinds have no keypoints, some one, some several; kinds 1 and 2
+    # hold a coincident pair.
+    rng = np.random.default_rng(factor)
+    h, w = 12, 17
+    pafs = FeatureMaps(rng.uniform(-1.0, 1.0, size=(NUM_PAF_CHANNELS, h, w)).astype(np.float32))
+    sizes = {1: 3, 2: 2, 3: 1, 4: 1, 0: 2, 14: 1, 8: 4}
+    keypoints, next_id = [[] for _ in range(NUM_KEYPOINTS)], 0
+    for kind, count in sizes.items():
+        for _ in range(count):
+            x, y = rng.uniform(0, w * factor - 1), rng.uniform(0, h * factor - 1)
+            keypoints[kind].append(_kp(next_id, kind, float(x), float(y)))
+            next_id += 1
+    keypoints[2][1] = _kp(keypoints[2][1].id, 2, keypoints[1][0].x, keypoints[1][0].y)
+    cfg = DecoderConfig(upsample_factor=factor, min_valid_ratio=0.3)
+    every = posekit.decoder._score_limbs(pafs, factor, LIMBS, keypoints, cfg, keep_all=True)
+    kept = posekit.decoder._score_limbs(pafs, factor, LIMBS, keypoints, cfg)
+    up_paf = resize_bilinear(pafs, factor)
+    for limb, conns, filtered in zip(LIMBS, every, kept):
+        kps_a, kps_b = keypoints[limb.from_kind], keypoints[limb.to_kind]
+        # Row-major (a, b) order, every pair, and the limb's own type.
+        assert [(c.from_kp, c.to_kp) for c in conns] == \
+            [(a.id, b.id) for a in kps_a for b in kps_b]
+        assert all(c.limb is limb for c in conns)
+        assert conns == score_connections(up_paf, limb, kps_a, kps_b, cfg)
+        assert filtered == [c for c in conns
+                            if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0]
+        pairs = [(a, b) for a in kps_a for b in kps_b]
+        for c, (a, b) in zip(conns, pairs):
+            affinity, valid = _scalar_score(up_paf, limb, a, b, cfg)
+            assert c.affinity == pytest.approx(affinity, abs=1e-12)
+            assert c.valid_ratio == valid
+    coincident = [c for c in every[0] if c.to_kp == keypoints[2][1].id
+                  and c.from_kp == keypoints[1][0].id]
+    assert [(c.affinity, c.valid_ratio) for c in coincident] == [(0.0, 0.0)]
+    assert sum(map(len, every)) > 0
+    assert every[LIMBS.index(_limb_for(1, 5))] == []  # kind 5 has no keypoints
+
+
+def test_batched_scorer_single_pair_per_limb_and_no_peaks():
+    limb = LIMBS[0]
+    pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
+    keypoints = [[_kp(kind, kind, 2.0 + kind % 3, 8.0)] for kind in range(NUM_KEYPOINTS)]
+    cfg = DecoderConfig(upsample_factor=1)
+    every = posekit.decoder._score_limbs(pafs, 1, LIMBS, keypoints, cfg, keep_all=True)
+    assert [[(c.from_kp, c.to_kp) for c in conns] for conns in every] == \
+        [[(limb.from_kind, limb.to_kind)] for limb in LIMBS]
+    assert every[0][0].affinity == pytest.approx(1.0)
+    empty = [[] for _ in range(NUM_KEYPOINTS)]
+    for keep_all in (False, True):
+        assert posekit.decoder._score_limbs(pafs, 4, LIMBS, empty, cfg, keep_all) == \
+            [[] for _ in LIMBS]
+    # A frame without peaks decodes to nothing.
+    heat = FeatureMaps.zeros(NUM_HEATMAP_CHANNELS, 16, 16)
+    assert decode(heat, pafs, identity_geometry(16, 16)) == []
+
+
+def _candidate_rows(candidates_by_type):
+    return [(c.limb.id, c.from_kp, c.to_kp, c.affinity.hex(), c.valid_ratio.hex())
+            for cands in candidates_by_type for c in cands]
+
+
+# sha256 of the candidate rows, computed with the per-limb scorer that the
+# batched one replaced: (score_connections over every pair on upsampled PAFs,
+# the candidate lists decode hands to group_limbs).
+SCORER_DIGESTS = {
+    1: ("3448e945e77858a35e59195478ccc6c8ad834a2e3f3fb28935e159b59a91caf0",
+        "5eeafa580747736103fdec46563f913b776bcfbef92125d899dffb4e533f876b"),
+    4: ("a0787331dffa5c05131160ecf60ae9a79c659e51ec399c9dcfcd8ece40de95fe",
+        "13ec9aa385f0d853d14ecf31611b536048db36528814ad953312b30c066d5f55"),
+    8: ("f249854d53fb505decc20fdbe38f3e4bf02be2d5b6d2762acaa92412813ddc91",
+        "e6687926acf907985b9dfe6a6bf456b4b233284b27031304b5ecd5329af1377f"),
+}
+
+
+@pytest.mark.parametrize("factor", sorted(SCORER_DIGESTS))
+def test_scorer_bits_are_pinned(monkeypatch, factor):
+    # The canonical scene and three sigma=0.02 noisy variants of it.
+    sc = make_canonical_scenario()
+    rng = np.random.default_rng(5)
+    variants = [(sc.heatmaps, sc.pafs)]
+    for _ in range(3):
+        variants.append(tuple(FeatureMaps.from_planes(m.data + rng.normal(0.0, 0.02, m.data.shape))
+                              for m in (sc.heatmaps, sc.pafs)))
+    cfg = DecoderConfig(upsample_factor=factor)
+    seen = []
+    monkeypatch.setattr(posekit.decoder, "group_limbs",
+                        lambda cands, cfg: seen.append(cands) or group_limbs(cands, cfg))
+    scored, grouped = hashlib.sha256(), hashlib.sha256()
+    for heat, paf in variants:
+        up_paf = resize_bilinear(paf, factor)
+        keypoints = extract_keypoints(resize_bilinear(heat, factor), cfg)
+        every = [score_connections(up_paf, limb, keypoints[limb.from_kind],
+                                   keypoints[limb.to_kind], cfg) for limb in LIMBS]
+        scored.update(repr(_candidate_rows(every)).encode())
+        decode(heat, paf, sc.geometry, cfg)
+        grouped.update(repr(_candidate_rows(seen.pop())).encode())
+    assert (scored.hexdigest(), grouped.hexdigest()) == SCORER_DIGESTS[factor]
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,16 @@ def test_point_sampler_is_bit_equal_to_dense_upsample(factor, shape):
     data = rng.uniform(-1.0, 1.0, size=(3, *shape)).astype(np.float32)
     dense = resize_bilinear(FeatureMaps(data), factor).data
     ys, xs = np.indices(dense.shape[1:])
-    sampled = _sample_upsampled(data, (2, 0, 1), factor, ys, xs)
+    channels = np.array([2, 0, 1])[:, None, None]
+    sampled = _sample_upsampled(data, channels, factor, ys, xs)
     assert sampled.dtype == np.float32
     np.testing.assert_array_equal(sampled.view(np.uint32),
                                   dense[[2, 0, 1]].view(np.uint32))
+    # A channel per point, as limb scoring passes them.
+    per_point = rng.integers(0, 3, size=ys.shape)
+    sampled = _sample_upsampled(data, per_point, factor, ys, xs)
+    np.testing.assert_array_equal(sampled.view(np.uint32),
+                                  dense[per_point, ys, xs].view(np.uint32))
 
 
 def test_rejects_bad_factor():
