@@ -240,10 +240,10 @@ def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
 
 
 def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-                 cfg: DecoderConfig | None = None, factor: int | None = None) -> list:
-    """Naive decode upsampling by ``factor``; by default the stride, to input size."""
+                 cfg: DecoderConfig | None = None) -> list:
+    """Naive decode upsampling by ``cfg.upsample_factor``."""
     cfg = cfg or DecoderConfig()
-    factor = geometry.stride if factor is None else factor
+    factor = cfg.upsample_factor
     up_heat, up_paf = _naive_resize(heatmaps, pafs, factor)
     keypoints = _naive_extract(up_heat, cfg.peak_threshold)
     skeletons = _naive_group(up_paf, keypoints, cfg)
@@ -418,7 +418,7 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     ws = DecodeWorkspace(heat.height, heat.width, cfg.upsample_factor)
 
     # Off-lattice peaks refine to other positions at another upsample factor.
-    naive_sk = naive_decode(heat, pafs, geometry, cfg, factor=cfg.upsample_factor)
+    naive_sk = naive_decode(heat, pafs, geometry, cfg)
     opt_sk = optimized_decode(heat, pafs, geometry, cfg, workspace=ws, threads=threads)
     diff = compare_skeletons(naive_sk, opt_sk)
     if diff is not None:

@@ -190,33 +190,33 @@ def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
     return coords.astype(np.intp)
 
 
-def _score_limbs(pafs: FeatureMaps, factor: int, limbs, keypoints, cfg: DecoderConfig,
+def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfig,
                  keep_all: bool = False) -> list[list[LimbConnection]]:
     """One candidate list per limb; every limb's pairs are scored in one batch.
 
-    ``keypoints[kind]`` lists the keypoints of ``kind`` on ``pafs`` upsampled
-    by ``factor``. A pair samples the field at ``paf_sample_count`` evenly
-    spaced points from a to b (endpoints included, nearest upsampled pixel)
-    and dots each sample with the unit direction. Affinity is the mean; valid
-    ratio is the fraction of samples whose alignment exceeds the threshold.
-    Zero-length pairs score (0, 0). Lists are in row-major (a, b) order and
-    hold all pairs with ``keep_all``, else those passing the grouping filter.
+    ``pairs[k]`` is the ``(kps_a, kps_b)`` lists of ``limbs[k]``'s from and to
+    keypoints on ``pafs`` upsampled by ``factor``. A pair samples the field
+    at ``paf_sample_count`` evenly spaced points from a to b (endpoints
+    included, nearest upsampled pixel) and dots each sample with the unit
+    direction. Affinity is the mean; valid ratio is the fraction of samples
+    whose alignment exceeds the threshold. Zero-length pairs score (0, 0).
+    Lists are in row-major (a, b) order and hold all pairs with ``keep_all``,
+    else those passing the grouping filter.
     """
-    kinds = sorted({kind for limb in limbs for kind in (limb.from_kind, limb.to_kind)})
-    flat = [kp for kind in kinds for kp in keypoints[kind]]
-    start = dict(zip(kinds, np.cumsum([0] + [len(keypoints[k]) for k in kinds]).tolist()))
+    flat = [kp for ends in pairs for kps in ends for kp in kps]
     x = np.array([kp.x for kp in flat], dtype=np.float64)
     y = np.array([kp.y for kp in flat], dtype=np.float64)
-    a_start, na, b_start, nb, x_channel, y_channel = np.array(
-        [(start[limb.from_kind], len(keypoints[limb.from_kind]), start[limb.to_kind],
-          len(keypoints[limb.to_kind]), limb.paf_x_channel, limb.paf_y_channel)
-         for limb in limbs], dtype=np.intp).reshape(-1, 6).T
+    na, nb, x_channel, y_channel = np.array(
+        [(len(kps_a), len(kps_b), limb.paf_x_channel, limb.paf_y_channel)
+         for limb, (kps_a, kps_b) in zip(limbs, pairs)], dtype=np.intp).reshape(-1, 4).T
+    a_start = np.cumsum(na + nb) - (na + nb)
     # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
     # na x nb block gives the row-major (i, j).
     counts = na * nb
     owner = np.repeat(np.arange(len(limbs)), counts)
     i, j = np.divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
-    ia, ib = a_start[owner] + i, b_start[owner] + j
+    ia = a_start[owner] + i
+    ib = a_start[owner] + na[owner] + j
 
     h, w = pafs.height * factor, pafs.width * factor
     dx, dy = x[ib] - x[ia], y[ib] - y[ia]
@@ -247,8 +247,8 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, keypoints, cfg: DecoderC
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
                       cfg: DecoderConfig | None = None) -> list[LimbConnection]:
     """Score every (a, b) pair, in row-major order, against the limb's PAF channels."""
-    return _score_limbs(pafs, 1, (limb,), {limb.from_kind: kps_a, limb.to_kind: kps_b},
-                        cfg or DecoderConfig(), keep_all=True)[0]
+    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg or DecoderConfig(),
+                        keep_all=True)[0]
 
 
 def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
@@ -260,8 +260,7 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
     list; building objects for pairs that are about to be discarded is the
     bulk of the grouping stage's cost on crowded scenes.
     """
-    return _score_limbs(pafs, 1, (limb,), {limb.from_kind: kps_a, limb.to_kind: kps_b},
-                        cfg or DecoderConfig())[0]
+    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg or DecoderConfig())[0]
 
 
 def score_connection(pafs: FeatureMaps, limb, a: Keypoint, b: Keypoint,
@@ -413,7 +412,8 @@ def _group_keypoints(pafs: FeatureMaps, keypoints, cfg: DecoderConfig,
     by ``cfg.upsample_factor``, with all limbs scored in one batch against
     the stride-level ``pafs``."""
     factor = cfg.upsample_factor
-    accepted = group_limbs(_score_limbs(pafs, factor, LIMBS, keypoints, cfg), cfg)
+    pairs = [(keypoints[limb.from_kind], keypoints[limb.to_kind]) for limb in LIMBS]
+    accepted = group_limbs(_score_limbs(pafs, factor, LIMBS, pairs, cfg), cfg)
     skeletons = assemble_skeletons(accepted, keypoints, cfg)
     return [_to_original(s, geometry, factor) for s in skeletons]
 

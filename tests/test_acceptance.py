@@ -152,7 +152,7 @@ def test_criterion_06_upsample_factor_equivalence(fifty_scenes):
     scenes, _ = fifty_scenes
     geometry = identity_geometry(SCENE_HEIGHT, SCENE_WIDTH)
     factor8 = DecoderConfig(upsample_factor=8)
-    full = DecoderConfig()  # the full-size reference resizes by the stride
+    full = DecoderConfig(upsample_factor=geometry.stride)  # resize to input size
 
     def signature(skeletons):
         return sorted((sk.num_keypoints, sk.slot_pattern()) for sk in skeletons)

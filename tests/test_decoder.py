@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import posekit.bench
 import posekit.decoder
 import posekit.featuremaps
 from posekit import (
@@ -14,6 +15,7 @@ from posekit import (
     FeatureMaps,
     Keypoint,
     LimbConnection,
+    LimbType,
     LIMBS,
     NUM_KEYPOINTS,
     PoseDocument,
@@ -357,25 +359,26 @@ def test_collect_limb_candidates_matches_filtered_score_connections():
     assert collect_limb_candidates(pafs, limb, kps_a, kps_b, cfg) == kept
 
 
-def _scalar_score(up_paf, limb, a, b, cfg):
-    """Per-pair reference for the scoring rule, one sample at a time."""
-    dx, dy = b.x - a.x, b.y - a.y
-    length = float(np.hypot(dx, dy))
-    if length == 0.0:
-        return 0.0, 0.0
-    _, h, w = up_paf.data.shape
-    aligned = []
-    for t in np.linspace(0.0, 1.0, cfg.paf_sample_count):
-        ix = min(max(int(np.floor(a.x + dx * t + 0.5)), 0), w - 1)
-        iy = min(max(int(np.floor(a.y + dy * t + 0.5)), 0), h - 1)
-        aligned.append(float(up_paf.data[limb.paf_x_channel, iy, ix]) * dx / length
-                       + float(up_paf.data[limb.paf_y_channel, iy, ix]) * dy / length)
-    valid = sum(v > cfg.paf_alignment_threshold for v in aligned)
-    return sum(aligned) / len(aligned), valid / len(aligned)
+def test_scoring_wrappers_score_a_against_b_on_a_same_kind_limb():
+    # A caller-built limb whose two ends are one kind still pairs kps_a
+    # with kps_b, not one list with itself.
+    limb = LimbType(id=0, from_kind=1, to_kind=1, paf_x_channel=0, paf_y_channel=1)
+    pafs = _paf_stack(16, 16, {0: 1.0})
+    kps_a = [_kp(0, 1, 2.0, 8.0), _kp(1, 1, 4.0, 8.0)]
+    kps_b = [_kp(2, 1, 12.0, 8.0)]
+    conns = score_connections(pafs, limb, kps_a, kps_b)
+    assert [(c.from_kp, c.to_kp) for c in conns] == [(0, 2), (1, 2)]
+    assert all(c.affinity == pytest.approx(1.0) for c in conns)
+    assert collect_limb_candidates(pafs, limb, kps_a, kps_b) == conns
+    assert score_connection(pafs, limb, kps_a[0], kps_b[0]) == conns[0]
+
+
+def _limb_pairs(keypoints):
+    return [(keypoints[limb.from_kind], keypoints[limb.to_kind]) for limb in LIMBS]
 
 
 @pytest.mark.parametrize("factor", [1, 3, 4])
-def test_batched_scorer_on_mixed_limbs(factor):
+def test_batched_scorer_on_mixed_limbs(monkeypatch, factor):
     # Some kinds have no keypoints, some one, some several; kinds 1 and 2
     # hold a coincident pair.
     rng = np.random.default_rng(factor)
@@ -390,10 +393,17 @@ def test_batched_scorer_on_mixed_limbs(factor):
             next_id += 1
     keypoints[2][1] = _kp(keypoints[2][1].id, 2, keypoints[1][0].x, keypoints[1][0].y)
     cfg = DecoderConfig(upsample_factor=factor, min_valid_ratio=0.3)
-    every = posekit.decoder._score_limbs(pafs, factor, LIMBS, keypoints, cfg, keep_all=True)
-    kept = posekit.decoder._score_limbs(pafs, factor, LIMBS, keypoints, cfg)
+    pairs = _limb_pairs(keypoints)
+    every = posekit.decoder._score_limbs(pafs, factor, LIMBS, pairs, cfg, keep_all=True)
+    kept = posekit.decoder._score_limbs(pafs, factor, LIMBS, pairs, cfg)
     up_paf = resize_bilinear(pafs, factor)
-    for limb, conns, filtered in zip(LIMBS, every, kept):
+    # The scalar reference: the naive path's per-pair loop, captured on its
+    # way into group_limbs.
+    scalar = []
+    monkeypatch.setattr(posekit.bench, "group_limbs",
+                        lambda cands, cfg: scalar.extend(cands) or group_limbs(cands, cfg))
+    posekit.bench._naive_group(up_paf.data, keypoints, cfg)
+    for limb, conns, filtered, reference in zip(LIMBS, every, kept, scalar):
         kps_a, kps_b = keypoints[limb.from_kind], keypoints[limb.to_kind]
         # Row-major (a, b) order, every pair, and the limb's own type.
         assert [(c.from_kp, c.to_kp) for c in conns] == \
@@ -402,11 +412,10 @@ def test_batched_scorer_on_mixed_limbs(factor):
         assert conns == score_connections(up_paf, limb, kps_a, kps_b, cfg)
         assert filtered == [c for c in conns
                             if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0]
-        pairs = [(a, b) for a in kps_a for b in kps_b]
-        for c, (a, b) in zip(conns, pairs):
-            affinity, valid = _scalar_score(up_paf, limb, a, b, cfg)
-            assert c.affinity == pytest.approx(affinity, abs=1e-12)
-            assert c.valid_ratio == valid
+        assert [(c.from_kp, c.to_kp, c.valid_ratio) for c in conns] == \
+            [(c.from_kp, c.to_kp, c.valid_ratio) for c in reference]
+        for c, ref in zip(conns, reference):
+            assert c.affinity == pytest.approx(ref.affinity, abs=1e-12)
     coincident = [c for c in every[0] if c.to_kp == keypoints[2][1].id
                   and c.from_kp == keypoints[1][0].id]
     assert [(c.affinity, c.valid_ratio) for c in coincident] == [(0.0, 0.0)]
@@ -419,11 +428,12 @@ def test_batched_scorer_single_pair_per_limb_and_no_peaks():
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
     keypoints = [[_kp(kind, kind, 2.0 + kind % 3, 8.0)] for kind in range(NUM_KEYPOINTS)]
     cfg = DecoderConfig(upsample_factor=1)
-    every = posekit.decoder._score_limbs(pafs, 1, LIMBS, keypoints, cfg, keep_all=True)
+    every = posekit.decoder._score_limbs(pafs, 1, LIMBS, _limb_pairs(keypoints), cfg,
+                                         keep_all=True)
     assert [[(c.from_kp, c.to_kp) for c in conns] for conns in every] == \
         [[(limb.from_kind, limb.to_kind)] for limb in LIMBS]
     assert every[0][0].affinity == pytest.approx(1.0)
-    empty = [[] for _ in range(NUM_KEYPOINTS)]
+    empty = _limb_pairs([[] for _ in range(NUM_KEYPOINTS)])
     for keep_all in (False, True):
         assert posekit.decoder._score_limbs(pafs, 4, LIMBS, empty, cfg, keep_all) == \
             [[] for _ in LIMBS]
