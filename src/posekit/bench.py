@@ -6,10 +6,11 @@ naive mode mirrors a first straightforward implementation: heatmaps and PAFs
 are resized all the way to network input size channel by channel in float64
 with fresh allocations, extraction walks every pixel in Python
 single-threaded, and pair scoring loops over samples one candidate at a
-time. The optimized mode runs ``decoder.decode``'s code: it upsamples only
-the heatmaps (the resize stage covers nothing else) into preallocated
-buffers, extracts with batched comparisons (in parallel when threads
-allow), and scores every limb's candidates in one batch on stride-level PAFs.
+time. The optimized mode runs ``decoder.decode``'s stages one by one: its
+resize stage evaluates the heatmap upsample only in the hot cells that can
+hold a peak, its extract stage applies the peak rule there and builds the
+keypoints, and its group stage scores every limb's candidates in one batch
+on the stride-level PAFs. It upsamples no map stack.
 
 Before any timing, both paths decode the scenario once at the configured
 upsample factor and their skeletons are compared (counts, slot patterns,
@@ -32,13 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import decoder
-from .decoder import assemble_skeletons, extract_keypoints, group_limbs, resolve_threads
+from .decoder import assemble_skeletons, group_limbs, resolve_threads
 from .errors import DimensionMismatchError, GateFailureError
 from .featuremaps import STRIDE, FeatureMaps, InputGeometry
 from .fileio import read_scene_truth, read_tensor
 from .skeleton import (
     LIMBS,
-    NUM_HEATMAP_CHANNELS,
     NUM_KEYPOINTS,
     DecoderConfig,
     Keypoint,
@@ -246,42 +246,17 @@ def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeomet
     factor = cfg.upsample_factor
     up_heat, up_paf = _naive_resize(heatmaps, pafs, factor)
     keypoints = _naive_extract(up_heat, cfg.peak_threshold)
-    skeletons = _naive_group(up_paf, keypoints, cfg)
-    return [decoder._to_original(s, geometry, factor) for s in skeletons]
+    return decoder._to_original(_naive_group(up_paf, keypoints, cfg), geometry, factor)
 
 
 # ---------------------------------------------------------------------------
 # Optimized pipeline
 # ---------------------------------------------------------------------------
 
-class DecodeWorkspace:
-    """Preallocated heatmap buffers for repeated decodes of equally sized maps."""
-
-    def __init__(self, map_height: int, map_width: int, factor: int):
-        uh, uw = map_height * factor, map_width * factor
-        self.factor = factor
-        self.heat_up = np.empty((NUM_HEATMAP_CHANNELS, uh, uw), dtype=np.float32)
-        self.heat_tmp = np.empty((NUM_HEATMAP_CHANNELS, map_height, uw), dtype=np.float32)
-
-
-def _opt_resize(heatmaps: FeatureMaps, ws: DecodeWorkspace, threads: int) -> FeatureMaps:
-    decoder._resize_stack(heatmaps.data, ws.factor, out=ws.heat_up,
-                          tmp=ws.heat_tmp, threads=threads)
-    return FeatureMaps(ws.heat_up)
-
-
 def optimized_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-                     cfg: DecoderConfig | None = None,
-                     workspace: DecodeWorkspace | None = None,
-                     threads: int = 0) -> list:
-    """Workspace-backed decode; equivalent to ``decoder.decode``."""
-    cfg = cfg or DecoderConfig()
-    threads = resolve_threads(threads)
-    if workspace is None:
-        workspace = DecodeWorkspace(heatmaps.height, heatmaps.width, cfg.upsample_factor)
-    up_heat = _opt_resize(heatmaps, workspace, threads)
-    keypoints = extract_keypoints(up_heat, cfg, threads=threads)
-    return decoder._group_keypoints(pafs, keypoints, cfg, geometry)
+                     cfg: DecoderConfig | None = None, threads: int = 0) -> list:
+    """``decoder.decode``, whose stages the optimized mode times one by one."""
+    return decoder.decode(heatmaps, pafs, geometry, cfg, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +390,10 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     cfg = cfg or DecoderConfig()
     threads = resolve_threads(threads)
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
-    ws = DecodeWorkspace(heat.height, heat.width, cfg.upsample_factor)
 
     # Off-lattice peaks refine to other positions at another upsample factor.
     naive_sk = naive_decode(heat, pafs, geometry, cfg)
-    opt_sk = optimized_decode(heat, pafs, geometry, cfg, workspace=ws, threads=threads)
+    opt_sk = optimized_decode(heat, pafs, geometry, cfg, threads=threads)
     diff = compare_skeletons(naive_sk, opt_sk)
     if diff is not None:
         raise GateFailureError(diff)
@@ -428,9 +402,9 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     for frame in range(warmups + frames):
         if mode == "optimized":
             t0 = time.perf_counter_ns()
-            up_heat = _opt_resize(heat, ws, threads)
+            cells = decoder._upsample_hot_cells(heat.data, cfg)
             t1 = time.perf_counter_ns()
-            keypoints = extract_keypoints(up_heat, cfg, threads=threads)
+            keypoints = decoder._cell_keypoints(heat, cells, cfg)
             t2 = time.perf_counter_ns()
             decoder._group_keypoints(pafs, keypoints, cfg, geometry)
             t3 = time.perf_counter_ns()

@@ -128,7 +128,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads, 0 = auto (default: ${THREADS_ENV} or 1)")
+                        help=f"worker threads, >= 0 (default: ${THREADS_ENV} or 1); "
+                             "validated, decoding runs on one thread")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--json", action="store_true",
                         help="machine-readable output on stdout")

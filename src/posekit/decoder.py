@@ -1,15 +1,18 @@
 """Decoding pipeline: peaks -> scored limb candidates -> greedy grouping -> skeletons.
 
-Only the heatmaps are upsampled; one batch scores every limb's pairs on the
-stride-level PAFs. All stages are deterministic. Peak extraction may fan out
-across channels on a thread pool; per-channel work is independent and results
-are merged in channel order, so the output is bit-identical at any thread count.
+``decode`` upsamples no map stack. It finds heatmap peaks by evaluating the
+upsample only in the cells that can hold one, and one batch scores every
+limb's pairs on the stride-level PAFs; both read values bit-equal to the
+dense bilinear upsample. All stages are deterministic and run on the calling
+thread, with scratch buffers kept per thread, so concurrent decodes are safe.
+The ``threads`` arguments are validated for compatibility and change nothing.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -18,8 +21,9 @@ from .errors import DimensionMismatchError
 from .featuremaps import (
     FeatureMaps,
     InputGeometry,
+    _axis_blocks,
+    _axis_tables,
     _require_finite,
-    _resize_planes,
     _sample_upsampled,
 )
 from .skeleton import (
@@ -45,47 +49,32 @@ __all__ = [
     "resolve_threads",
 ]
 
-_pools: dict[int, ThreadPoolExecutor] = {}
+_scratch = threading.local()
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
-    # Pools are cached per size; spawning one per frame would dominate the
-    # cost of the work they carry.
-    pool = _pools.get(threads)
-    if pool is None:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        _pools[threads] = pool
-    return pool
+def _buffer(name: str, shape) -> np.ndarray:
+    """A per-thread float32 scratch array of ``shape``, reused across calls.
+
+    Storage only grows, so repeated frames fault in no fresh pages (fresh
+    megabyte temporaries made glibc trim and refault the heap on every
+    frame), and concurrent decodes never share a buffer.
+    """
+    size = math.prod(shape)
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.float32)
+        setattr(_scratch, name, buf)
+    return buf[:size].reshape(shape)
 
 
 def resolve_threads(threads: int) -> int:
-    """0 selects hardware concurrency; anything else passes through."""
+    """0 selects hardware concurrency; anything else passes through.
+
+    Decoding runs on the calling thread, so the count is only validated.
+    """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     return threads if threads > 0 else (os.cpu_count() or 1)
-
-
-def _chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, count, max(1, min(parts, count)) + 1, dtype=int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def _resize_stack(src: np.ndarray, factor: int, out: np.ndarray | None = None,
-                  tmp: np.ndarray | None = None, threads: int = 1) -> np.ndarray:
-    """Upsample a channel stack, optionally fanning channels across threads.
-
-    Channels are independent, so any chunking yields bit-identical output.
-    """
-    c, h, w = src.shape
-    if out is None:
-        out = np.empty((c, h * factor, w * factor), dtype=np.float32)
-    if tmp is None:
-        tmp = np.empty((c, h, w * factor), dtype=np.float32)
-    chunks = _chunk_bounds(c, threads)
-    run = map if len(chunks) == 1 else _pool(len(chunks)).map
-    list(run(lambda b: _resize_planes(src[b[0]:b[1]], factor, out=out[b[0]:b[1]],
-                                      tmp=tmp[b[0]:b[1]]), chunks))
-    return out
 
 
 def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -102,50 +91,195 @@ def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.where(denom < 0.0, delta, 0.0)
 
 
-def _channel_peaks(stack: np.ndarray, first_channel: int, threshold: float):
-    """Peaks with refined coordinates for a contiguous channel slice.
-
-    A peak is a local maximum over its 8-neighborhood above ``threshold``. A
-    pixel wins against earlier neighbors (row-major order) only when strictly
-    greater, and against later neighbors when greater or equal, so plateaus
-    of equal values yield exactly one peak: the first in scan order. The
-    outermost ring is never a peak: on upsampled maps the edge-clamped
-    interpolation replicates the adjacent interior values there, producing
-    ridges that would duplicate every peak sitting near a border. That rule
-    also means every candidate has a full 8-neighborhood, so no padding is
-    needed. Only the threshold and the two same-row neighbors are tested on
-    every pixel, on the flattened stack; the survivors off the border ring
-    then face the other six neighbors.
-
-    Returns arrays ``(kind, y, x, score)`` in row-major order, with ``kind``
-    given in absolute channel indices. ``y``/``x`` are float64 refined
-    positions.
-    """
-    _, h, w = stack.shape
-    flat = stack.reshape(-1)
-    center = flat[1:-1]
+def _row_maxima(center: np.ndarray, left: np.ndarray, right: np.ndarray,
+                threshold: float) -> np.ndarray:
+    """First half of the peak rule: above ``threshold`` and a maximum of its
+    row (strictly against the earlier neighbor, ties go to the center)."""
     mask = center > threshold
-    mask &= center > flat[:-2]
-    mask &= center >= flat[2:]
-    idx = np.flatnonzero(mask) + 1
-    ys, xs = np.divmod(idx % (h * w), w)
-    idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
+    mask &= center > left
+    mask &= center >= right
+    return mask
+
+
+def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, row: int):
+    """Second half of the peak rule, on candidates that passed ``_row_maxima``.
+
+    ``flat`` holds a map whose neighbors sit ``col`` apart within a row and
+    ``row`` apart across rows; every candidate at ``flat[idx]`` must have its
+    whole 8-neighborhood in the map. A peak is a local maximum over its
+    8-neighborhood: it wins against earlier neighbors (row-major order) only
+    when strictly greater, and against later neighbors when greater or
+    equal, so plateaus of equal values yield exactly one peak, the first in
+    scan order. Returns the peaks' flat indices, float64 scores and the
+    quadratic ``dy``/``dx`` refinements.
+    """
     v = flat[idx]
     # Neighbors that precede the center in row-major order: must be strictly smaller.
-    keep = v > flat[idx - w - 1]
-    keep &= v > flat[idx - w]
-    keep &= v > flat[idx - w + 1]
+    keep = v > flat[idx - row - col]
+    keep &= v > flat[idx - row]
+    keep &= v > flat[idx - row + col]
     # Neighbors that follow the center: ties go to the center.
-    keep &= v >= flat[idx + w - 1]
-    keep &= v >= flat[idx + w]
-    keep &= v >= flat[idx + w + 1]
+    keep &= v >= flat[idx + row - col]
+    keep &= v >= flat[idx + row]
+    keep &= v >= flat[idx + row + col]
     idx = idx[keep]
-    ch, pos = np.divmod(idx, h * w)
-    ys, xs = np.divmod(pos, w)
     v = flat[idx].astype(np.float64)
-    dx = _refine_axis(v, flat[idx - 1].astype(np.float64), flat[idx + 1].astype(np.float64))
-    dy = _refine_axis(v, flat[idx - w].astype(np.float64), flat[idx + w].astype(np.float64))
-    return ch + first_channel, ys + dy, xs + dx, v
+    dx = _refine_axis(v, flat[idx - col].astype(np.float64), flat[idx + col].astype(np.float64))
+    dy = _refine_axis(v, flat[idx - row].astype(np.float64), flat[idx + row].astype(np.float64))
+    return idx, v, dy, dx
+
+
+def _hot_margin(max_abs: float) -> float:
+    """How far below the threshold a hot cell's corners may sit.
+
+    An upsampled sample is two float32 passes of ``(b - a) * w + a`` with
+    ``0 <= w < 1``. With ``u = 2**-24`` and all corners within ``M`` of 0,
+    one pass rounds three times: ``|b - a| <= 2M`` picks up ``2Mu`` in the
+    subtraction and ``2Mu`` more in the product, and the sum, below
+    ``M(1 + 5u)``, adds ``Mu``; so a pass lands within ``5Mu(1 + 2u)`` of its
+    exact convex value, and two passes within ``10Mu(1 + 6u)`` of the range
+    of the corners. ``32u * max(1, M)`` covers that with a safety factor of
+    about 3, and the 1 keeps subnormal rounding (``2**-150`` per operation)
+    far inside it. Corners must stay below half the float32 range, else the
+    resize's own ``b - a`` overflows.
+    """
+    return 32.0 * 2.0 ** -24 * max(1.0, max_abs)
+
+
+@lru_cache(maxsize=64)
+def _halo_weights(size: int, factor: int) -> np.ndarray:
+    """Resize weights of the ``factor + 2`` halo samples of every cell along
+    one axis, shape ``(factor + 2, size + 1)``.
+
+    Cell ``a`` holds the upsampled samples that interpolate between source
+    samples ``a - 1`` and ``a``, clamped, so cells 0 and ``size`` hold the
+    clamped edge samples. It starts at sample ``a * factor - ceil(factor / 2)``
+    and may stick out of the map; samples outside it get an edge weight that
+    nothing reads. Where the resize copies a clamped edge sample instead of
+    interpolating it (see ``_axis_blocks``) the weight is -0.0, because
+    ``(b - a) * -0.0 + a`` is ``a``, -0.0 included.
+    """
+    _, _, weights = _axis_tables(size, factor)
+    blocks = _axis_blocks(size, factor)
+    if blocks is not None:
+        head, tail, _ = blocks
+        weights = weights.copy()
+        weights[:head] = -0.0
+        weights[size * factor - tail:] = -0.0
+    first = np.arange(size + 1) * factor - (factor + 1) // 2
+    table = weights[np.clip(first + np.arange(-1, factor + 1)[:, None], 0, size * factor - 1)]
+    table.flags.writeable = False
+    return table
+
+
+def _halo_pass(src: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """One resize pass over the cells: four samples per cell along axis 0
+    of ``src`` give ``factor + 2`` along axis 0 of ``out``.
+
+    Sample 0 (the leading halo) interpolates inputs 0 and 1, the cell's own
+    samples inputs 1 and 2, and the trailing halo inputs 2 and 3, each as
+    the resize does it: ``(b - a) * w + a`` in float32.
+    """
+    interior, last = out[1:-1], out[-1]
+    np.subtract(src[2], src[1], out=last)
+    np.multiply(last, weights[1:-1], out=interior)
+    np.add(interior, src[1], out=interior)
+    for sample, k in ((out[0], 0), (last, 2)):
+        np.subtract(src[k + 1], src[k], out=sample)
+        np.multiply(sample, weights[-1 if k else 0], out=sample)
+        np.add(sample, src[k], out=sample)
+
+
+def _upsample_hot_cells(heat: np.ndarray, cfg: DecoderConfig):
+    """Decode's resize stage: the keypoint channels of ``heat`` upsampled by
+    ``cfg.upsample_factor`` around their hot cells only.
+
+    A cell (see ``_halo_weights``) is hot when one of its four source corners
+    exceeds ``cfg.peak_threshold - _hot_margin``: no sample of a cold cell
+    can exceed the threshold. Each hot cell's samples and a one-sample halo
+    are interpolated from the 4x4 source samples around it, columns first,
+    then rows, with the resize's float32 operations, so they are bit-equal
+    to ``_resize_planes``. Returns the cells' kinds, the upsampled pixel of
+    each cell's first halo sample and the cells' samples ``V[i, j, cell]``
+    (cells last, so every operation runs along a long axis); or None at
+    factor 1, where the maps are their own upsample and the dense peak
+    search is three times faster.
+    """
+    factor = cfg.upsample_factor
+    if factor == 1:
+        return None
+    src = heat[:BACKGROUND_CHANNEL]
+    c, h, w = src.shape
+    # The maps with two edge samples repeated on every side: cell (a, b)
+    # has corners at rows a + 1, a + 2 and columns b + 1, b + 2 here, and
+    # its 4x4 source samples around it start at row a and column b.
+    padded = _buffer("padded", (c, h + 4, w + 4))
+    padded[:, 2:-2, 2:-2] = src
+    padded[:, :2, 2:-2] = src[:, :1]
+    padded[:, -2:, 2:-2] = src[:, -1:]
+    padded[:, :, :2] = padded[:, :, 2:3]
+    padded[:, :, -2:] = padded[:, :, -3:-2]
+    # Peaks must beat the float32 threshold; the corner limit rounds down.
+    bound = max(float(src.max()), -float(src.min()))
+    limit = float(np.float32(cfg.peak_threshold)) - _hot_margin(bound)
+    lim32 = np.float32(limit)
+    if float(lim32) > limit:
+        lim32 = np.nextafter(lim32, np.float32(-np.inf))
+    above = padded[:, 1:-1, 1:-1] > lim32
+    hot = above[:, :-1, :-1] | above[:, 1:, :-1]
+    hot |= above[:, :-1, 1:]
+    hot |= above[:, 1:, 1:]
+    kind, rest = np.divmod(np.flatnonzero(hot), (h + 1) * (w + 1))
+    a, b = np.divmod(rest, w + 1)
+    m, f2 = a.size, factor + 2
+
+    corner = (kind * (h + 4) + a) * (w + 4) + b
+    flat = padded.reshape(-1)
+    near = _buffer("near", (4, 4, m))
+    for k in range(4):
+        for j in range(4):
+            np.take(flat[k * (w + 4) + j:], corner, out=near[k, j])
+    cols = _buffer("cols", (4, f2, m))
+    _halo_pass(near.transpose(1, 0, 2), np.take(_halo_weights(w, factor), b, axis=1)[:, None],
+               cols.transpose(1, 0, 2))
+    v = _buffer("cells", (f2, f2, m))
+    _halo_pass(cols, np.take(_halo_weights(h, factor), a, axis=1)[:, None], v)
+    lead = (factor + 1) // 2 + 1
+    return kind, a * factor - lead, b * factor - lead, v
+
+
+def _cell_keypoints(heatmaps: FeatureMaps, cells, cfg: DecoderConfig) -> list[list[Keypoint]]:
+    """Decode's extract stage: ``extract_keypoints`` of the dense upsample of
+    ``heatmaps``, from their ``_upsample_hot_cells``."""
+    if cells is None:
+        return extract_keypoints(heatmaps, cfg)
+    kind, top, left, v = cells
+    f2, m = v.shape[1:]
+    height, width = heatmaps.height * cfg.upsample_factor, heatmaps.width * cfg.upsample_factor
+    p = np.flatnonzero(_row_maxima(v[1:-1, 1:-1], v[1:-1, :-2], v[1:-1, 2:],
+                                   cfg.peak_threshold))
+    i, rest = np.divmod(p, (f2 - 2) * m)
+    j, n = np.divmod(rest, m)
+    i += 1
+    j += 1
+    # Cells may stick out of the map, whose outermost ring is never a peak.
+    y, x = top[n] + i, left[n] + j
+    inside = (y > 0) & (y < height - 1) & (x > 0) & (x < width - 1)
+    idx, score, dy, dx = _peaks(v.reshape(-1), ((i * f2 + j) * m + n)[inside], m, f2 * m)
+    i, rest = np.divmod(idx, f2 * m)
+    j, n = np.divmod(rest, m)
+    return _build_keypoints(kind[n], top[n] + i + dy, left[n] + j + dx, score)
+
+
+def _build_keypoints(kinds, ys, xs, scores) -> list[list[Keypoint]]:
+    """Keypoints per kind, by descending score (ties by row, then column),
+    with ids unique across the call and assigned in that order."""
+    order = np.lexsort((xs, ys, -scores, kinds))
+    result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
+    columns = (column[order].tolist() for column in (kinds, xs, ys, scores))
+    for kp_id, (kind, x, y, score) in enumerate(zip(*columns)):
+        result[kind].append(Keypoint(id=kp_id, kind=kind, x=x, y=y, score=score))
+    return result
 
 
 def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
@@ -154,26 +288,29 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
 
     The background channel is skipped. Within each kind, keypoints are sorted
     by descending score (ties by row, then column) and ids are assigned in
-    that order, unique across the whole call.
+    that order, unique across the whole call. The outermost ring is never a
+    peak: on upsampled maps the edge-clamped interpolation replicates the
+    adjacent interior values there, producing ridges that would duplicate
+    every peak sitting near a border. ``threads`` is validated like
+    ``decode``'s and does not change the work.
     """
     cfg = cfg or DecoderConfig()
     if heatmaps.channels != NUM_HEATMAP_CHANNELS:
         raise DimensionMismatchError(
             f"expected {NUM_HEATMAP_CHANNELS} heatmap channels, got {heatmaps.channels}"
         )
-    stack = heatmaps.data[:BACKGROUND_CHANNEL]
-    threshold = cfg.peak_threshold
-    chunks = _chunk_bounds(NUM_KEYPOINTS, threads)
-    run = map if len(chunks) == 1 else _pool(len(chunks)).map
-    parts = list(run(lambda c: _channel_peaks(stack[c[0]:c[1]], c[0], threshold), chunks))
-    kinds, ys, xs, scores = (np.concatenate(column) for column in zip(*parts))
-    # Stable, on peaks merged in channel-major, row-major order.
-    order = np.lexsort((xs, ys, -scores, kinds))
-    result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
-    columns = (column[order].tolist() for column in (kinds, xs, ys, scores))
-    for kp_id, (kind, x, y, score) in enumerate(zip(*columns)):
-        result[kind].append(Keypoint(id=kp_id, kind=kind, x=x, y=y, score=score))
-    return result
+    resolve_threads(threads)
+    _, h, w = heatmaps.data.shape
+    flat = heatmaps.data[:BACKGROUND_CHANNEL].reshape(-1)
+    # The row test runs on the flattened stack; the ring goes before the
+    # other six neighbors are read.
+    idx = np.flatnonzero(_row_maxima(flat[1:-1], flat[:-2], flat[2:], cfg.peak_threshold)) + 1
+    ys, xs = np.divmod(idx % (h * w), w)
+    idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
+    idx, score, dy, dx = _peaks(flat, idx, 1, w)
+    kind, pos = np.divmod(idx, h * w)
+    ys, xs = np.divmod(pos, w)
+    return _build_keypoints(kind, ys + dy, xs + dx, score)
 
 
 @lru_cache(maxsize=8)
@@ -213,6 +350,8 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
     # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
     # na x nb block gives the row-major (i, j).
     counts = na * nb
+    if not counts.any():
+        return [[] for _ in limbs]
     owner = np.repeat(np.arange(len(limbs)), counts)
     i, j = np.divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
     ia = a_start[owner] + i
@@ -394,16 +533,16 @@ def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
     return [item[2] for item in skeletons]
 
 
-def _to_original(skeleton: PoseSkeleton, geometry: InputGeometry,
-                 upsample_factor: int) -> PoseSkeleton:
-    moved = []
-    for kp in skeleton.keypoints:
-        if kp is None:
-            moved.append(None)
-            continue
-        x, y = geometry.map_to_original(kp.x, kp.y, upsample_factor)
-        moved.append(Keypoint(id=kp.id, kind=kp.kind, x=x, y=y, score=kp.score))
-    return PoseSkeleton(tuple(moved), skeleton.score, skeleton.num_keypoints)
+def _to_original(skeletons, geometry: InputGeometry, upsample_factor: int) -> list[PoseSkeleton]:
+    """The skeletons with their keypoints mapped to original-image pixels by
+    one ``InputGeometry.map_to_original`` call over all of them."""
+    present = [kp for sk in skeletons for kp in sk.keypoints if kp is not None]
+    xs, ys = geometry.map_to_original(np.array([kp.x for kp in present]),
+                                      np.array([kp.y for kp in present]), upsample_factor)
+    moved = iter([Keypoint(id=kp.id, kind=kp.kind, x=x, y=y, score=kp.score)
+                  for kp, x, y in zip(present, xs.tolist(), ys.tolist())])
+    return [PoseSkeleton(tuple(None if kp is None else next(moved) for kp in sk.keypoints),
+                         sk.score, sk.num_keypoints) for sk in skeletons]
 
 
 def _group_keypoints(pafs: FeatureMaps, keypoints, cfg: DecoderConfig,
@@ -414,18 +553,20 @@ def _group_keypoints(pafs: FeatureMaps, keypoints, cfg: DecoderConfig,
     factor = cfg.upsample_factor
     pairs = [(keypoints[limb.from_kind], keypoints[limb.to_kind]) for limb in LIMBS]
     accepted = group_limbs(_score_limbs(pafs, factor, LIMBS, pairs, cfg), cfg)
-    skeletons = assemble_skeletons(accepted, keypoints, cfg)
-    return [_to_original(s, geometry, factor) for s in skeletons]
+    return _to_original(assemble_skeletons(accepted, keypoints, cfg), geometry, factor)
 
 
 def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
            cfg: DecoderConfig | None = None, threads: int = 1) -> list[PoseSkeleton]:
     """Full pipeline from stride-level maps to skeletons in original-image pixels.
 
-    Upsamples the heatmaps (only) by ``cfg.upsample_factor``, extracts
-    keypoints, scores limb candidates on the stride-level PAFs, groups and
-    assembles them, then maps coordinates back through stride, upsample
-    factor, scale, and padding. Non-finite maps raise ``ValueError``.
+    Extracts keypoints from the heatmaps upsampled by
+    ``cfg.upsample_factor`` (evaluated in hot cells only, see
+    ``_upsample_hot_cells``), scores limb candidates on the stride-level PAFs,
+    groups and assembles them, then maps coordinates back through stride,
+    upsample factor, scale, and padding. The result is what the public stages
+    give on densely upsampled maps. Non-finite maps raise ``ValueError``;
+    ``threads`` must be >= 0 and does not change the work.
     """
     cfg = cfg or DecoderConfig()
     if heatmaps.channels != NUM_HEATMAP_CHANNELS:
@@ -450,11 +591,6 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     # A FeatureMaps built directly skips the check in ``from_planes``; NaN
     # would fail every comparison and silently decode to nothing.
     _require_finite(heatmaps.data, pafs.data)
-    threads = resolve_threads(threads)
-    if cfg.upsample_factor == 1:
-        up_heat = heatmaps
-    else:
-        up_heat = FeatureMaps(_resize_stack(heatmaps.data, cfg.upsample_factor,
-                                            threads=threads))
-    keypoints = extract_keypoints(up_heat, cfg, threads=threads)
+    resolve_threads(threads)
+    keypoints = _cell_keypoints(heatmaps, _upsample_hot_cells(heatmaps.data, cfg), cfg)
     return _group_keypoints(pafs, keypoints, cfg, geometry)

@@ -253,7 +253,8 @@ class InputGeometry:
 
         The feature-map grid sits at ``stride / upsample_factor`` input pixels
         per cell; the half-pixel convention keeps sample centers aligned with
-        the resize used on the maps themselves.
+        the resize used on the maps themselves. ``x`` and ``y`` may also be
+        float64 arrays, mapped elementwise with the same bits.
         """
         step = self.stride / upsample_factor
         x_net = (x + 0.5) * step - 0.5 - self.pad[1]

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from posekit import DecoderConfig, FeatureMaps, write_scene_truth, write_tensor
+from posekit import (
+    DecoderConfig,
+    FeatureMaps,
+    PoseDocument,
+    write_scene_truth,
+    write_tensor,
+)
 from posekit.bench import (
     MIN_FRAMES,
     MODES,
@@ -21,6 +27,7 @@ from posekit.bench import (
     run_benchmark,
 )
 from posekit.errors import DimensionMismatchError, GateFailureError
+from posekit.fileio import pose_document_bytes
 from posekit.synth import RenderConfig, generate_scene
 
 
@@ -197,11 +204,17 @@ def test_load_scenario_rejects_mismatched_truth(tmp_path):
         load_scenario(tmp_path)
 
 
-def test_optimized_decode_reuses_workspace_without_drift():
-    sc = _scenario(3)
+def test_optimized_decode_repeats_without_drift():
+    # Decode reuses its scratch buffers; crowd- and wide-size maps in turn
+    # make them shrink and grow between frames.
+    frames = [_scenario(20, seed=20), _scenario(3, height=46, width=82, seed=21)]
     cfg = DecoderConfig()
-    from posekit.bench import DecodeWorkspace
-    ws = DecodeWorkspace(sc.heatmaps.height, sc.heatmaps.width, cfg.upsample_factor)
-    first = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg, workspace=ws)
-    second = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg, workspace=ws)
-    assert first == second
+
+    def document(sc):
+        skeletons = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
+        return pose_document_bytes(PoseDocument(sc.geometry, tuple(skeletons)))
+
+    first = [document(sc) for sc in frames]
+    for _ in range(3):
+        assert [document(sc) for sc in frames] == first
+        assert [document(sc) for sc in reversed(frames)] == first[::-1]

@@ -1,6 +1,9 @@
 """Peak extraction, limb scoring, greedy grouping, and skeleton assembly."""
 
 import hashlib
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from posekit import (
     LIMBS,
     NUM_KEYPOINTS,
     PoseDocument,
+    PoseSkeleton,
     assemble_skeletons,
     collect_limb_candidates,
     decode,
@@ -720,24 +724,165 @@ def test_decode_rejects_non_finite_maps():
 
 
 @pytest.mark.parametrize("decode_fn", [decode, optimized_decode])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_decode_never_upsamples_the_paf_stack(monkeypatch, decode_fn, threads):
-    seen = []
-    resize = posekit.featuremaps._resize_planes
+@pytest.mark.parametrize("factor", [4, 8])
+def test_decode_builds_no_upsampled_stack(monkeypatch, decode_fn, factor):
+    resized, resize = [], posekit.featuremaps._resize_planes
+    monkeypatch.setattr(posekit.featuremaps, "_resize_planes",
+                        lambda src, *args, **kwargs: resized.append(src.shape)
+                        or resize(src, *args, **kwargs))
+    geometry = compute_input_geometry(720, 1280, 368)
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(46, 82, seed=7))
+    # A fresh thread starts with no scratch buffers, so their first
+    # allocation counts too.
+    result, peak = [], []
 
-    def recording(src, *args, **kwargs):
-        seen.append(src)
-        return resize(src, *args, **kwargs)
+    def run():
+        tracemalloc.start()
+        try:
+            result.append(decode_fn(heatmaps, pafs, geometry,
+                                    DecoderConfig(upsample_factor=factor), threads=2))
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
 
-    monkeypatch.setattr(posekit.featuremaps, "_resize_planes", recording)
-    monkeypatch.setattr(posekit.decoder, "_resize_planes", recording)
-    _, heatmaps, pafs = generate_scene(3, RenderConfig(32, 57, seed=7))
-    skeletons = decode_fn(heatmaps, pafs, identity_geometry(32, 57), DecoderConfig(),
-                          threads=threads)
-    assert len(skeletons) == 3
-    # Only the heatmap stack is resized, possibly in channel chunks.
-    assert sum(src.shape[0] for src in seen) == NUM_HEATMAP_CHANNELS
-    assert not any(np.shares_memory(src, pafs.data) for src in seen)
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(result[0]) == 3
+    assert resized == []
+    # Everything decode holds at once stays below one upsampled stack of the
+    # keypoint channels.
+    assert peak[0] < NUM_KEYPOINTS * (46 * factor) * (82 * factor) * 4
+
+
+def _peak_bits(keypoints):
+    return [(kp.id, kp.kind, kp.x.hex(), kp.y.hex(), kp.score.hex())
+            for bucket in keypoints for kp in bucket]
+
+
+def _hot_cell_peaks(heat, cfg):
+    """``decode``'s resize and extract stages, checked sample by sample
+    against the dense upsample; returns the peaks as bits."""
+    up = resize_bilinear(FeatureMaps(heat), cfg.upsample_factor).data
+    cells = posekit.decoder._upsample_hot_cells(heat, cfg)
+    if cells is not None:
+        kind, top, left, v = cells
+        height, width = up.shape[1:]
+        i, j, n = np.indices(v.shape)
+        y, x = top[n] + i, left[n] + j
+        inside = (y >= 0) & (y < height) & (x >= 0) & (x < width)
+        dense = up[kind[n], y.clip(0, height - 1), x.clip(0, width - 1)]
+        np.testing.assert_array_equal(v[inside].view(np.uint32), dense[inside].view(np.uint32))
+    got = _peak_bits(posekit.decoder._cell_keypoints(FeatureMaps(heat), cells, cfg))
+    assert got == _peak_bits(extract_keypoints(FeatureMaps(up), cfg))
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@example(seed=1, kind="edge_zero", h=5, w=7, factor=3, threshold=-0.05)
+@example(seed=2, kind="edge_zero", h=6, w=4, factor=4, threshold=0.0)
+@example(seed=3, kind="edge_zero", h=1, w=6, factor=3, threshold=-0.05)
+@example(seed=4, kind="near", h=23, w=31, factor=4, threshold=0.1)
+@example(seed=5, kind="spikes", h=9, w=7, factor=4, threshold=0.1)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       kind=st.sampled_from(["noise", "plateau", "spikes", "near", "edge_zero"]),
+       h=st.sampled_from([1, 2, 3, 5, 9, 23]),
+       w=st.sampled_from([1, 2, 3, 7, 9, 31]),
+       factor=st.integers(min_value=1, max_value=8),
+       threshold=st.sampled_from([0.1, 0.0, -0.05, 0.5]))
+def test_hot_cell_peaks_match_the_dense_upsample(seed, kind, h, w, factor, threshold):
+    rng = np.random.default_rng(seed)
+    shape = (NUM_HEATMAP_CHANNELS, h, w)
+    t32 = np.float32(threshold)
+    if kind == "noise":
+        data = rng.uniform(-0.2, 1.0, size=shape)
+    elif kind == "plateau":
+        data = rng.integers(-1, 3, size=shape) / 4.0  # many equal neighbors
+    elif kind == "spikes":
+        # Isolated source samples above the threshold: cells with a single
+        # hot corner.
+        data = np.where(rng.random(shape) < 0.1, rng.uniform(0.6, 1.0, shape), -0.2)
+    elif kind == "near":
+        # Within a few ulps of the float32 threshold, on either side.
+        steps = rng.integers(-3, 4, size=shape)
+        data = t32 + steps * np.spacing(np.float32(max(abs(threshold), 0.1)))
+        data = np.where(rng.random(shape) < 0.3, t32 - rng.random(shape), data)
+    else:
+        # Negative maps with -0.0 planted on the edge: the resize copies
+        # clamped edge samples, so a peak there keeps the sign of its zero.
+        data = -rng.uniform(0.1, 1.0, size=shape)
+        edge = np.zeros((h, w), dtype=bool)
+        edge[[0, -1], :] = edge[:, [0, -1]] = True
+        data[:, edge & (rng.random((h, w)) < 0.5)] = -0.0
+    heat = np.ascontiguousarray(data, dtype=np.float32)
+    _hot_cell_peaks(heat, DecoderConfig(upsample_factor=factor, peak_threshold=threshold))
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 8])
+def test_hot_cell_peaks_keep_a_negative_zero_score(factor):
+    # A -0.0 source corner whose copies reach the last interior row and
+    # column is a peak under a negative threshold.
+    heat = np.full((NUM_HEATMAP_CHANNELS, 5, 6), -1.0, dtype=np.float32)
+    heat[:, -1, -1] = heat[:, 0, 0] = -0.0
+    got = _hot_cell_peaks(heat, DecoderConfig(upsample_factor=factor, peak_threshold=-0.5))
+    if factor > 2:
+        assert len(got) == NUM_KEYPOINTS and {p[4] for p in got} == {"-0x0.0p+0"}
+
+
+@settings(max_examples=300)
+@given(corners=st.lists(st.floats(min_value=-1.0, max_value=1.0, width=32),
+                        min_size=4, max_size=4),
+       scale=st.sampled_from([2.0 ** e for e in (-140, -126, -20, 0, 20, 126)]),
+       wx=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=32),
+       wy=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=32))
+def test_hot_margin_bounds_the_resize_rounding(corners, scale, wx, wy):
+    # The two resize passes over four corners, in the resize's float32 steps.
+    a, b, c, d = (np.float32(v * scale) for v in corners)
+    wx, wy = np.float32(wx), np.float32(wy)
+    top = (b - a) * wx + a
+    bottom = (d - c) * wx + c
+    value = float((bottom - top) * wy + top)
+    exact = [float(v) for v in (a, b, c, d)]
+    big = max(abs(v) for v in exact)
+    # The docstring's bound: within 10Mu(1 + 6u) of the corners' range,
+    # and the margin leaves room for it three times over.
+    u = 2.0 ** -24
+    slack = 10.0 * big * u * (1.0 + 6.0 * u) + 2.0 ** -149 * 8
+    assert min(exact) - slack <= value <= max(exact) + slack
+    assert posekit.decoder._hot_margin(big) >= 3.0 * slack
+
+
+def test_decode_from_concurrent_threads_matches_serial():
+    scenes = []
+    for persons, (h, w), geometry in ((20, (32, 57), identity_geometry(32, 57)),
+                                      (3, (46, 82), compute_input_geometry(720, 1280, 368))):
+        _, heatmaps, pafs = generate_scene(persons, RenderConfig(h, w, seed=persons))
+        scenes.append((heatmaps, pafs, geometry))
+    serial = [_decode_bytes(*scene, DecoderConfig()) for scene in scenes]
+    workers_count, rounds = 4, 8
+    start = threading.Barrier(workers_count)
+    results = [[] for _ in range(workers_count)]
+
+    def run(slot):
+        start.wait(timeout=60)
+        for k in range(rounds):
+            # Threads decode different map sizes at the same time.
+            results[slot].append(_decode_bytes(*scenes[(k + slot) % 2], DecoderConfig()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(slot,)) for slot in range(workers_count)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for slot in range(workers_count):
+        assert results[slot] == [serial[(k + slot) % 2] for k in range(rounds)]
 
 
 def _dense_decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
@@ -749,8 +894,15 @@ def _dense_decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
                                           keypoints[limb.to_kind], cfg)
                   for limb in LIMBS]
     skeletons = assemble_skeletons(group_limbs(candidates, cfg), keypoints, cfg)
-    moved = [posekit.decoder._to_original(sk, geometry, cfg.upsample_factor)
-             for sk in skeletons]
+    moved = []
+    for sk in skeletons:
+        kps = []
+        for kp in sk.keypoints:
+            if kp is not None:
+                x, y = geometry.map_to_original(kp.x, kp.y, cfg.upsample_factor)
+                kp = Keypoint(id=kp.id, kind=kp.kind, x=x, y=y, score=kp.score)
+            kps.append(kp)
+        moved.append(PoseSkeleton(tuple(kps), sk.score, sk.num_keypoints))
     return pose_document_bytes(PoseDocument(geometry, tuple(moved)))
 
 
@@ -776,7 +928,7 @@ def test_decode_matches_dense_composition_on_acceptance_scenes():
     assert mismatches == []
 
 
-@pytest.mark.parametrize("factor", [1, 2, 3, 8])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 8])
 def test_decode_matches_dense_composition_at_other_factors(factor):
     cfg = DecoderConfig(upsample_factor=factor)
     _, heatmaps, pafs = generate_scene(2, RenderConfig(23, 31, seed=factor))
