@@ -1,6 +1,7 @@
 """Naive/optimized pipeline agreement and the timing harness contract."""
 
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -158,10 +159,18 @@ def test_config_digest_tracks_config_and_shape():
 
 def test_resize_time_grows_with_upsample_factor():
     sc = _scenario(1, height=24, width=33)
-    four = run_benchmark(sc, "optimized", cfg=DecoderConfig(upsample_factor=4))
-    eight = run_benchmark(sc, "optimized", cfg=DecoderConfig(upsample_factor=8))
-    # Factor 8 moves four times the pixels; medians are far beyond noise.
-    assert eight.timings.resize_ns > four.timings.resize_ns
+    # Factor 8 interpolates (8 + 2)**2 samples per hot cell against (4 + 2)**2,
+    # but finding the hot cells costs the same at both, so the stage takes
+    # only ~1.3x as long, and host speed swings more than that from run to
+    # run. Each run's resize time is therefore taken relative to its own
+    # grouping time, whose work does not depend on the factor, and the
+    # factors alternate over five runs each.
+    ratios = {4: [], 8: []}
+    for _ in range(5):
+        for factor, runs in ratios.items():
+            t = run_benchmark(sc, "optimized", cfg=DecoderConfig(upsample_factor=factor)).timings
+            runs.append(t.resize_ns / t.group_ns)
+    assert statistics.median(ratios[8]) > statistics.median(ratios[4])
 
 
 def test_empty_scene_makes_grouping_the_fastest_stage():
@@ -204,7 +213,7 @@ def test_load_scenario_rejects_mismatched_truth(tmp_path):
         load_scenario(tmp_path)
 
 
-def test_optimized_decode_repeats_without_drift():
+def test_optimized_decode_reuses_workspace_without_drift():
     # Decode reuses its scratch buffers; crowd- and wide-size maps in turn
     # make them shrink and grow between frames.
     frames = [_scenario(20, seed=20), _scenario(3, height=46, width=82, seed=21)]

@@ -724,36 +724,38 @@ def test_decode_rejects_non_finite_maps():
 
 
 @pytest.mark.parametrize("decode_fn", [decode, optimized_decode])
-@pytest.mark.parametrize("factor", [4, 8])
-def test_decode_builds_no_upsampled_stack(monkeypatch, decode_fn, factor):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_decode_never_upsamples_the_paf_stack(monkeypatch, decode_fn, threads):
+    # Nor the heatmap stack: decode resizes no stack at all.
     resized, resize = [], posekit.featuremaps._resize_planes
     monkeypatch.setattr(posekit.featuremaps, "_resize_planes",
                         lambda src, *args, **kwargs: resized.append(src.shape)
                         or resize(src, *args, **kwargs))
     geometry = compute_input_geometry(720, 1280, 368)
     _, heatmaps, pafs = generate_scene(3, RenderConfig(46, 82, seed=7))
-    # A fresh thread starts with no scratch buffers, so their first
-    # allocation counts too.
-    result, peak = [], []
+    for factor in (4, 8):
+        # A fresh thread starts with no scratch buffers, so their first
+        # allocation counts too.
+        result, peak = [], []
 
-    def run():
-        tracemalloc.start()
-        try:
-            result.append(decode_fn(heatmaps, pafs, geometry,
-                                    DecoderConfig(upsample_factor=factor), threads=2))
-            peak.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        def run(factor):
+            tracemalloc.start()
+            try:
+                result.append(decode_fn(heatmaps, pafs, geometry,
+                                        DecoderConfig(upsample_factor=factor), threads=threads))
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert len(result[0]) == 3
-    assert resized == []
-    # Everything decode holds at once stays below one upsampled stack of the
-    # keypoint channels.
-    assert peak[0] < NUM_KEYPOINTS * (46 * factor) * (82 * factor) * 4
+        worker = threading.Thread(target=run, args=(factor,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(result[0]) == 3
+        assert resized == []
+        # Everything decode holds at once stays below one upsampled stack of
+        # the keypoint channels.
+        assert peak[0] < NUM_KEYPOINTS * (46 * factor) * (82 * factor) * 4
 
 
 def _peak_bits(keypoints):
