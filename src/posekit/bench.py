@@ -8,9 +8,12 @@ with fresh allocations, extraction walks every pixel in Python
 single-threaded, and pair scoring loops over samples one candidate at a
 time. The optimized mode runs ``decoder.decode``'s stages one by one: its
 resize stage evaluates the heatmap upsample only in the hot cells that can
-hold a peak, its extract stage applies the peak rule there and builds the
-keypoints, and its group stage scores every limb's candidates in one batch
-on the stride-level PAFs. It upsamples no map stack.
+hold a peak, its extract stage applies the peak rule there and sorts the
+peak columns, and its group stage scores every limb's candidates in one
+batch on the stride-level PAFs, matches and assembles them on peak ids,
+maps the survivors back and builds the output objects. It upsamples no map
+stack. The naive mode maps each keypoint back on its own with the same
+float64 formula.
 
 Before any timing, both paths decode the scenario once at the configured
 upsample factor and their skeletons are compared (counts, slot patterns,
@@ -27,7 +30,7 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ from .skeleton import (
     DecoderConfig,
     Keypoint,
     LimbConnection,
+    PoseSkeleton,
 )
 from .synth import RenderConfig, generate_scene
 
@@ -246,7 +250,17 @@ def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeomet
     factor = cfg.upsample_factor
     up_heat, up_paf = _naive_resize(heatmaps, pafs, factor)
     keypoints = _naive_extract(up_heat, cfg.peak_threshold)
-    return decoder._to_original(_naive_group(up_paf, keypoints, cfg), geometry, factor)
+    # One keypoint at a time through the float64 formula decode applies to arrays.
+    skeletons = []
+    for sk in _naive_group(up_paf, keypoints, cfg):
+        moved = []
+        for kp in sk.keypoints:
+            if kp is not None:
+                x, y = geometry.map_to_original(kp.x, kp.y, factor)
+                kp = replace(kp, x=x, y=y)
+            moved.append(kp)
+        skeletons.append(PoseSkeleton(tuple(moved), sk.score, sk.num_keypoints))
+    return skeletons
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +418,9 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
             t0 = time.perf_counter_ns()
             cells = decoder._upsample_hot_cells(heat.data, cfg)
             t1 = time.perf_counter_ns()
-            keypoints = decoder._cell_keypoints(heat, cells, cfg)
+            peaks = decoder._cell_peaks(heat, cells, cfg)
             t2 = time.perf_counter_ns()
-            decoder._group_keypoints(pafs, keypoints, cfg, geometry)
+            decoder._group_peaks(pafs, peaks, cfg, geometry)
             t3 = time.perf_counter_ns()
         else:
             t0 = time.perf_counter_ns()

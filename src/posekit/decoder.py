@@ -3,9 +3,15 @@
 ``decode`` upsamples no map stack. It finds heatmap peaks by evaluating the
 upsample only in the cells that can hold one, and one batch scores every
 limb's pairs on the stride-level PAFs; both read values bit-equal to the
-dense bilinear upsample. All stages are deterministic and run on the calling
-thread, with scratch buffers kept per thread, so concurrent decodes are safe.
-The ``threads`` arguments are validated for compatibility and change nothing.
+dense bilinear upsample. From the peaks to the output, ``decode`` passes
+NumPy columns, not objects: peaks as (kind, x, y, score) with id = row,
+candidates as (limb, from id, to id, affinity, valid ratio). Matching and
+assembly work on ids, and each output ``Keypoint`` and ``PoseSkeleton`` is
+built once, in original-image pixels. The public stage functions convert
+their object arguments to these columns, run the same code and convert back.
+All stages are deterministic and run on the calling thread, with scratch
+buffers kept per thread, so concurrent decodes are safe. The ``threads``
+arguments are validated for compatibility and change nothing.
 """
 
 from __future__ import annotations
@@ -248,11 +254,11 @@ def _upsample_hot_cells(heat: np.ndarray, cfg: DecoderConfig):
     return kind, a * factor - lead, b * factor - lead, v
 
 
-def _cell_keypoints(heatmaps: FeatureMaps, cells, cfg: DecoderConfig) -> list[list[Keypoint]]:
-    """Decode's extract stage: ``extract_keypoints`` of the dense upsample of
+def _cell_peaks(heatmaps: FeatureMaps, cells, cfg: DecoderConfig):
+    """Decode's extract stage: the peak columns of the dense upsample of
     ``heatmaps``, from their ``_upsample_hot_cells``."""
     if cells is None:
-        return extract_keypoints(heatmaps, cfg)
+        return _dense_peaks(heatmaps.data, cfg.peak_threshold)
     kind, top, left, v = cells
     f2, m = v.shape[1:]
     height, width = heatmaps.height * cfg.upsample_factor, heatmaps.width * cfg.upsample_factor
@@ -268,18 +274,29 @@ def _cell_keypoints(heatmaps: FeatureMaps, cells, cfg: DecoderConfig) -> list[li
     idx, score, dy, dx = _peaks(v.reshape(-1), ((i * f2 + j) * m + n)[inside], m, f2 * m)
     i, rest = np.divmod(idx, f2 * m)
     j, n = np.divmod(rest, m)
-    return _build_keypoints(kind[n], top[n] + i + dy, left[n] + j + dx, score)
+    return _sort_peaks(kind[n], left[n] + j + dx, top[n] + i + dy, score)
 
 
-def _build_keypoints(kinds, ys, xs, scores) -> list[list[Keypoint]]:
-    """Keypoints per kind, by descending score (ties by row, then column),
-    with ids unique across the call and assigned in that order."""
-    order = np.lexsort((xs, ys, -scores, kinds))
-    result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
-    columns = (column[order].tolist() for column in (kinds, xs, ys, scores))
-    for kp_id, (kind, x, y, score) in enumerate(zip(*columns)):
-        result[kind].append(Keypoint(id=kp_id, kind=kind, x=x, y=y, score=score))
-    return result
+def _sort_peaks(kind, x, y, score):
+    """The peak columns ``(kind, x, y, score)`` by kind, then descending
+    score (ties by row, then column); a peak's id is its row."""
+    order = np.lexsort((x, y, -score, kind))
+    return kind[order], x[order], y[order], score[order]
+
+
+def _dense_peaks(data: np.ndarray, threshold: float):
+    """The peak columns of a heatmap stack that is its own upsample."""
+    _, h, w = data.shape
+    flat = data[:BACKGROUND_CHANNEL].reshape(-1)
+    # The row test runs on the flattened stack; the ring goes before the
+    # other six neighbors are read.
+    idx = np.flatnonzero(_row_maxima(flat[1:-1], flat[:-2], flat[2:], threshold)) + 1
+    ys, xs = np.divmod(idx % (h * w), w)
+    idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
+    idx, score, dy, dx = _peaks(flat, idx, 1, w)
+    kind, pos = np.divmod(idx, h * w)
+    ys, xs = np.divmod(pos, w)
+    return _sort_peaks(kind, xs + dx, ys + dy, score)
 
 
 def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
@@ -300,17 +317,11 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
             f"expected {NUM_HEATMAP_CHANNELS} heatmap channels, got {heatmaps.channels}"
         )
     resolve_threads(threads)
-    _, h, w = heatmaps.data.shape
-    flat = heatmaps.data[:BACKGROUND_CHANNEL].reshape(-1)
-    # The row test runs on the flattened stack; the ring goes before the
-    # other six neighbors are read.
-    idx = np.flatnonzero(_row_maxima(flat[1:-1], flat[:-2], flat[2:], cfg.peak_threshold)) + 1
-    ys, xs = np.divmod(idx % (h * w), w)
-    idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
-    idx, score, dy, dx = _peaks(flat, idx, 1, w)
-    kind, pos = np.divmod(idx, h * w)
-    ys, xs = np.divmod(pos, w)
-    return _build_keypoints(kind, ys + dy, xs + dx, score)
+    result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
+    columns = (c.tolist() for c in _dense_peaks(heatmaps.data, cfg.peak_threshold))
+    for kp_id, (kind, x, y, score) in enumerate(zip(*columns)):
+        result[kind].append(Keypoint(id=kp_id, kind=kind, x=x, y=y, score=score))
+    return result
 
 
 @lru_cache(maxsize=8)
@@ -327,35 +338,33 @@ def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
     return coords.astype(np.intp)
 
 
-def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfig,
-                 keep_all: bool = False) -> list[list[LimbConnection]]:
-    """One candidate list per limb; every limb's pairs are scored in one batch.
+def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
+                 keep_all: bool = False):
+    """Candidate columns ``(limb, from, to, affinity, valid_ratio)`` for the
+    pairs of every limb, scored in one batch.
 
-    ``pairs[k]`` is the ``(kps_a, kps_b)`` lists of ``limbs[k]``'s from and to
-    keypoints on ``pafs`` upsampled by ``factor``. A pair samples the field
-    at ``paf_sample_count`` evenly spaced points from a to b (endpoints
-    included, nearest upsampled pixel) and dots each sample with the unit
-    direction. Affinity is the mean; valid ratio is the fraction of samples
-    whose alignment exceeds the threshold. Zero-length pairs score (0, 0).
-    Lists are in row-major (a, b) order and hold all pairs with ``keep_all``,
-    else those passing the grouping filter.
+    Point ``r`` sits at ``(x[r], y[r])`` on ``pafs`` upsampled by ``factor``.
+    ``ends`` holds one entry per limb in each of six columns: the first row
+    and the count of its from points, the same for its to points, and its
+    PAF x and y channels. A pair samples the field at ``paf_sample_count``
+    evenly spaced points from a to b (endpoints included, nearest upsampled
+    pixel) and dots each sample with the unit direction. Affinity is the
+    mean; valid ratio is the fraction of samples whose alignment exceeds the
+    threshold. Zero-length pairs score (0, 0). Candidates are by limb, then
+    in row-major (a, b) order, and hold all pairs with ``keep_all``, else
+    those passing the grouping filter.
     """
-    flat = [kp for ends in pairs for kps in ends for kp in kps]
-    x = np.array([kp.x for kp in flat], dtype=np.float64)
-    y = np.array([kp.y for kp in flat], dtype=np.float64)
-    na, nb, x_channel, y_channel = np.array(
-        [(len(kps_a), len(kps_b), limb.paf_x_channel, limb.paf_y_channel)
-         for limb, (kps_a, kps_b) in zip(limbs, pairs)], dtype=np.intp).reshape(-1, 4).T
-    a_start = np.cumsum(na + nb) - (na + nb)
-    # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
-    # na x nb block gives the row-major (i, j).
+    a_start, na, b_start, nb, x_channel, y_channel = ends
     counts = na * nb
     if not counts.any():
-        return [[] for _ in limbs]
-    owner = np.repeat(np.arange(len(limbs)), counts)
+        rows = np.empty(0, dtype=np.intp)
+        return rows, rows, rows, np.empty(0), np.empty(0)
+    # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
+    # na x nb block gives the row-major (i, j).
+    owner = np.repeat(np.arange(len(counts)), counts)
     i, j = np.divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
     ia = a_start[owner] + i
-    ib = a_start[owner] + na[owner] + j
+    ib = b_start[owner] + j
 
     h, w = pafs.height * factor, pafs.width * factor
     dx, dy = x[ib] - x[ia], y[ib] - y[ia]
@@ -376,8 +385,24 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
         0.0,
     )
     keep = keep_all | ((valid >= cfg.min_valid_ratio) & (affinity > 0.0))
+    return owner[keep], ia[keep], ib[keep], affinity[keep], valid[keep]
+
+
+def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfig,
+                 keep_all: bool = False) -> list[list[LimbConnection]]:
+    """``_score_pairs`` as one candidate list per limb, where ``pairs[k]`` is
+    the ``(kps_a, kps_b)`` lists of ``limbs[k]``'s from and to keypoints."""
+    flat = [kp for ends in pairs for kps in ends for kp in kps]
+    x = np.array([kp.x for kp in flat], dtype=np.float64)
+    y = np.array([kp.y for kp in flat], dtype=np.float64)
+    na, nb, x_channel, y_channel = np.array(
+        [(len(kps_a), len(kps_b), limb.paf_x_channel, limb.paf_y_channel)
+         for limb, (kps_a, kps_b) in zip(limbs, pairs)], dtype=np.intp).reshape(-1, 4).T
+    a_start = np.cumsum(na + nb) - (na + nb)
+    columns = _score_pairs(pafs, factor, x, y,
+                           (a_start, na, a_start + na, nb, x_channel, y_channel), cfg, keep_all)
     result: list[list[LimbConnection]] = [[] for _ in limbs]
-    for p, a, b, aff, ratio in zip(*(c[keep].tolist() for c in (owner, ia, ib, affinity, valid))):
+    for p, a, b, aff, ratio in zip(*(c.tolist() for c in columns)):
         result[p].append(LimbConnection(limb=limbs[p], from_kp=flat[a].id, to_kp=flat[b].id,
                                         affinity=aff, valid_ratio=ratio))
     return result
@@ -417,6 +442,30 @@ def score_connection(pafs: FeatureMaps, limb, a: Keypoint, b: Keypoint,
     return score_connections(pafs, limb, [a], [b], cfg)[0]
 
 
+def _match(limb, frm, to, affinity, valid, cfg: DecoderConfig) -> list[int]:
+    """Greedy matching of candidate columns: the rows it accepts, in order.
+
+    Limbs are matched in ascending ``limb`` order, each on its own. Its
+    candidates that pass the grouping filter are taken by descending
+    affinity (ties by smaller from, then to) and accepted when neither
+    endpoint is already used within the limb.
+    """
+    keep = np.flatnonzero((valid >= cfg.min_valid_ratio) & (affinity > 0.0))
+    order = keep[np.lexsort((to[keep], frm[keep], -affinity[keep], limb[keep]))]
+    accepted: list[int] = []
+    current, used_from, used_to = None, set(), set()
+    for row, p, a, b in zip(order.tolist(), limb[order].tolist(), frm[order].tolist(),
+                            to[order].tolist()):
+        if p != current:
+            current, used_from, used_to = p, set(), set()
+        if a in used_from or b in used_to:
+            continue
+        used_from.add(a)
+        used_to.add(b)
+        accepted.append(row)
+    return accepted
+
+
 def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[LimbConnection]:
     """Greedy per-limb-type matching.
 
@@ -426,22 +475,14 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[Li
     endpoint is already used within its limb type.
     """
     cfg = cfg or DecoderConfig()
-    accepted: list[LimbConnection] = []
-    for cands in candidates_by_type:
-        keep = [
-            c for c in cands
-            if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0
-        ]
-        keep.sort(key=lambda c: (-c.affinity, c.from_kp, c.to_kp))
-        used_from: set[int] = set()
-        used_to: set[int] = set()
-        for c in keep:
-            if c.from_kp in used_from or c.to_kp in used_to:
-                continue
-            used_from.add(c.from_kp)
-            used_to.add(c.to_kp)
-            accepted.append(c)
-    return accepted
+    blocks = [list(cands) for cands in candidates_by_type]
+    flat = [c for cands in blocks for c in cands]
+    limb = np.repeat(np.arange(len(blocks)), [len(cands) for cands in blocks])
+    frm, to = (np.array([getattr(c, name) for c in flat], dtype=np.intp)
+               for name in ("from_kp", "to_kp"))
+    affinity, valid = (np.array([getattr(c, name) for c in flat], dtype=np.float64)
+                       for name in ("affinity", "valid_ratio"))
+    return [flat[row] for row in _match(limb, frm, to, affinity, valid, cfg)]
 
 
 class _Builder:
@@ -453,6 +494,69 @@ class _Builder:
         self.affinity = 0.0
         self.alive = True
         self.order = order
+
+
+def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, float, int]]:
+    """Skeletons from accepted ``(from, to, affinity)`` connections between
+    points, where ``kind[p]`` and ``score[p]`` describe point ``p``.
+
+    Returns each skeleton as ``(slots, score, count)``, where ``slots[k]`` is
+    its point of kind ``k`` or -1; see ``assemble_skeletons``.
+    """
+    owner: dict = {}
+    builders: list[_Builder] = []
+
+    def _attach(builder: _Builder, point) -> bool:
+        if builder.slots[kind[point]] != -1:
+            return False
+        builder.slots[kind[point]] = point
+        builder.kp_score += score[point]
+        owner[point] = builder
+        return True
+
+    for f, t, affinity in connections:
+        bf = owner.get(f)
+        bt = owner.get(t)
+        if bf is None and bt is None:
+            nb = _Builder(len(builders))
+            builders.append(nb)
+            _attach(nb, f)
+            _attach(nb, t)
+            nb.affinity += affinity
+        elif bf is not None and bt is None:
+            if _attach(bf, t):
+                bf.affinity += affinity
+        elif bf is None and bt is not None:
+            if _attach(bt, f):
+                bt.affinity += affinity
+        elif bf is bt:
+            # Redundant edge inside one skeleton still contributes its affinity.
+            bf.affinity += affinity
+        else:
+            if any(a != -1 and b != -1 for a, b in zip(bf.slots, bt.slots)):
+                continue  # conflicting slots: drop the connection
+            for k, point in enumerate(bt.slots):
+                if point != -1:
+                    bf.slots[k] = point
+                    owner[point] = bf
+            bf.kp_score += bt.kp_score
+            bf.affinity += bt.affinity + affinity
+            bt.alive = False
+
+    skeletons = []
+    for b in builders:
+        if not b.alive:
+            continue
+        count = sum(1 for s in b.slots if s != -1)
+        if count < cfg.min_keypoints:
+            continue
+        total = (b.kp_score + b.affinity) / count
+        if total < cfg.min_skeleton_score:
+            continue
+        skeletons.append((total, b.order, b.slots, count))
+    # Descending score; creation order breaks exact ties deterministically.
+    skeletons.sort(key=lambda item: (-item[0], item[1]))
+    return [(slots, total, count) for total, _, slots, count in skeletons]
 
 
 def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
@@ -474,86 +578,49 @@ def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
         else:
             for kp in bucket:
                 by_id[kp.id] = kp
-    owner: dict[int, _Builder] = {}
-    builders: list[_Builder] = []
-
-    def _attach(builder: _Builder, kp: Keypoint) -> bool:
-        if builder.slots[kp.kind] != -1:
-            return False
-        builder.slots[kp.kind] = kp.id
-        builder.kp_score += kp.score
-        owner[kp.id] = builder
-        return True
-
-    for conn in connections:
-        f = by_id[conn.from_kp]
-        t = by_id[conn.to_kp]
-        bf = owner.get(f.id)
-        bt = owner.get(t.id)
-        if bf is None and bt is None:
-            nb = _Builder(len(builders))
-            builders.append(nb)
-            _attach(nb, f)
-            _attach(nb, t)
-            nb.affinity += conn.affinity
-        elif bf is not None and bt is None:
-            if _attach(bf, t):
-                bf.affinity += conn.affinity
-        elif bf is None and bt is not None:
-            if _attach(bt, f):
-                bt.affinity += conn.affinity
-        elif bf is bt:
-            # Redundant edge inside one skeleton still contributes its affinity.
-            bf.affinity += conn.affinity
-        else:
-            if any(a != -1 and b != -1 for a, b in zip(bf.slots, bt.slots)):
-                continue  # conflicting slots: drop the connection
-            for kind, kp_id in enumerate(bt.slots):
-                if kp_id != -1:
-                    bf.slots[kind] = kp_id
-                    owner[kp_id] = bf
-            bf.kp_score += bt.kp_score
-            bf.affinity += bt.affinity + conn.affinity
-            bt.alive = False
-
-    skeletons = []
-    for b in builders:
-        if not b.alive:
-            continue
-        count = sum(1 for s in b.slots if s != -1)
-        if count < cfg.min_keypoints:
-            continue
-        score = (b.kp_score + b.affinity) / count
-        if score < cfg.min_skeleton_score:
-            continue
-        kps = tuple(by_id[s] if s != -1 else None for s in b.slots)
-        skeletons.append((score, b.order, PoseSkeleton(kps, score, count)))
-    # Descending score; creation order breaks exact ties deterministically.
-    skeletons.sort(key=lambda item: (-item[0], item[1]))
-    return [item[2] for item in skeletons]
+    kind = {kp_id: kp.kind for kp_id, kp in by_id.items()}
+    score = {kp_id: kp.score for kp_id, kp in by_id.items()}
+    skeletons = _assemble(((c.from_kp, c.to_kp, c.affinity) for c in connections),
+                          kind, score, cfg)
+    return [PoseSkeleton(tuple(by_id[s] if s != -1 else None for s in slots), total, count)
+            for slots, total, count in skeletons]
 
 
-def _to_original(skeletons, geometry: InputGeometry, upsample_factor: int) -> list[PoseSkeleton]:
-    """The skeletons with their keypoints mapped to original-image pixels by
-    one ``InputGeometry.map_to_original`` call over all of them."""
-    present = [kp for sk in skeletons for kp in sk.keypoints if kp is not None]
-    xs, ys = geometry.map_to_original(np.array([kp.x for kp in present]),
-                                      np.array([kp.y for kp in present]), upsample_factor)
-    moved = iter([Keypoint(id=kp.id, kind=kp.kind, x=x, y=y, score=kp.score)
-                  for kp, x, y in zip(present, xs.tolist(), ys.tolist())])
-    return [PoseSkeleton(tuple(None if kp is None else next(moved) for kp in sk.keypoints),
-                         sk.score, sk.num_keypoints) for sk in skeletons]
+# Each limb's from and to kinds and PAF channels, one column each.
+_LIMB_COLUMNS = np.array([(limb.from_kind, limb.to_kind, limb.paf_x_channel, limb.paf_y_channel)
+                          for limb in LIMBS], dtype=np.intp).T
 
 
-def _group_keypoints(pafs: FeatureMaps, keypoints, cfg: DecoderConfig,
-                     geometry: InputGeometry) -> list[PoseSkeleton]:
-    """Skeletons in original-image pixels from keypoints on heatmaps upsampled
-    by ``cfg.upsample_factor``, with all limbs scored in one batch against
-    the stride-level ``pafs``."""
+def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
+                 geometry: InputGeometry) -> list[PoseSkeleton]:
+    """Decode's group stage: skeletons in original-image pixels from the
+    peak columns of the heatmaps upsampled by ``cfg.upsample_factor``.
+
+    All limbs are scored in one batch against the stride-level ``pafs``,
+    then matched and assembled on peak ids. The x/y of the skeletons' peaks
+    go through one ``InputGeometry.map_to_original`` call, and each output
+    ``Keypoint`` and ``PoseSkeleton`` is built once.
+    """
     factor = cfg.upsample_factor
-    pairs = [(keypoints[limb.from_kind], keypoints[limb.to_kind]) for limb in LIMBS]
-    accepted = group_limbs(_score_limbs(pafs, factor, LIMBS, pairs, cfg), cfg)
-    return _to_original(assemble_skeletons(accepted, keypoints, cfg), geometry, factor)
+    kind, x, y, score = peaks
+    counts = np.bincount(kind, minlength=NUM_KEYPOINTS)
+    starts = np.cumsum(counts) - counts
+    from_kind, to_kind, x_channel, y_channel = _LIMB_COLUMNS
+    limb, frm, to, affinity, valid = _score_pairs(
+        pafs, factor, x, y,
+        (starts[from_kind], counts[from_kind], starts[to_kind], counts[to_kind],
+         x_channel, y_channel), cfg)
+    accepted = _match(limb, frm, to, affinity, valid, cfg)
+    kinds, scores = kind.tolist(), score.tolist()
+    skeletons = _assemble(zip(frm[accepted].tolist(), to[accepted].tolist(),
+                              affinity[accepted].tolist()), kinds, scores, cfg)
+    rows = [r for slots, _, _ in skeletons for r in slots if r != -1]
+    xs, ys = geometry.map_to_original(x[rows], y[rows], factor)
+    # Keypoint(id, kind, x, y, score), built as the skeletons consume them.
+    moved = map(Keypoint, rows, kind[rows].tolist(), xs.tolist(), ys.tolist(),
+                score[rows].tolist())
+    return [PoseSkeleton(tuple(None if r == -1 else next(moved) for r in slots), total, count)
+            for slots, total, count in skeletons]
 
 
 def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
@@ -565,8 +632,10 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     ``_upsample_hot_cells``), scores limb candidates on the stride-level PAFs,
     groups and assembles them, then maps coordinates back through stride,
     upsample factor, scale, and padding. The result is what the public stages
-    give on densely upsampled maps. Non-finite maps raise ``ValueError``;
-    ``threads`` must be >= 0 and does not change the work.
+    give on densely upsampled maps, and each output ``Keypoint`` and
+    ``PoseSkeleton`` is built once, in original-image pixels. Maps whose
+    data is not float32, or not finite, raise ``ValueError``; ``threads``
+    must be >= 0 and does not change the work.
     """
     cfg = cfg or DecoderConfig()
     if heatmaps.channels != NUM_HEATMAP_CHANNELS:
@@ -588,9 +657,14 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
             f"geometry net input {geometry.net_input_height}x{geometry.net_input_width} "
             f"does not match maps {heatmaps.height}x{heatmaps.width} at stride {geometry.stride}"
         )
-    # A FeatureMaps built directly skips the check in ``from_planes``; NaN
-    # would fail every comparison and silently decode to nothing.
+    # A FeatureMaps built directly skips the conversion and check in
+    # ``from_planes``. Other dtypes would be rounded to float32 before
+    # interpolating, unlike ``resize_bilinear``; NaN would fail every
+    # comparison and silently decode to nothing.
+    for maps in (heatmaps, pafs):
+        if maps.data.dtype != np.float32:
+            raise ValueError(f"feature maps must be float32, got {maps.data.dtype}")
     _require_finite(heatmaps.data, pafs.data)
     resolve_threads(threads)
-    keypoints = _cell_keypoints(heatmaps, _upsample_hot_cells(heatmaps.data, cfg), cfg)
-    return _group_keypoints(pafs, keypoints, cfg, geometry)
+    peaks = _cell_peaks(heatmaps, _upsample_hot_cells(heatmaps.data, cfg), cfg)
+    return _group_peaks(pafs, peaks, cfg, geometry)

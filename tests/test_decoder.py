@@ -42,7 +42,13 @@ from posekit.errors import DimensionMismatchError
 from posekit.featuremaps import compute_input_geometry
 from posekit.fileio import pose_document_bytes
 from posekit.skeleton import BACKGROUND_CHANNEL, NUM_HEATMAP_CHANNELS, NUM_PAF_CHANNELS
-from posekit.synth import GroundTruthPerson, RenderConfig, generate_scene, render_pafs
+from posekit.synth import (
+    FULL_BODY_TEMPLATE,
+    GroundTruthPerson,
+    RenderConfig,
+    generate_scene,
+    render_pafs,
+)
 
 
 def _gaussian(h, w, cx, cy, amp=1.0, sigma=2.0):
@@ -464,19 +470,31 @@ SCORER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("factor", sorted(SCORER_DIGESTS))
-def test_scorer_bits_are_pinned(monkeypatch, factor):
-    # The canonical scene and three sigma=0.02 noisy variants of it.
+def _canonical_variants():
+    """The canonical scene and three sigma=0.02 noisy variants of it."""
     sc = make_canonical_scenario()
     rng = np.random.default_rng(5)
     variants = [(sc.heatmaps, sc.pafs)]
     for _ in range(3):
         variants.append(tuple(FeatureMaps.from_planes(m.data + rng.normal(0.0, 0.02, m.data.shape))
                               for m in (sc.heatmaps, sc.pafs)))
+    return sc, variants
+
+
+@pytest.mark.parametrize("factor", sorted(SCORER_DIGESTS))
+def test_scorer_bits_are_pinned(monkeypatch, factor):
+    sc, variants = _canonical_variants()
     cfg = DecoderConfig(upsample_factor=factor)
-    seen = []
-    monkeypatch.setattr(posekit.decoder, "group_limbs",
-                        lambda cands, cfg: seen.append(cands) or group_limbs(cands, cfg))
+    seen, match = [], posekit.decoder._match
+
+    def spy(limb, frm, to, affinity, valid, cfg):
+        # decode's candidate columns on their way into greedy matching, as
+        # the rows _candidate_rows makes of LimbConnection lists.
+        seen.append(list(zip(limb.tolist(), frm.tolist(), to.tolist(),
+                             map(float.hex, affinity.tolist()), map(float.hex, valid.tolist()))))
+        return match(limb, frm, to, affinity, valid, cfg)
+
+    monkeypatch.setattr(posekit.decoder, "_match", spy)
     scored, grouped = hashlib.sha256(), hashlib.sha256()
     for heat, paf in variants:
         up_paf = resize_bilinear(paf, factor)
@@ -485,8 +503,35 @@ def test_scorer_bits_are_pinned(monkeypatch, factor):
                                    keypoints[limb.to_kind], cfg) for limb in LIMBS]
         scored.update(repr(_candidate_rows(every)).encode())
         decode(heat, paf, sc.geometry, cfg)
-        grouped.update(repr(_candidate_rows(seen.pop())).encode())
+        grouped.update(repr(seen.pop()).encode())
     assert (scored.hexdigest(), grouped.hexdigest()) == SCORER_DIGESTS[factor]
+
+
+def _skeleton_bits(skeletons):
+    return [(sk.score.hex(), sk.num_keypoints,
+             [None if kp is None else (kp.id, kp.kind, kp.x.hex(), kp.y.hex(), kp.score.hex())
+              for kp in sk.keypoints]) for sk in skeletons]
+
+
+# sha256 of decode's skeletons as _skeleton_bits, computed with the
+# object-based grouping, assembly and map-back that the column code replaced.
+# decode and the public stages share that code now, so comparing the two
+# cannot catch a change in it.
+DECODE_DIGESTS = {
+    1: "5d5305c61e57ec1d14e77cad4329c208f3e7a90925465997b4962417619e4ae3",
+    4: "f3a574e566fc8b3e5969993e90148c0c3da3787f9f437e2fbde394c6746d07e7",
+    8: "f6a56af2565c55e730b2bd02b64f7d9e8f6a473d840e49e04a65cad61a339ce7",
+}
+
+
+@pytest.mark.parametrize("factor", sorted(DECODE_DIGESTS))
+def test_decode_bits_are_pinned(factor):
+    sc, variants = _canonical_variants()
+    digest = hashlib.sha256()
+    for heat, paf in variants:
+        skeletons = decode(heat, paf, sc.geometry, DecoderConfig(upsample_factor=factor))
+        digest.update(repr(_skeleton_bits(skeletons)).encode())
+    assert digest.hexdigest() == DECODE_DIGESTS[factor]
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +657,21 @@ def test_assembly_merges_disjoint_fragments():
     assert skeletons[0].num_keypoints == 4
 
 
+def test_assembly_attaches_to_a_merged_fragment():
+    # After the bridge merges fragment B into A, B's points belong to A: a
+    # later connection from one of them grows the merged skeleton.
+    kps = [_kp(0, 1, 10, 10), _kp(1, 2, 8, 10), _kp(2, 3, 8, 14), _kp(3, 4, 8, 18),
+           _kp(4, 5, 8, 22)]
+    conns = [_conn(_limb_for(1, 2), 0, 1, 0.9),
+             _conn(_limb_for(3, 4), 2, 3, 0.7),
+             _conn(_limb_for(2, 3), 1, 2, 0.8),   # merges B {3, 4} into A {1, 2}
+             _conn(_limb_for(3, 4), 3, 4, 0.6)]   # from B's kind-4 point
+    cfg = DecoderConfig(min_keypoints=1, min_skeleton_score=0.0)
+    (skeleton,) = assemble_skeletons(conns, [kps], cfg)
+    assert skeleton.num_keypoints == 5
+    assert skeleton.keypoint(5) is kps[4]
+
+
 def test_assembly_drops_conflicting_merge():
     # Two fragments both own a kind-2 keypoint; the bridging connection
     # cannot merge them and is discarded.
@@ -723,6 +783,22 @@ def test_decode_rejects_non_finite_maps():
         decode(heatmaps, FeatureMaps(paf), geometry)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int32])
+def test_decode_rejects_maps_that_are_not_float32(dtype):
+    # decode would round float64 data to float32 before interpolating, where
+    # the dense resize interpolates in float64; a noisy scene then decodes
+    # to other keypoints than the public stages give.
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(32, 57, seed=7))
+    geometry = identity_geometry(32, 57)
+    rng = np.random.default_rng(1)
+    heat, paf = ((m.data + rng.normal(0.0, 0.02, m.data.shape)).astype(dtype)
+                 for m in (heatmaps, pafs))
+    with pytest.raises(ValueError, match="float32"):
+        decode(FeatureMaps(heat), pafs, geometry)
+    with pytest.raises(ValueError, match="float32"):
+        decode(heatmaps, FeatureMaps(paf), geometry)
+
+
 @pytest.mark.parametrize("decode_fn", [decode, optimized_decode])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_decode_never_upsamples_the_paf_stack(monkeypatch, decode_fn, threads):
@@ -776,7 +852,11 @@ def _hot_cell_peaks(heat, cfg):
         inside = (y >= 0) & (y < height) & (x >= 0) & (x < width)
         dense = up[kind[n], y.clip(0, height - 1), x.clip(0, width - 1)]
         np.testing.assert_array_equal(v[inside].view(np.uint32), dense[inside].view(np.uint32))
-    got = _peak_bits(posekit.decoder._cell_keypoints(FeatureMaps(heat), cells, cfg))
+    kind, x, y, score = (c.tolist() for c in posekit.decoder._cell_peaks(FeatureMaps(heat),
+                                                                         cells, cfg))
+    # A peak's id is its row.
+    got = [(row, k, px.hex(), py.hex(), s.hex())
+           for row, (k, px, py, s) in enumerate(zip(kind, x, y, score))]
     assert got == _peak_bits(extract_keypoints(FeatureMaps(up), cfg))
     return got
 
@@ -887,7 +967,7 @@ def test_decode_from_concurrent_threads_matches_serial():
         assert results[slot] == [serial[(k + slot) % 2] for k in range(rounds)]
 
 
-def _dense_decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
+def _dense_decode(heatmaps, pafs, geometry, cfg) -> list[PoseSkeleton]:
     """``decode`` as the composition of the public stages on upsampled maps."""
     up_heat = resize_bilinear(heatmaps, cfg.upsample_factor)
     up_paf = resize_bilinear(pafs, cfg.upsample_factor)
@@ -905,7 +985,12 @@ def _dense_decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
                 kp = Keypoint(id=kp.id, kind=kp.kind, x=x, y=y, score=kp.score)
             kps.append(kp)
         moved.append(PoseSkeleton(tuple(kps), sk.score, sk.num_keypoints))
-    return pose_document_bytes(PoseDocument(geometry, tuple(moved)))
+    return moved
+
+
+def _dense_decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
+    skeletons = _dense_decode(heatmaps, pafs, geometry, cfg)
+    return pose_document_bytes(PoseDocument(geometry, tuple(skeletons)))
 
 
 def _decode_bytes(heatmaps, pafs, geometry, cfg) -> bytes:
@@ -942,3 +1027,77 @@ def test_decode_matches_dense_composition_at_other_factors(factor):
     _, heatmaps, pafs = generate_scene(3, RenderConfig(46, 82, seed=20 + factor))
     assert _decode_bytes(heatmaps, pafs, geometry, cfg) == \
         _dense_decode_bytes(heatmaps, pafs, geometry, cfg)
+
+
+def _differential_maps(rng, kind):
+    """Heatmap and PAF planes of one ``kind`` of differential-test input."""
+    if kind == "thin":
+        # 1xn, nx1 and other tiny maps of noise.
+        n = int(rng.integers(1, 12))
+        h, w = ((1, n), (n, 1), tuple(int(v) for v in rng.integers(1, 5, 2)))[rng.integers(3)]
+        return rng.uniform(0.0, 1.0, (NUM_HEATMAP_CHANNELS, h, w)), \
+            rng.uniform(-1.0, 1.0, (NUM_PAF_CHANNELS, h, w))
+    if kind == "noise":
+        h, w = (int(v) for v in rng.integers(3, 10, 2))
+        return rng.uniform(0.0, 1.0, (NUM_HEATMAP_CHANNELS, h, w)), \
+            rng.uniform(-1.0, 1.0, (NUM_PAF_CHANNELS, h, w))
+    if kind == "subpixel":
+        # One full body rendered here at a fractional anchor.
+        h, w = 22, 19
+        ax, ay = rng.uniform(0.0, w - 13), rng.uniform(0.0, h - 17)
+        spots = {k: (ax + dx, ay + dy) for k, dx, dy in
+                 ((k, *FULL_BODY_TEMPLATE[k]) for k in range(NUM_KEYPOINTS))}
+        heat = _heat_stack(h, w, [(k, _gaussian(h, w, x, y)) for k, (x, y) in spots.items()])
+        person = GroundTruthPerson(tuple(spots[k] for k in range(NUM_KEYPOINTS)))
+        return heat.data, render_pafs([person], RenderConfig(h, w)).data
+    _, heat, paf = generate_scene(int(rng.integers(1, 6)),
+                                  RenderConfig(32, 57, seed=int(rng.integers(2**31))))
+    heat, paf = heat.data, paf.data
+    if kind == "crop":
+        # Persons cut off by the map border.
+        top, left = (int(v) for v in rng.integers(0, 16, 2))
+        h, w = (int(v) for v in rng.integers(6, 17, 2))
+        heat, paf = heat[:, top:top + h, left:left + w], paf[:, top:top + h, left:left + w]
+    sigma = rng.choice([0.0, 0.02, 0.1])
+    return heat + rng.normal(0.0, sigma, heat.shape), paf + rng.normal(0.0, sigma, paf.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       kind=st.sampled_from(["thin", "noise", "scene", "subpixel", "crop"]),
+       factor=st.integers(min_value=1, max_value=8),
+       relaxed=st.booleans(),
+       padded=st.booleans())
+def test_decode_equals_the_dense_public_composition(seed, kind, factor, relaxed, padded):
+    # Objects, ids included, and bits: pose documents would omit the ids.
+    rng = np.random.default_rng(seed)
+    heat, paf = (FeatureMaps.from_planes(m) for m in _differential_maps(rng, kind))
+    h, w = heat.height, heat.width
+    geometry = identity_geometry(h, w)
+    if padded:
+        # Scale 0.5 and 3 px of right padding.
+        geometry = compute_input_geometry(16 * h, 2 * (8 * w - 3), 8 * h)
+    # Relaxed limits let noise through to merges and slot conflicts.
+    cfg = DecoderConfig(upsample_factor=factor, min_valid_ratio=0.3, min_keypoints=1,
+                        min_skeleton_score=0.0) if relaxed else \
+        DecoderConfig(upsample_factor=factor)
+    got = decode(heat, paf, geometry, cfg)
+    want = _dense_decode(heat, paf, geometry, cfg)
+    assert got == want
+    assert _skeleton_bits(got) == _skeleton_bits(want)
+
+
+def test_decode_builds_each_output_object_once(monkeypatch):
+    sc = make_canonical_scenario()
+    built = {"Keypoint": 0, "PoseSkeleton": 0, "LimbConnection": 0}
+    for name in built:
+        def counting(*args, _cls=getattr(posekit.decoder, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+        monkeypatch.setattr(posekit.decoder, name, counting)
+    skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry)
+    monkeypatch.undo()
+    assert skeletons == _dense_decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
+    assert len(skeletons) == 20
+    assert built == {"Keypoint": sum(sk.num_keypoints for sk in skeletons),
+                     "PoseSkeleton": len(skeletons), "LimbConnection": 0}
