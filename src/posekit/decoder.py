@@ -1,17 +1,19 @@
 """Decoding pipeline: peaks -> scored limb candidates -> greedy grouping -> skeletons.
 
 ``decode`` upsamples no map stack. It finds heatmap peaks by evaluating the
-upsample only in the cells that can hold one, and one batch scores every
-limb's pairs on the stride-level PAFs; both read values bit-equal to the
-dense bilinear upsample. From the peaks to the output, ``decode`` passes
-NumPy columns, not objects: peaks as (kind, x, y, score) with id = row,
-candidates as (limb, from id, to id, affinity, valid ratio). Matching and
-assembly work on ids, and each output ``Keypoint`` and ``PoseSkeleton`` is
-built once, in original-image pixels. The public stage functions convert
-their object arguments to these columns, run the same code and convert back.
-All stages are deterministic and run on the calling thread, with scratch
-buffers kept per thread, so concurrent decodes are safe. The ``threads``
-arguments are validated for compatibility and change nothing.
+upsample only in the cells that can hold one: each interpolates its own
+samples, and the peak search reads the samples around a cell from its
+neighbors. One batch scores every limb's pairs on the stride-level PAFs.
+Both read values bit-equal to the dense upsample. From the peaks to the
+output, ``decode`` passes NumPy columns, not objects: peaks as (kind, x, y,
+score) with id = row, candidates as (limb, from id, to id, affinity, valid
+ratio). Matching and assembly work on ids, and each output ``Keypoint`` and
+``PoseSkeleton`` is built once, in original-image pixels. The public stage
+functions convert their object arguments to these columns, run the same
+code and convert back. All stages are deterministic and run on the calling
+thread, with scratch buffers kept per thread, so concurrent decodes are
+safe. The ``threads`` arguments are validated for compatibility and change
+nothing.
 """
 
 from __future__ import annotations
@@ -107,31 +109,39 @@ def _row_maxima(center: np.ndarray, left: np.ndarray, right: np.ndarray,
     return mask
 
 
-def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, row: int):
+def _divmod(x: np.ndarray, d: int):
+    """``np.divmod`` of non-negative integers by a scalar, through floor
+    division, which NumPy runs several times faster."""
+    q = x // d
+    return q, x - q * d
+
+
+def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, up: np.ndarray, down: np.ndarray):
     """Second half of the peak rule, on candidates that passed ``_row_maxima``.
 
-    ``flat`` holds a map whose neighbors sit ``col`` apart within a row and
-    ``row`` apart across rows; every candidate at ``flat[idx]`` must have its
-    whole 8-neighborhood in the map. A peak is a local maximum over its
-    8-neighborhood: it wins against earlier neighbors (row-major order) only
-    when strictly greater, and against later neighbors when greater or
-    equal, so plateaus of equal values yield exactly one peak, the first in
-    scan order. Returns the peaks' flat indices, float64 scores and the
-    quadratic ``dy``/``dx`` refinements.
+    ``flat`` holds a map whose neighbors sit ``col`` apart within a row;
+    ``up`` and ``down`` index the samples above and below each candidate
+    ``flat[idx]``, and every candidate must have its whole 8-neighborhood in
+    the map. A peak is a local maximum over its 8-neighborhood: it wins
+    against earlier neighbors (row-major order) only when strictly greater,
+    and against later neighbors when greater or equal, so plateaus of equal
+    values yield exactly one peak, the first in scan order. Returns the
+    peaks' flat indices, float64 scores and the quadratic ``dy``/``dx``
+    refinements.
     """
     v = flat[idx]
     # Neighbors that precede the center in row-major order: must be strictly smaller.
-    keep = v > flat[idx - row - col]
-    keep &= v > flat[idx - row]
-    keep &= v > flat[idx - row + col]
+    keep = v > flat[up - col]
+    keep &= v > flat[up]
+    keep &= v > flat[up + col]
     # Neighbors that follow the center: ties go to the center.
-    keep &= v >= flat[idx + row - col]
-    keep &= v >= flat[idx + row]
-    keep &= v >= flat[idx + row + col]
-    idx = idx[keep]
+    keep &= v >= flat[down - col]
+    keep &= v >= flat[down]
+    keep &= v >= flat[down + col]
+    idx, up, down = idx[keep], up[keep], down[keep]
     v = flat[idx].astype(np.float64)
     dx = _refine_axis(v, flat[idx - col].astype(np.float64), flat[idx + col].astype(np.float64))
-    dy = _refine_axis(v, flat[idx - row].astype(np.float64), flat[idx + row].astype(np.float64))
+    dy = _refine_axis(v, flat[up].astype(np.float64), flat[down].astype(np.float64))
     return idx, v, dy, dx
 
 
@@ -148,14 +158,31 @@ def _hot_margin(max_abs: float) -> float:
     about 3, and the 1 keeps subnormal rounding (``2**-150`` per operation)
     far inside it. Corners must stay below half the float32 range, else the
     resize's own ``b - a`` overflows.
+
+    Decode's peak search reads -inf for every sample of a cold cell. With
+    ``T = float32(threshold)`` and ``e`` the rounding bound above, that
+    changes no output bit:
+
+    - A cold cell's corners are at most ``T - margin``, so its samples stay
+      below ``T`` and lose every comparison with a candidate, as -inf does.
+    - A peak has no 4-neighbor in a cold cell, so refinement reads no
+      stand-in. Say the cell right of it is cold. Along the row the exact
+      interpolant is linear in the peak's cell and at most ``T - margin`` on
+      the shared source column, half a sample step from the peak (a whole
+      one at odd factors). The peak exceeds ``T - e`` exactly, so its left
+      neighbor exceeds it by more than ``margin - e`` exactly and by more
+      than ``margin - 3e > 0`` in float32. The other sides are alike.
+    - So a top-row candidate under a cold cell loses to its neighbor below,
+      and the -inf diagonals taken from that cell decide nothing; the same
+      holds for a bottom-row candidate over a cold cell.
     """
     return 32.0 * 2.0 ** -24 * max(1.0, max_abs)
 
 
 @lru_cache(maxsize=64)
-def _halo_weights(size: int, factor: int) -> np.ndarray:
-    """Resize weights of the ``factor + 2`` halo samples of every cell along
-    one axis, shape ``(factor + 2, size + 1)``.
+def _cell_weights(size: int, factor: int) -> np.ndarray:
+    """Resize weights of the ``factor`` samples of every cell along one
+    axis, shape ``(factor, size + 1)``.
 
     Cell ``a`` holds the upsampled samples that interpolate between source
     samples ``a - 1`` and ``a``, clamped, so cells 0 and ``size`` hold the
@@ -173,85 +200,90 @@ def _halo_weights(size: int, factor: int) -> np.ndarray:
         weights[:head] = -0.0
         weights[size * factor - tail:] = -0.0
     first = np.arange(size + 1) * factor - (factor + 1) // 2
-    table = weights[np.clip(first + np.arange(-1, factor + 1)[:, None], 0, size * factor - 1)]
+    table = weights[np.clip(first + np.arange(factor)[:, None], 0, size * factor - 1)]
     table.flags.writeable = False
     return table
 
 
-def _halo_pass(src: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """One resize pass over the cells: four samples per cell along axis 0
-    of ``src`` give ``factor + 2`` along axis 0 of ``out``.
-
-    Sample 0 (the leading halo) interpolates inputs 0 and 1, the cell's own
-    samples inputs 1 and 2, and the trailing halo inputs 2 and 3, each as
-    the resize does it: ``(b - a) * w + a`` in float32.
-    """
-    interior, last = out[1:-1], out[-1]
-    np.subtract(src[2], src[1], out=last)
-    np.multiply(last, weights[1:-1], out=interior)
-    np.add(interior, src[1], out=interior)
-    for sample, k in ((out[0], 0), (last, 2)):
-        np.subtract(src[k + 1], src[k], out=sample)
-        np.multiply(sample, weights[-1 if k else 0], out=sample)
-        np.add(sample, src[k], out=sample)
-
-
 def _upsample_hot_cells(heat: np.ndarray, cfg: DecoderConfig):
     """Decode's resize stage: the keypoint channels of ``heat`` upsampled by
-    ``cfg.upsample_factor`` around their hot cells only.
+    ``cfg.upsample_factor`` in their hot cells only.
 
-    A cell (see ``_halo_weights``) is hot when one of its four source corners
+    A cell (see ``_cell_weights``) is hot when one of its four source corners
     exceeds ``cfg.peak_threshold - _hot_margin``: no sample of a cold cell
-    can exceed the threshold. Each hot cell's samples and a one-sample halo
-    are interpolated from the 4x4 source samples around it, columns first,
-    then rows, with the resize's float32 operations, so they are bit-equal
-    to ``_resize_planes``. Returns the cells' kinds, the upsampled pixel of
-    each cell's first halo sample and the cells' samples ``V[i, j, cell]``
-    (cells last, so every operation runs along a long axis); or None at
-    factor 1, where the maps are their own upsample and the dense peak
-    search is three times faster.
+    can exceed the threshold. Each hot cell's own ``f x f`` samples are
+    interpolated from its corners, columns first, then rows, with the
+    resize's float32 operations, so they are bit-equal to ``_resize_planes``.
+    They sit in a ``(f, f + 2, cells + 1)`` block ``V[i, j, cell]`` (cells
+    last, so every operation runs along a long axis) between two edge
+    columns: the adjacent columns of the cells to the left and right, or
+    -inf where that cell is cold. The extra cell, all -inf, stands in for
+    every cold cell (see ``_hot_margin``). Returns the hot cells' sorted
+    flat ids in the ``(kinds, h + 1, w + 1)`` grid, the upsampled row of
+    each cell's first sample and column of its first edge column, and
+    ``V``; or None at factor 1, where the maps are their own upsample and
+    the dense peak search is three times faster.
     """
     factor = cfg.upsample_factor
     if factor == 1:
         return None
     src = heat[:BACKGROUND_CHANNEL]
     c, h, w = src.shape
-    # The maps with two edge samples repeated on every side: cell (a, b)
-    # has corners at rows a + 1, a + 2 and columns b + 1, b + 2 here, and
-    # its 4x4 source samples around it start at row a and column b.
-    padded = _buffer("padded", (c, h + 4, w + 4))
-    padded[:, 2:-2, 2:-2] = src
-    padded[:, :2, 2:-2] = src[:, :1]
-    padded[:, -2:, 2:-2] = src[:, -1:]
-    padded[:, :, :2] = padded[:, :, 2:3]
-    padded[:, :, -2:] = padded[:, :, -3:-2]
+    # The maps with their edge samples repeated on every side: cell (a, b)
+    # has its corners at rows a, a + 1 and columns b, b + 1 here.
+    padded = _buffer("padded", (c, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = src
+    padded[:, :1, 1:-1] = src[:, :1]
+    padded[:, -1:, 1:-1] = src[:, -1:]
+    padded[:, :, :1] = padded[:, :, 1:2]
+    padded[:, :, -1:] = padded[:, :, -2:-1]
     # Peaks must beat the float32 threshold; the corner limit rounds down.
     bound = max(float(src.max()), -float(src.min()))
     limit = float(np.float32(cfg.peak_threshold)) - _hot_margin(bound)
     lim32 = np.float32(limit)
     if float(lim32) > limit:
         lim32 = np.nextafter(lim32, np.float32(-np.inf))
-    above = padded[:, 1:-1, 1:-1] > lim32
+    above = padded > lim32
     hot = above[:, :-1, :-1] | above[:, 1:, :-1]
     hot |= above[:, :-1, 1:]
     hot |= above[:, 1:, 1:]
-    kind, rest = np.divmod(np.flatnonzero(hot), (h + 1) * (w + 1))
-    a, b = np.divmod(rest, w + 1)
-    m, f2 = a.size, factor + 2
+    cell = np.flatnonzero(hot)
+    kind, rest = _divmod(cell, (h + 1) * (w + 1))
+    a, b = _divmod(rest, w + 1)
+    m = cell.size
 
-    corner = (kind * (h + 4) + a) * (w + 4) + b
+    corner = (kind * (h + 2) + a) * (w + 2) + b
     flat = padded.reshape(-1)
-    near = _buffer("near", (4, 4, m))
-    for k in range(4):
-        for j in range(4):
-            np.take(flat[k * (w + 4) + j:], corner, out=near[k, j])
-    cols = _buffer("cols", (4, f2, m))
-    _halo_pass(near.transpose(1, 0, 2), np.take(_halo_weights(w, factor), b, axis=1)[:, None],
-               cols.transpose(1, 0, 2))
-    v = _buffer("cells", (f2, f2, m))
-    _halo_pass(cols, np.take(_halo_weights(h, factor), a, axis=1)[:, None], v)
-    lead = (factor + 1) // 2 + 1
-    return kind, a * factor - lead, b * factor - lead, v
+    near = _buffer("near", (2, 2, m))
+    for k in range(2):
+        for j in range(2):
+            np.take(flat[k * (w + 2) + j:], corner, out=near[k, j])
+    # Columns, then rows, each as the resize's (b - a) * w + a in float32.
+    np.subtract(near[:, 1], near[:, 0], out=near[:, 1])
+    cols = _buffer("cols", (2, factor, m))
+    np.multiply(near[:, 1, None], np.take(_cell_weights(w, factor), b, axis=1), out=cols)
+    np.add(cols, near[:, :1], out=cols)
+    v = _buffer("cells", (factor, factor + 2, m + 1))
+    own = v[:, 1:-1, :m]
+    np.subtract(cols[1], cols[0], out=cols[1])
+    np.multiply(cols[1], np.take(_cell_weights(h, factor), a, axis=1)[:, None], out=own)
+    np.add(own, cols[0], out=own)
+    # Each edge column is the adjacent column of the next or previous cell,
+    # capped to -inf unless that cell is its neighbor. Rows of cells end
+    # outside the map, so the wrap from one row to the next is never read.
+    v[:, :, m] = v[:, -1, m - 1] = v[:, 0, 0] = -np.inf
+    cap = np.where(cell[1:] == cell[:-1] + 1, np.float32(np.inf), np.float32(-np.inf))
+    np.minimum(v[:, 1, 1:m], cap, out=v[:, -1, :m - 1])
+    np.minimum(v[:, -2, :m - 1], cap, out=v[:, 0, 1:m])
+    lead = (factor + 1) // 2
+    return cell, a * factor - lead, b * factor - lead - 1, v
+
+
+def _cell_rows(cell: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where the ``wanted`` cell ids sit in the sorted hot ``cell`` ids;
+    ``cell.size``, the -inf cell, for a cold one."""
+    row = np.searchsorted(cell, wanted)
+    return np.where(np.take(cell, row, mode="clip") == wanted, row, cell.size)
 
 
 def _cell_peaks(heatmaps: FeatureMaps, cells, cfg: DecoderConfig):
@@ -259,22 +291,29 @@ def _cell_peaks(heatmaps: FeatureMaps, cells, cfg: DecoderConfig):
     ``heatmaps``, from their ``_upsample_hot_cells``."""
     if cells is None:
         return _dense_peaks(heatmaps.data, cfg.peak_threshold)
-    kind, top, left, v = cells
-    f2, m = v.shape[1:]
-    height, width = heatmaps.height * cfg.upsample_factor, heatmaps.width * cfg.upsample_factor
-    p = np.flatnonzero(_row_maxima(v[1:-1, 1:-1], v[1:-1, :-2], v[1:-1, 2:],
-                                   cfg.peak_threshold))
-    i, rest = np.divmod(p, (f2 - 2) * m)
-    j, n = np.divmod(rest, m)
-    i += 1
+    cell, top, left, v = cells
+    f, f2, m1 = v.shape
+    h, w = heatmaps.height, heatmaps.width
+    p = np.flatnonzero(_row_maxima(v[:, 1:-1], v[:, :-2], v[:, 2:], cfg.peak_threshold))
+    i, rest = _divmod(p, (f2 - 2) * m1)
+    j, n = _divmod(rest, m1)
     j += 1
     # Cells may stick out of the map, whose outermost ring is never a peak.
     y, x = top[n] + i, left[n] + j
-    inside = (y > 0) & (y < height - 1) & (x > 0) & (x < width - 1)
-    idx, score, dy, dx = _peaks(v.reshape(-1), ((i * f2 + j) * m + n)[inside], m, f2 * m)
-    i, rest = np.divmod(idx, f2 * m)
-    j, n = np.divmod(rest, m)
-    return _sort_peaks(kind[n], left[n] + j + dx, top[n] + i + dy, score)
+    inside = (y > 0) & (y < h * f - 1) & (x > 0) & (x < w * f - 1)
+    i, j, n = i[inside], j[inside], n[inside]
+    row = f2 * m1
+    idx = (i * f2 + j) * m1 + n
+    up, down = idx - row, idx + row
+    # Top rows read the cell above's bottom row; bottom rows the cell below's top row.
+    edge = i == 0
+    up[edge] = ((f - 1) * f2 + j[edge]) * m1 + _cell_rows(cell, cell[n[edge]] - (w + 1))
+    edge = i == f - 1
+    down[edge] = j[edge] * m1 + _cell_rows(cell, cell[n[edge]] + (w + 1))
+    idx, score, dy, dx = _peaks(v.reshape(-1), idx, m1, up, down)
+    i, rest = _divmod(idx, row)
+    j, n = _divmod(rest, m1)
+    return _sort_peaks(cell[n] // ((h + 1) * (w + 1)), left[n] + j + dx, top[n] + i + dy, score)
 
 
 def _sort_peaks(kind, x, y, score):
@@ -293,7 +332,7 @@ def _dense_peaks(data: np.ndarray, threshold: float):
     idx = np.flatnonzero(_row_maxima(flat[1:-1], flat[:-2], flat[2:], threshold)) + 1
     ys, xs = np.divmod(idx % (h * w), w)
     idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
-    idx, score, dy, dx = _peaks(flat, idx, 1, w)
+    idx, score, dy, dx = _peaks(flat, idx, 1, idx - w, idx + w)
     kind, pos = np.divmod(idx, h * w)
     ys, xs = np.divmod(pos, w)
     return _sort_peaks(kind, xs + dx, ys + dy, score)

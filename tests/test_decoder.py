@@ -34,8 +34,10 @@ from posekit import (
 )
 from posekit.bench import (
     _naive_extract,
+    compare_skeletons,
     identity_geometry,
     make_canonical_scenario,
+    naive_decode,
     optimized_decode,
 )
 from posekit.errors import DimensionMismatchError
@@ -534,6 +536,26 @@ def test_decode_bits_are_pinned(factor):
     assert digest.hexdigest() == DECODE_DIGESTS[factor]
 
 
+# sha256 of decode's skeletons as _skeleton_bits on noisy scenes whose
+# fragments merge with affinities that round differently when the merged sum
+# is reassociated.
+MERGE_DIGEST = "60551a522810fe12c4bc87e648ec7d84189e1369f1c935a5dc80f560b146e8cb"
+
+
+def test_fragment_merge_bits_are_pinned():
+    relaxed = DecoderConfig(min_valid_ratio=0.3, min_keypoints=1, min_skeleton_score=0.0)
+    digest = hashlib.sha256()
+    for seed in range(4):
+        _, heat, paf = generate_scene(seed + 1, RenderConfig(32, 57, seed=seed))
+        rng = np.random.default_rng(seed)
+        noisy = [FeatureMaps.from_planes(m.data + rng.normal(0.0, 0.1, m.data.shape))
+                 for m in (heat, paf)]
+        for cfg in (DecoderConfig(), relaxed):
+            skeletons = decode(*noisy, identity_geometry(32, 57), cfg)
+            digest.update(repr(_skeleton_bits(skeletons)).encode())
+    assert digest.hexdigest() == MERGE_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # Greedy grouping
 # ---------------------------------------------------------------------------
@@ -841,24 +863,44 @@ def _peak_bits(keypoints):
 
 def _hot_cell_peaks(heat, cfg):
     """``decode``'s resize and extract stages, checked sample by sample
-    against the dense upsample; returns the peaks as bits."""
+    against the dense upsample; returns the peaks as bits, and which pixels
+    of the upsample are hot cells' own samples (None at factor 1)."""
     up = resize_bilinear(FeatureMaps(heat), cfg.upsample_factor).data
     cells = posekit.decoder._upsample_hot_cells(heat, cfg)
+    hot = None
     if cells is not None:
-        kind, top, left, v = cells
+        cell, top, left, v = cells
+        _, h, w = heat.shape
         height, width = up.shape[1:]
+        t32 = np.float32(cfg.peak_threshold)
+        assert (np.diff(cell) > 0).all()
+        # The last cell is the -inf stand-in for every cold cell. The others
+        # hold their f x f own samples between two edge columns.
+        assert (v[:, :, -1] == -np.inf).all()
+        v = v[:, :, :-1]
+        assert np.isfinite(v[:, 1:-1]).all()
         i, j, n = np.indices(v.shape)
-        y, x = top[n] + i, left[n] + j
+        kind, y, x = cell[n] // ((h + 1) * (w + 1)), top[n] + i, left[n] + j
         inside = (y >= 0) & (y < height) & (x >= 0) & (x < width)
-        dense = up[kind[n], y.clip(0, height - 1), x.clip(0, width - 1)]
-        np.testing.assert_array_equal(v[inside].view(np.uint32), dense[inside].view(np.uint32))
+        dense = up[kind, y.clip(0, height - 1), x.clip(0, width - 1)]
+        finite = np.isfinite(v)
+        np.testing.assert_array_equal(v[inside & finite].view(np.uint32),
+                                      dense[inside & finite].view(np.uint32))
+        # -inf stands in only where the dense upsample cannot hold a peak.
+        assert (v[~finite] == -np.inf).all()
+        assert (dense[inside & ~finite] < t32).all()
+        # Every keypoint sample above the threshold is a hot cell's own.
+        own = inside & (j > 0) & (j < v.shape[1] - 1)
+        hot = np.zeros(up.shape, dtype=bool)
+        hot[kind[own], y[own], x[own]] = True
+        assert not (up > t32)[:BACKGROUND_CHANNEL][~hot[:BACKGROUND_CHANNEL]].any()
     kind, x, y, score = (c.tolist() for c in posekit.decoder._cell_peaks(FeatureMaps(heat),
                                                                          cells, cfg))
     # A peak's id is its row.
     got = [(row, k, px.hex(), py.hex(), s.hex())
            for row, (k, px, py, s) in enumerate(zip(kind, x, y, score))]
     assert got == _peak_bits(extract_keypoints(FeatureMaps(up), cfg))
-    return got
+    return got, hot
 
 
 @settings(max_examples=150, deadline=None)
@@ -907,9 +949,44 @@ def test_hot_cell_peaks_keep_a_negative_zero_score(factor):
     # column is a peak under a negative threshold.
     heat = np.full((NUM_HEATMAP_CHANNELS, 5, 6), -1.0, dtype=np.float32)
     heat[:, -1, -1] = heat[:, 0, 0] = -0.0
-    got = _hot_cell_peaks(heat, DecoderConfig(upsample_factor=factor, peak_threshold=-0.5))
+    got, _ = _hot_cell_peaks(heat, DecoderConfig(upsample_factor=factor, peak_threshold=-0.5))
     if factor > 2:
         assert len(got) == NUM_KEYPOINTS and {p[4] for p in got} == {"-0x0.0p+0"}
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
+def test_hot_cell_peaks_next_to_cold_cells(factor):
+    # One spike on a flat background under a threshold just above it: the
+    # hot cells' samples above the threshold reach their edges, next to
+    # cold cells on every side. At odd factors a cell's first row and
+    # column lie on source samples it shares with the cold cells before it,
+    # so only its last row and column can.
+    heat = np.full((NUM_HEATMAP_CHANNELS, 7, 8), -1.0, dtype=np.float32)
+    heat[:, 3, 4] = 1.0
+    cfg = DecoderConfig(upsample_factor=factor, peak_threshold=-0.999)
+    got, hot = _hot_cell_peaks(heat, cfg)
+    assert len(got) == NUM_KEYPOINTS
+    above = resize_bilinear(FeatureMaps(heat), factor).data > np.float32(-0.999)
+    for axis in (1, 2):
+        for step in (1, -1) if factor % 2 == 0 else (1,):
+            # An above-threshold own sample whose neighbor ``step`` away is cold.
+            assert (above & hot & ~np.roll(hot, -step, axis)).any()
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
+def test_hot_cell_peaks_under_a_cold_cell_with_a_hot_one_above_left(factor):
+    # Spikes at source (2, 2) and (3, 4) make cell (3, 4) hot, the cell
+    # above it, (2, 4), cold and the one above-left, (2, 3), hot; the
+    # diagonal neighbor of cell (3, 4)'s first sample is above the threshold.
+    heat = np.full((NUM_HEATMAP_CHANNELS, 7, 8), -1.0, dtype=np.float32)
+    heat[:, 2, 2] = heat[:, 3, 4] = 1.0
+    cfg = DecoderConfig(upsample_factor=factor, peak_threshold=-0.999)
+    _, hot = _hot_cell_peaks(heat, cfg)
+    hot = hot[:NUM_KEYPOINTS]
+    y, x = (np.array([3, 4]) * factor - (factor + 1) // 2).tolist()
+    assert hot[:, y, x].all() and not hot[:, y - 1, x].any() and hot[:, y - 1, x - 1].all()
+    up = resize_bilinear(FeatureMaps(heat), factor).data
+    assert (up[:, y - 1, x - 1] > np.float32(-0.999)).all()
 
 
 @settings(max_examples=300)
@@ -1029,8 +1106,12 @@ def test_decode_matches_dense_composition_at_other_factors(factor):
         _dense_decode_bytes(heatmaps, pafs, geometry, cfg)
 
 
-def _differential_maps(rng, kind):
-    """Heatmap and PAF planes of one ``kind`` of differential-test input."""
+def _differential_maps(rng, kind, sigma=None):
+    """Heatmap and PAF planes of one ``kind`` of differential-test input.
+
+    Scenes get N(0, sigma) noise, with sigma drawn from {0, 0.02, 0.1} when
+    not given; the sub-pixel body only when ``sigma`` is given.
+    """
     if kind == "thin":
         # 1xn, nx1 and other tiny maps of noise.
         n = int(rng.integers(1, 12))
@@ -1049,7 +1130,10 @@ def _differential_maps(rng, kind):
                  ((k, *FULL_BODY_TEMPLATE[k]) for k in range(NUM_KEYPOINTS))}
         heat = _heat_stack(h, w, [(k, _gaussian(h, w, x, y)) for k, (x, y) in spots.items()])
         person = GroundTruthPerson(tuple(spots[k] for k in range(NUM_KEYPOINTS)))
-        return heat.data, render_pafs([person], RenderConfig(h, w)).data
+        heat, paf = heat.data, render_pafs([person], RenderConfig(h, w)).data
+        if sigma is None:
+            return heat, paf
+        return heat + rng.normal(0.0, sigma, heat.shape), paf + rng.normal(0.0, sigma, paf.shape)
     _, heat, paf = generate_scene(int(rng.integers(1, 6)),
                                   RenderConfig(32, 57, seed=int(rng.integers(2**31))))
     heat, paf = heat.data, paf.data
@@ -1058,7 +1142,8 @@ def _differential_maps(rng, kind):
         top, left = (int(v) for v in rng.integers(0, 16, 2))
         h, w = (int(v) for v in rng.integers(6, 17, 2))
         heat, paf = heat[:, top:top + h, left:left + w], paf[:, top:top + h, left:left + w]
-    sigma = rng.choice([0.0, 0.02, 0.1])
+    if sigma is None:
+        sigma = rng.choice([0.0, 0.02, 0.1])
     return heat + rng.normal(0.0, sigma, heat.shape), paf + rng.normal(0.0, sigma, paf.shape)
 
 
@@ -1085,6 +1170,24 @@ def test_decode_equals_the_dense_public_composition(seed, kind, factor, relaxed,
     want = _dense_decode(heat, paf, geometry, cfg)
     assert got == want
     assert _skeleton_bits(got) == _skeleton_bits(want)
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 8])
+def test_decode_agrees_with_the_scalar_naive_decode(factor):
+    # The bench gate's comparison (1e-4 px) against the float64 scalar
+    # pipeline, beyond ideal scenes: a body at a sub-pixel anchor and
+    # persons cut off by the border, under noise.
+    rng = np.random.default_rng(factor)
+    cfg = DecoderConfig(upsample_factor=factor)
+    found = 0
+    for sigma in (0.0, 0.02, 0.1):
+        for kind in ("subpixel", "crop", "crop"):
+            heat, paf = (FeatureMaps.from_planes(m) for m in _differential_maps(rng, kind, sigma))
+            geometry = identity_geometry(heat.height, heat.width)
+            got = decode(heat, paf, geometry, cfg)
+            assert compare_skeletons(naive_decode(heat, paf, geometry, cfg), got) is None
+            found += len(got)
+    assert found > 0
 
 
 def test_decode_builds_each_output_object_once(monkeypatch):
