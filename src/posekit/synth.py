@@ -5,6 +5,13 @@ bands with same-type overlaps averaged. Scene generation places persons so
 that keypoints of the same kind never come closer than MIN_SAME_KIND_SEPARATION
 feature-map pixels, which keeps Gaussian tails and same-type affinity bands
 from interacting and makes decoding an exact inverse on these scenes.
+
+Each person draws random anchors until the separation test passes. A template
+that keeps failing has the test evaluated once for every anchor in its range:
+with no free anchor its strategy ends at once, since the remaining attempts
+could only fail and the next strategy seeds its own generator; otherwise the
+remaining draws look their anchor up. Either way the draws, and so the scenes
+and errors, are those of the plain attempt loop.
 """
 
 from __future__ import annotations
@@ -29,6 +36,10 @@ from .skeleton import (
 MIN_SAME_KIND_SEPARATION = 16.0
 
 _PLACEMENT_ATTEMPTS = 10000
+
+# Failed attempts after which a template's free-anchor mask is computed. Sparse
+# scenes place every template well before this and never build a mask.
+_ATTEMPTS_BEFORE_MASK = 16
 
 # Keypoints stay at least this far from the map border so that peak
 # refinement never sees clamped samples.
@@ -163,14 +174,21 @@ def _anchor_range(template, cfg: RenderConfig):
     return x_lo, x_hi, y_lo, y_hi
 
 
-def _min_same_kind_distance(a: GroundTruthPerson, b: GroundTruthPerson) -> float:
-    best = np.inf
-    for pa, pb in zip(a.keypoints, b.keypoints):
-        if pa is None or pb is None:
-            continue
-        d = np.hypot(pa[0] - pb[0], pa[1] - pb[1])
-        best = min(best, d)
-    return best
+def _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
+    """Which anchors of a template's range keep it clear of ``others``.
+
+    Returns a ``(y, x)`` mask, ``[0, 0]`` being ``(x_lo, y_lo)``. It applies
+    the per-attempt test of ``_try_place`` to every anchor at once: the same
+    float64 differences and the same ``< MIN_SAME_KIND_SEPARATION`` test.
+    ``offsets`` is ``(kinds, 2)``; ``others`` is ``(persons, kinds, 2)``,
+    NaN where a person lacks a kind; persons with none of the kinds are
+    dropped before the broadcast.
+    """
+    others = others[~np.isnan(others[..., 0]).all(axis=1)]
+    dx = others[..., 0] - (offsets[:, 0] + np.arange(x_lo, x_hi + 1)[:, None, None])
+    dy = others[..., 1] - (offsets[:, 1] + np.arange(y_lo, y_hi + 1)[:, None, None])
+    d = np.hypot(dx[None], dy[:, None])  # (y, x, persons, kinds)
+    return ~(d < MIN_SAME_KIND_SEPARATION).any(axis=(2, 3))
 
 
 def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | None:
@@ -185,11 +203,21 @@ def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | N
         kinds = list(template)
         offsets = np.array([template[k] for k in kinds], dtype=np.float64)
         others = placed[:, kinds]
-        for _ in range(_PLACEMENT_ATTEMPTS):
+        free = None
+        for attempt in range(_PLACEMENT_ATTEMPTS):
+            if attempt == _ATTEMPTS_BEFORE_MASK:
+                # With no free anchor every remaining attempt would fail.
+                free = _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi)
+                if not free.any():
+                    return None
             anchor = (int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1)))
             spots = offsets + anchor
-            d = np.hypot(others[..., 0] - spots[:, 0], others[..., 1] - spots[:, 1])
-            if not (d < MIN_SAME_KIND_SEPARATION).any():
+            if free is None:
+                d = np.hypot(others[..., 0] - spots[:, 0], others[..., 1] - spots[:, 1])
+                fits = not (d < MIN_SAME_KIND_SEPARATION).any()
+            else:
+                fits = free[anchor[1] - y_lo, anchor[0] - x_lo]
+            if fits:
                 placed = np.concatenate([placed, np.full((1, NUM_KEYPOINTS, 2), np.nan)])
                 placed[-1, kinds] = spots
                 break
@@ -233,10 +261,12 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
 
 
 def _check_separation(persons) -> None:
-    for i, a in enumerate(persons):
-        for b in persons[i + 1:]:
-            d = _min_same_kind_distance(a, b)
-            if d < MIN_SAME_KIND_SEPARATION:
-                raise PlacementInfeasibleError(
-                    f"placement produced same-kind keypoints {d:.2f} px apart"
-                )
+    xy = np.array([[(np.nan, np.nan) if p is None else p for p in person.keypoints]
+                   for person in persons], dtype=np.float64)
+    i, j = np.triu_indices(len(persons), k=1)
+    d = np.hypot(xy[i, :, 0] - xy[j, :, 0], xy[i, :, 1] - xy[j, :, 1])  # (pair, kind)
+    close = d < MIN_SAME_KIND_SEPARATION
+    if close.any():
+        raise PlacementInfeasibleError(
+            f"placement produced same-kind keypoints {d[close].min():.2f} px apart"
+        )

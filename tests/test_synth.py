@@ -19,9 +19,13 @@ from posekit.skeleton import (
     NUM_PAF_CHANNELS,
 )
 from posekit.synth import (
+    _PLACEMENT_ATTEMPTS,
     FULL_BODY_TEMPLATE,
     MIN_SAME_KIND_SEPARATION,
     MINI_TEMPLATES,
+    _anchor_range,
+    _check_separation,
+    _free_anchors,
     render_heatmaps,
     render_pafs,
 )
@@ -222,3 +226,189 @@ def test_person_and_config_validation():
         RenderConfig(map_height=0, map_width=10)
     with pytest.raises(ValueError):
         RenderConfig(map_height=10, map_width=10, sigma=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Placement against the per-attempt reference
+# ---------------------------------------------------------------------------
+
+def _blocked(offsets, others, anchor) -> bool:
+    """The per-attempt separation test, one anchor at a time."""
+    spots = offsets + anchor
+    d = np.hypot(others[..., 0] - spots[:, 0], others[..., 1] - spots[:, 1])
+    return bool((d < MIN_SAME_KIND_SEPARATION).any())
+
+
+def _reference_placements(templates, cfg, rng):
+    """The per-attempt placement loop, yielding each person as it is placed.
+
+    Every template draws anchors until one passes ``_blocked`` or the attempt
+    budget runs out; the generator stops at the first template that fails.
+    """
+    placed = np.empty((0, NUM_KEYPOINTS, 2))
+    for template in templates:
+        rng_range = _anchor_range(template, cfg)
+        if rng_range is None:
+            return
+        x_lo, x_hi, y_lo, y_hi = rng_range
+        kinds = list(template)
+        offsets = np.array([template[k] for k in kinds], dtype=np.float64)
+        others = placed[:, kinds]
+        for _ in range(_PLACEMENT_ATTEMPTS):
+            anchor = (int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1)))
+            if not _blocked(offsets, others, anchor):
+                placed = np.concatenate([placed, np.full((1, NUM_KEYPOINTS, 2), np.nan)])
+                placed[-1, kinds] = offsets + anchor
+                break
+        else:
+            return
+        yield GroundTruthPerson(tuple(None if np.isnan(x) else (float(x), float(y))
+                                      for x, y in placed[-1]))
+
+
+_MAX_PERSONS = 25
+
+
+@pytest.mark.parametrize("map_size", [(16, 16), (20, 20), (24, 33), (32, 57), (46, 82)],
+                         ids=lambda s: f"{s[1]}x{s[0]}")
+def test_generate_scene_matches_the_per_attempt_reference(map_size):
+    # Placement is sequential: a template's draws do not depend on the ones
+    # after it, so the first n persons of a 25-person reference run are what
+    # the loop places for n persons, and a run that stops after k persons
+    # fails every request for more. One run per (seed, strategy) thus serves
+    # every person count, and each exhausted budget is spent once.
+    for seed in range(6):
+        cfg = RenderConfig(*map_size, seed=seed)
+        runs = [list(_reference_placements(templates, cfg, np.random.default_rng([seed, idx])))
+                for idx, templates in enumerate((
+                    [FULL_BODY_TEMPLATE] * _MAX_PERSONS,
+                    [MINI_TEMPLATES[i % len(MINI_TEMPLATES)] for i in range(_MAX_PERSONS)]))]
+        for num in range(_MAX_PERSONS + 1):
+            expected = next((run[:num] for run in runs if len(run) >= num), None)
+            if expected is None:
+                with pytest.raises(PlacementInfeasibleError) as err:
+                    generate_scene(num, cfg)
+                assert str(err.value) == (
+                    f"cannot place {num} persons on a {map_size[1]}x{map_size[0]} map "
+                    f"at separation {MIN_SAME_KIND_SEPARATION:g}")
+                continue
+            persons, heatmaps, pafs = generate_scene(num, cfg)
+            assert persons == expected, (num, seed)
+            assert heatmaps.data.tobytes() == render_heatmaps(expected, cfg).data.tobytes()
+            assert pafs.data.tobytes() == render_pafs(expected, cfg).data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       map_h=st.integers(min_value=16, max_value=48),
+       map_w=st.integers(min_value=16, max_value=64),
+       template_idx=st.integers(min_value=0, max_value=len(MINI_TEMPLATES)),
+       num_placed=st.integers(min_value=0, max_value=6),
+       missing=st.floats(min_value=0.0, max_value=1.0))
+def test_free_anchor_mask_matches_the_per_attempt_test(seed, map_h, map_w, template_idx,
+                                                       num_placed, missing):
+    template = (FULL_BODY_TEMPLATE, *MINI_TEMPLATES)[template_idx]
+    cfg = RenderConfig(map_h, map_w)
+    rng_range = _anchor_range(template, cfg)
+    if rng_range is None:
+        return
+    x_lo, x_hi, y_lo, y_hi = rng_range
+    kinds = list(template)
+    offsets = np.array([template[k] for k in kinds], dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    # Placed persons anywhere on or near the map, sub-pixel or not, each
+    # kind missing (NaN) with probability ``missing``.
+    placed = rng.uniform(-4.0, max(map_h, map_w) + 4.0, size=(num_placed, NUM_KEYPOINTS, 2))
+    on_grid = rng.random(num_placed) < 0.5
+    placed[on_grid] = np.round(placed[on_grid])
+    placed[rng.random((num_placed, NUM_KEYPOINTS)) < missing] = np.nan
+    others = placed[:, kinds]
+    free = _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi)
+    assert free.shape == (y_hi - y_lo + 1, x_hi - x_lo + 1)
+    for y in range(y_lo, y_hi + 1):
+        for x in range(x_lo, x_hi + 1):
+            assert free[y - y_lo, x - x_lo] == (not _blocked(offsets, others, (x, y)))
+
+
+_REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class _CountingRng:
+    """Stands in for a ``Generator`` and counts its ``integers`` draws."""
+
+    draws = 0
+
+    def __init__(self, seed):
+        self._rng = _REAL_DEFAULT_RNG(seed)
+
+    def integers(self, *args, **kwargs):
+        _CountingRng.draws += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_rng(monkeypatch):
+    monkeypatch.setattr(_CountingRng, "draws", 0)
+    monkeypatch.setattr(np.random, "default_rng", _CountingRng)
+    return _CountingRng
+
+
+def test_canonical_scene_stops_drawing_once_no_anchor_is_free(counting_rng):
+    persons, _, _ = generate_scene(20, RenderConfig(32, 57, seed=20))
+    assert len(persons) == 20
+    assert counting_rng.draws < 1000
+
+
+def test_impossible_density_fails_without_spending_the_attempt_budget(counting_rng):
+    with pytest.raises(PlacementInfeasibleError, match="cannot place 50 persons"):
+        generate_scene(50, RenderConfig(map_height=20, map_width=20))
+    assert counting_rng.draws < 1000
+
+
+# ---------------------------------------------------------------------------
+# Post-placement separation check
+# ---------------------------------------------------------------------------
+
+def _reference_check_separation(persons) -> None:
+    """The person-pair loop the array check replaces."""
+    best = np.inf
+    for i, a in enumerate(persons):
+        for b in persons[i + 1:]:
+            for pa, pb in zip(a.keypoints, b.keypoints):
+                if pa is not None and pb is not None:
+                    best = min(best, math.hypot(pa[0] - pb[0], pa[1] - pb[1]))
+    if best < MIN_SAME_KIND_SEPARATION:
+        raise PlacementInfeasibleError(f"placement produced same-kind keypoints {best:.2f} px apart")
+
+
+def test_separation_check_rejects_persons_15_px_apart():
+    a = _person({k: (x + 1.0, y + 1.0) for k, (x, y) in FULL_BODY_TEMPLATE.items()})
+    b = _person({k: (x + 16.0, y + 1.0) for k, (x, y) in FULL_BODY_TEMPLATE.items()})
+    with pytest.raises(PlacementInfeasibleError,
+                       match=r"^placement produced same-kind keypoints 15\.00 px apart$"):
+        _check_separation([a, b])
+
+
+def test_separation_check_passes_persons_16_px_apart():
+    a = _person({k: (x + 1.0, y + 1.0) for k, (x, y) in FULL_BODY_TEMPLATE.items()})
+    b = _person({k: (x + 17.0, y + 1.0) for k, (x, y) in FULL_BODY_TEMPLATE.items()})
+    _check_separation([a, b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       num=st.integers(min_value=1, max_value=8),
+       missing=st.floats(min_value=0.0, max_value=1.0))
+def test_separation_check_matches_the_pair_loop(seed, num, missing):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 48.0, size=(num, NUM_KEYPOINTS, 2))
+    persons = [GroundTruthPerson(tuple(None if rng.random() < missing else (float(x), float(y))
+                                       for x, y in person)) for person in xy]
+    try:
+        _reference_check_separation(persons)
+    except PlacementInfeasibleError as err:
+        with pytest.raises(PlacementInfeasibleError) as got:
+            _check_separation(persons)
+        assert str(got.value) == str(err)
+    else:
+        _check_separation(persons)
