@@ -15,10 +15,15 @@ maps the survivors back and builds the output objects. It upsamples no map
 stack. The naive mode maps each keypoint back on its own with the same
 float64 formula.
 
-Before any timing, both paths decode the scenario once at the configured
-upsample factor and their skeletons are compared (counts, slot patterns,
-coordinates); a mismatch aborts with a diff. Scores are excluded from the
-comparison since the two paths accumulate in different float widths.
+Before any timing, ``naive_decode`` and ``decoder.decode`` decode the
+scenario once at the configured upsample factor and their skeletons are
+compared (counts, slot patterns, coordinates); a mismatch aborts with a
+diff. Scores are excluded from the comparison since the two paths
+accumulate in different float widths.
+
+Stage medians are wall-clock numbers from one process, with no calibration
+against the host's speed, so they compare stages and modes within a run.
+Compare commits with alternating ``perfbench/run.py`` runs instead.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decoder
-from .decoder import assemble_skeletons, group_limbs, resolve_threads
+from .decoder import assemble_skeletons, group_limbs
 from .errors import DimensionMismatchError, GateFailureError
 from .featuremaps import STRIDE, FeatureMaps, InputGeometry
 from .fileio import read_scene_truth, read_tensor
@@ -264,16 +269,6 @@ def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeomet
 
 
 # ---------------------------------------------------------------------------
-# Optimized pipeline
-# ---------------------------------------------------------------------------
-
-def optimized_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-                     cfg: DecoderConfig | None = None, threads: int = 0) -> list:
-    """``decoder.decode``, whose stages the optimized mode times one by one."""
-    return decoder.decode(heatmaps, pafs, geometry, cfg, threads=threads)
-
-
-# ---------------------------------------------------------------------------
 # Correctness gate
 # ---------------------------------------------------------------------------
 
@@ -389,8 +384,7 @@ def _machine_descriptor() -> str:
 
 
 def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = None,
-                  frames: int = MIN_FRAMES, warmups: int = MIN_WARMUPS,
-                  threads: int = 0) -> BenchReport:
+                  frames: int = MIN_FRAMES, warmups: int = MIN_WARMUPS) -> BenchReport:
     """Time one mode on a scenario, gating on naive/optimized agreement first.
 
     The gate runs both pipelines once at ``cfg.upsample_factor``, whatever
@@ -402,12 +396,11 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
         raise ValueError(f"frames must be >= {MIN_FRAMES}, got {frames}")
     warmups = max(warmups, MIN_WARMUPS)
     cfg = cfg or DecoderConfig()
-    threads = resolve_threads(threads)
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
 
     # Off-lattice peaks refine to other positions at another upsample factor.
     naive_sk = naive_decode(heat, pafs, geometry, cfg)
-    opt_sk = optimized_decode(heat, pafs, geometry, cfg, threads=threads)
+    opt_sk = decoder.decode(heat, pafs, geometry, cfg)
     diff = compare_skeletons(naive_sk, opt_sk)
     if diff is not None:
         raise GateFailureError(diff)

@@ -48,25 +48,27 @@ def _parse_size(text: str) -> tuple[int, int]:
     return h, w
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
+def _threads(args: argparse.Namespace) -> None:
+    """Validate the deprecated ``--threads`` or ``$POSE_DECODE_THREADS``.
+    Decoding runs on the calling thread, so the value goes no further."""
+    threads, env = args.threads, os.environ.get(THREADS_ENV)
+    if threads is None and env is not None:
         try:
-            return int(env)
+            threads = int(env)
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return 1
+    if threads is not None and threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    _threads(args)
     heatmaps = read_tensor(args.heatmaps)
     pafs = read_tensor(args.pafs)
     orig_h, orig_w = args.orig_size
     geometry = compute_input_geometry(orig_h, orig_w, heatmaps.height * STRIDE)
     cfg = DecoderConfig(upsample_factor=args.upsample)
-    skeletons = decode(heatmaps, pafs, geometry, cfg, threads=_threads(args))
+    skeletons = decode(heatmaps, pafs, geometry, cfg)
     doc = PoseDocument(geometry=geometry, skeletons=tuple(skeletons))
     if args.out:
         write_poses(doc, args.out)
@@ -112,9 +114,9 @@ def cmd_flops(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _threads(args)
     scenario = bench.load_scenario(args.scenario)
-    report = bench.run_benchmark(scenario, args.mode, frames=args.frames,
-                                 threads=_threads(args))
+    report = bench.run_benchmark(scenario, args.mode, frames=args.frames)
     payload = json.dumps(report.to_json_dict())
     if args.json_out:
         Path(args.json_out).write_text(payload + "\n", encoding="ascii")
@@ -126,13 +128,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads, >= 0 (default: ${THREADS_ENV} or 1); "
-                             "validated, decoding runs on one thread")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output on stdout")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="machine-readable output on stdout")
+    threads_flag = argparse.ArgumentParser(add_help=False)
+    threads_flag.add_argument("--threads", type=int, default=None,
+                              help="deprecated, no effect: decoding runs on one thread "
+                                   f"(validated like ${THREADS_ENV}, >= 0)")
 
     parser = argparse.ArgumentParser(
         prog="posekit",
@@ -141,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("decode", parents=[common],
+    p = sub.add_parser("decode", parents=[json_flag, threads_flag],
                        help="decode heatmap/PAF tensors into skeletons")
     p.add_argument("--heatmaps", required=True, help="heatmap tensor file")
     p.add_argument("--pafs", required=True, help="PAF tensor file")
@@ -151,15 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a pose document here")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[json_flag],
                        help="generate a synthetic scene fixture")
     p.add_argument("--persons", type=int, required=True, help="number of persons")
     p.add_argument("--size", type=_parse_size, default=(32, 57), metavar="HxW",
                    help="feature-map grid size (default 32x57)")
     p.add_argument("--out-dir", required=True, help="fixture directory")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("flops", parents=[common],
+    p = sub.add_parser("flops", parents=[json_flag],
                        help="print a network complexity report")
     p.add_argument("--arch", choices=("baseline", "lightweight", "variants"),
                    required=True)
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network input size (default 368x368)")
     p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[json_flag, threads_flag],
                        help="benchmark the decode pipeline on a fixture")
     p.add_argument("--scenario", required=True, help="fixture directory from synth")
     p.add_argument("--mode", choices=bench.MODES, default="optimized")

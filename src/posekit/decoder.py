@@ -12,15 +12,15 @@ ratio). Matching and assembly work on ids, and each output ``Keypoint`` and
 functions convert their object arguments to these columns, run the same
 code and convert back. All stages are deterministic and run on the calling
 thread, with scratch buffers kept per thread, so concurrent decodes are
-safe. The ``threads`` arguments are validated for compatibility and change
-nothing.
+safe. ``decode`` and ``extract_keypoints`` still accept a ``threads``
+keyword for compatibility; it is deprecated and changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "group_limbs",
     "assemble_skeletons",
     "decode",
-    "resolve_threads",
 ]
 
 _scratch = threading.local()
@@ -75,14 +74,15 @@ def _buffer(name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def resolve_threads(threads: int) -> int:
-    """0 selects hardware concurrency; anything else passes through.
-
-    Decoding runs on the calling thread, so the count is only validated.
-    """
+def _deprecated_threads(threads) -> None:
+    """Validate a ``threads`` argument that a caller still passes, then warn
+    the caller of ``decode`` or ``extract_keypoints`` that it changes nothing."""
+    if threads is None:
+        return
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
-    return threads if threads > 0 else (os.cpu_count() or 1)
+    warnings.warn("threads is deprecated and has no effect: decoding runs on the "
+                  "calling thread", DeprecationWarning, stacklevel=3)
 
 
 def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -339,7 +339,7 @@ def _dense_peaks(data: np.ndarray, threshold: float):
 
 
 def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
-                      threads: int = 1) -> list[list[Keypoint]]:
+                      threads: int | None = None) -> list[list[Keypoint]]:
     """Extract per-kind keypoints from already-upsampled heatmaps.
 
     The background channel is skipped. Within each kind, keypoints are sorted
@@ -347,15 +347,15 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
     that order, unique across the whole call. The outermost ring is never a
     peak: on upsampled maps the edge-clamped interpolation replicates the
     adjacent interior values there, producing ridges that would duplicate
-    every peak sitting near a border. ``threads`` is validated like
-    ``decode``'s and does not change the work.
+    every peak sitting near a border. ``threads`` is deprecated, as in
+    ``decode``.
     """
     cfg = cfg or DecoderConfig()
     if heatmaps.channels != NUM_HEATMAP_CHANNELS:
         raise DimensionMismatchError(
             f"expected {NUM_HEATMAP_CHANNELS} heatmap channels, got {heatmaps.channels}"
         )
-    resolve_threads(threads)
+    _deprecated_threads(threads)
     result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
     columns = (c.tolist() for c in _dense_peaks(heatmaps.data, cfg.peak_threshold))
     for kp_id, (kind, x, y, score) in enumerate(zip(*columns)):
@@ -663,7 +663,7 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
 
 
 def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-           cfg: DecoderConfig | None = None, threads: int = 1) -> list[PoseSkeleton]:
+           cfg: DecoderConfig | None = None, threads: int | None = None) -> list[PoseSkeleton]:
     """Full pipeline from stride-level maps to skeletons in original-image pixels.
 
     Extracts keypoints from the heatmaps upsampled by
@@ -673,8 +673,9 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     upsample factor, scale, and padding. The result is what the public stages
     give on densely upsampled maps, and each output ``Keypoint`` and
     ``PoseSkeleton`` is built once, in original-image pixels. Maps whose
-    data is not float32, or not finite, raise ``ValueError``; ``threads``
-    must be >= 0 and does not change the work.
+    data is not float32, or not finite, raise ``ValueError``. ``threads`` is
+    deprecated and changes nothing: a negative value raises ``ValueError``,
+    any other passed value a ``DeprecationWarning``.
     """
     cfg = cfg or DecoderConfig()
     if heatmaps.channels != NUM_HEATMAP_CHANNELS:
@@ -704,6 +705,6 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
         if maps.data.dtype != np.float32:
             raise ValueError(f"feature maps must be float32, got {maps.data.dtype}")
     _require_finite(heatmaps.data, pafs.data)
-    resolve_threads(threads)
+    _deprecated_threads(threads)
     peaks = _cell_peaks(heatmaps, _upsample_hot_cells(heatmaps.data, cfg), cfg)
     return _group_peaks(pafs, peaks, cfg, geometry)

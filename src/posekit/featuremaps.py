@@ -145,23 +145,18 @@ def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
     return (bottom - top) * wy[ys] + top
 
 
-def _resize_planes(src: np.ndarray, factor: int, out: np.ndarray | None = None,
-                   tmp: np.ndarray | None = None) -> np.ndarray:
+def _resize_planes(src: np.ndarray, factor: int) -> np.ndarray:
     """Separable bilinear upsample of a ``(c, h, w)`` float32 stack.
 
     Columns are interpolated first, then rows, each as ``a + w * (b - a)``:
     exact where a == b, so constant regions and plateaus survive upsampling
     bit-for-bit. When the axis table is block-regular (see ``_axis_blocks``)
     each output phase is one strided slice expression and no index gathers
-    are built; irregular tables fall back to gathers. ``out``
-    (c, h*factor, w*factor) and ``tmp`` (c, h, w*factor) may be supplied to
-    avoid per-call allocation of the two big buffers.
+    are built; irregular tables fall back to gathers.
     """
     c, h, w = src.shape
-    if out is None:
-        out = np.empty((c, h * factor, w * factor), dtype=np.float32)
-    if tmp is None:
-        tmp = np.empty((c, h, w * factor), dtype=np.float32)
+    out = np.empty((c, h * factor, w * factor), dtype=np.float32)
+    tmp = np.empty((c, h, w * factor), dtype=np.float32)
 
     xb = _axis_blocks(w, factor)
     if xb is not None:

@@ -7,7 +7,7 @@ per kind plus a background channel at index 18.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KEYPOINT_NAMES = (
     "nose", "neck",

@@ -10,6 +10,7 @@ from posekit import (
     DecoderConfig,
     FeatureMaps,
     PoseDocument,
+    decode,
     write_scene_truth,
     write_tensor,
 )
@@ -24,7 +25,6 @@ from posekit.bench import (
     load_scenario,
     make_canonical_scenario,
     naive_decode,
-    optimized_decode,
     run_benchmark,
 )
 from posekit.errors import DimensionMismatchError, GateFailureError
@@ -46,21 +46,21 @@ def test_naive_and_optimized_pipelines_agree():
     sc = _scenario(4)
     cfg = DecoderConfig()
     naive = naive_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
-    optimized = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
+    optimized = decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
     assert len(naive) == 4
     assert compare_skeletons(naive, optimized) is None
 
 
 def test_compare_skeletons_reports_count_mismatch():
     sc = _scenario(2)
-    skeletons = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
+    skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
     diff = compare_skeletons(skeletons, skeletons[:1])
     assert diff is not None and "count" in diff
 
 
 def test_compare_skeletons_reports_coordinate_drift():
     sc = _scenario(2)
-    skeletons = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
+    skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
     moved = list(skeletons)
     sk = moved[0]
     kps = list(sk.keypoints)
@@ -74,7 +74,7 @@ def test_compare_skeletons_reports_coordinate_drift():
 
 def test_compare_skeletons_ignores_ordering():
     sc = _scenario(3)
-    skeletons = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
+    skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
     assert compare_skeletons(skeletons, list(reversed(skeletons))) is None
 
 
@@ -98,7 +98,7 @@ def test_run_benchmark_gate_passes_on_noisy_canonical_scene():
     heat, pafs = (FeatureMaps.from_planes(m.data + rng.normal(0.0, 0.02, m.data.shape))
                   for m in (sc.heatmaps, sc.pafs))
     noisy = Scenario(label="noisy", heatmaps=heat, pafs=pafs, geometry=sc.geometry)
-    report = run_benchmark(noisy, "optimized", threads=1)
+    report = run_benchmark(noisy, "optimized")
     assert report.timings.frames == MIN_FRAMES
 
 
@@ -213,14 +213,14 @@ def test_load_scenario_rejects_mismatched_truth(tmp_path):
         load_scenario(tmp_path)
 
 
-def test_optimized_decode_reuses_workspace_without_drift():
+def test_decode_reuses_scratch_buffers_without_drift():
     # Decode reuses its scratch buffers; crowd- and wide-size maps in turn
     # make them shrink and grow between frames.
     frames = [_scenario(20, seed=20), _scenario(3, height=46, width=82, seed=21)]
     cfg = DecoderConfig()
 
     def document(sc):
-        skeletons = optimized_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
+        skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
         return pose_document_bytes(PoseDocument(sc.geometry, tuple(skeletons)))
 
     first = [document(sc) for sc in frames]

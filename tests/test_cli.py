@@ -1,12 +1,16 @@
 """Command-line interface: flows, output shapes, and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posekit
 from posekit import FeatureMaps, read_poses, read_tensor
 from posekit.cli import main
 
@@ -212,6 +216,45 @@ def test_threads_flag_overrides_env(tmp_path, capsys, monkeypatch):
                  "--threads", "2"])
     assert code == 0
     assert "1 skeletons" in capsys.readouterr().out
+
+
+def test_negative_threads_flag_exits_2(tmp_path, capsys):
+    fixture = _synth(tmp_path, "scene", persons=1)
+    code = main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
+                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456",
+                 "--threads", "-1"])
+    assert code == 2
+    assert "threads must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops", "--arch", "baseline", "--seed", "1"],
+    ["flops", "--arch", "baseline", "--threads", "1"],
+    ["synth", "--persons", "1", "--out-dir", "x", "--threads", "2"],
+    ["decode", "--heatmaps", "h", "--pafs", "p", "--orig-size", "256x456", "--seed", "1"],
+    ["bench", "--scenario", "x", "--seed", "1"],
+], ids=["flops-seed", "flops-threads", "synth-threads", "decode-seed", "bench-seed"])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_threads_flag_raises_no_deprecation_warning(tmp_path, capsys):
+    fixture = _synth(tmp_path, "scene", persons=1, size="24x33")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
+                     "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "192x264",
+                     "--threads", "2"]) == 0
+        assert main(["bench", "--scenario", str(fixture), "--threads", "2"]) == 0
+
+
+def test_pyproject_version_matches_the_package():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == posekit.__version__
 
 
 def test_module_entry_point_smoke():

@@ -4,6 +4,7 @@ import hashlib
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from posekit.bench import (
     identity_geometry,
     make_canonical_scenario,
     naive_decode,
-    optimized_decode,
 )
 from posekit.errors import DimensionMismatchError
 from posekit.featuremaps import compute_input_geometry
@@ -182,7 +182,8 @@ def test_extract_threads_do_not_change_results():
     data = np.zeros((NUM_HEATMAP_CHANNELS, 20, 20), dtype=np.float32)
     data[:NUM_KEYPOINTS] = rng.uniform(0.0, 1.0, size=(NUM_KEYPOINTS, 20, 20))
     maps = FeatureMaps(data)
-    assert extract_keypoints(maps, threads=1) == extract_keypoints(maps, threads=4)
+    with pytest.warns(DeprecationWarning):
+        assert extract_keypoints(maps, threads=1) == extract_keypoints(maps, threads=4)
 
 
 def test_equal_scores_keep_row_then_column_order():
@@ -209,8 +210,9 @@ def test_extract_order_and_ids_across_thread_counts(seed, kind):
     else:
         data[:NUM_KEYPOINTS] = rng.integers(0, 3, size=shape) / 4.0
     up = resize_bilinear(FeatureMaps(data), int(rng.integers(1, 4)))
-    single = extract_keypoints(up, threads=1)
-    assert extract_keypoints(up, threads=2) == single
+    with pytest.warns(DeprecationWarning):
+        single = extract_keypoints(up, threads=1)
+        assert extract_keypoints(up, threads=2) == single
     flat = [kp for bucket in single for kp in bucket]
     assert [kp.id for kp in flat] == list(range(len(flat)))
     for bucket in single:
@@ -250,7 +252,7 @@ def test_extract_matches_scalar_reference(seed, kind, h, w, factor):
         data[c] = plane
     up = resize_bilinear(FeatureMaps(data), factor)
     cfg = DecoderConfig()
-    got = extract_keypoints(up, cfg, threads=int(rng.integers(1, 4)))
+    got = extract_keypoints(up, cfg)
     want = _naive_extract(list(up.data), cfg.peak_threshold)
     # The scalar reference refines in float32 and the batched path in
     # float64, so positions agree to float32 precision and equal scores may
@@ -765,6 +767,25 @@ def test_decode_thread_counts_are_bit_identical():
         decode(heatmaps, pafs, geometry, threads=4)
 
 
+def test_threads_is_deprecated_and_changes_nothing():
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(32, 57, seed=13))
+    geometry = identity_geometry(32, 57)
+    up = resize_bilinear(heatmaps, 4)
+    calls = [lambda **kw: decode(heatmaps, pafs, geometry, **kw),
+             lambda **kw: extract_keypoints(up, **kw)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = call()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert call(threads=2) == plain
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert caught[0].filename == __file__  # attributed to the caller
+        with pytest.raises(ValueError, match="threads must be >= 0, got -1"):
+            call(threads=-1)
+
+
 def test_decode_validates_shapes():
     geometry = identity_geometry(16, 16)
     heat = FeatureMaps.zeros(NUM_HEATMAP_CHANNELS, 16, 16)
@@ -821,9 +842,7 @@ def test_decode_rejects_maps_that_are_not_float32(dtype):
         decode(heatmaps, FeatureMaps(paf), geometry)
 
 
-@pytest.mark.parametrize("decode_fn", [decode, optimized_decode])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_decode_never_upsamples_the_paf_stack(monkeypatch, decode_fn, threads):
+def test_decode_never_upsamples_the_paf_stack(monkeypatch):
     # Nor the heatmap stack: decode resizes no stack at all.
     resized, resize = [], posekit.featuremaps._resize_planes
     monkeypatch.setattr(posekit.featuremaps, "_resize_planes",
@@ -839,8 +858,8 @@ def test_decode_never_upsamples_the_paf_stack(monkeypatch, decode_fn, threads):
         def run(factor):
             tracemalloc.start()
             try:
-                result.append(decode_fn(heatmaps, pafs, geometry,
-                                        DecoderConfig(upsample_factor=factor), threads=threads))
+                result.append(decode(heatmaps, pafs, geometry,
+                                     DecoderConfig(upsample_factor=factor)))
                 peak.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
