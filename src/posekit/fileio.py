@@ -20,6 +20,7 @@ content yields identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -117,7 +118,17 @@ def _require_keys(obj, keys: tuple, what: str) -> None:
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal too large for a float
+        raise SchemaError(f"{what} is out of range: {exc}") from exc
+
+
+def _require_finite(value, what: str) -> float:
+    number = _require_number(value, what)
+    if not math.isfinite(number):
+        raise SchemaError(f"{what} must be finite, got {number}")
+    return number
 
 
 def _require_int(value, what: str, minimum: int = 0) -> int:
@@ -290,8 +301,8 @@ def read_scene_truth(path):
     cfg = RenderConfig(
         map_height=_require_int(obj["map_height"], "map_height", 1),
         map_width=_require_int(obj["map_width"], "map_width", 1),
-        sigma=_require_number(obj["sigma"], "sigma"),
-        limb_width=_require_number(obj["limb_width"], "limb_width"),
+        sigma=_require_finite(obj["sigma"], "sigma"),
+        limb_width=_require_finite(obj["limb_width"], "limb_width"),
         seed=_require_int(obj["seed"], "seed"),
     )
     if not isinstance(obj["persons"], list):
@@ -307,7 +318,7 @@ def read_scene_truth(path):
             else:
                 if not (isinstance(pos, list) and len(pos) == 2):
                     raise SchemaError(f"persons[{i}][{j}] must be [x, y] or null")
-                positions.append((_require_number(pos[0], "x"),
-                                  _require_number(pos[1], "y")))
+                positions.append((_require_finite(pos[0], "x"),
+                                  _require_finite(pos[1], "y")))
         persons.append(GroundTruthPerson(tuple(positions)))
     return tuple(persons), cfg

@@ -12,11 +12,19 @@ with no free anchor its strategy ends at once, since the remaining attempts
 could only fail and the next strategy seeds its own generator; otherwise the
 remaining draws look their anchor up. Either way the draws, and so the scenes
 and errors, are those of the plain attempt loop.
+
+Affinity bands are rendered in one pass over every (person, limb) segment, and
+the band test runs only on each segment's box, grown by ``limb_width + 1``
+around it: a pixel farther away than that cannot pass the test, even after
+rounding. Vectors are summed in (person, limb) order, so the maps are
+bit-identical to a per-limb loop over the whole map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -55,6 +63,9 @@ class GroundTruthPerson:
     def __post_init__(self):
         if len(self.keypoints) != NUM_KEYPOINTS:
             raise ValueError(f"expected {NUM_KEYPOINTS} keypoint slots, got {len(self.keypoints)}")
+        for pos in self.keypoints:
+            if pos is not None and not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
+                raise ValueError(f"keypoint coordinates must be finite, got {pos}")
 
     def num_visible(self) -> int:
         return sum(1 for p in self.keypoints if p is not None)
@@ -71,8 +82,9 @@ class RenderConfig:
     def __post_init__(self):
         if min(self.map_height, self.map_width) < 1:
             raise ValueError("map dimensions must be >= 1")
-        if self.sigma <= 0 or self.limb_width <= 0:
-            raise ValueError("sigma and limb_width must be positive")
+        # Written so that NaN fails too: box arithmetic needs finite widths.
+        if not (0 < self.sigma < math.inf and 0 < self.limb_width < math.inf):
+            raise ValueError("sigma and limb_width must be finite and positive")
 
 
 # Template offsets are (x, y), integers, designed so that every limb is
@@ -127,39 +139,108 @@ def render_pafs(persons, cfg: RenderConfig) -> FeatureMaps:
     A pixel is inside the band when its perpendicular distance to the limb
     segment is <= limb_width and its projection falls within [0, length].
     Overlapping limbs of the same type average their vectors.
+
+    The band test runs only on each segment's own box: its bounding box grown
+    by ``limb_width + 1`` and clipped to the map. Every pixel outside it is
+    more than ``limb_width + 1`` from the segment, and rounding moves the
+    float64 ``proj``, ``perp`` and ``length`` by far less than the extra
+    pixel, so such a pixel cannot pass the test. Boxes are taken in (person,
+    limb) order, in chunks of at most one map's area, and scattered with
+    ``np.add.at``, which applies its updates in order: each pixel sums its
+    persons' vectors in person order, as a per-limb loop over the full map
+    does, and the result is bit-identical to it.
     """
     h, w = cfg.map_height, cfg.map_width
     vec_sum = np.zeros((NUM_PAF_CHANNELS, h, w), dtype=np.float64)
     counts = np.zeros((len(LIMBS), h, w), dtype=np.int32)
-    ys = np.arange(h, dtype=np.float64)[:, None]
-    xs = np.arange(w, dtype=np.float64)[None, :]
-    for person in persons:
-        for limb in LIMBS:
-            a = person.keypoints[limb.from_kind]
-            b = person.keypoints[limb.to_kind]
-            if a is None or b is None:
-                continue
-            ax, ay = a
-            bx, by = b
-            dx, dy = bx - ax, by - ay
-            length = float(np.hypot(dx, dy))
-            if length == 0.0:
-                continue  # degenerate limb has no direction
-            ux, uy = dx / length, dy / length
-            rel_x = xs - ax
-            rel_y = ys - ay
-            proj = rel_x * ux + rel_y * uy
-            perp = np.abs(rel_x * uy - rel_y * ux)
-            band = (perp <= cfg.limb_width) & (proj >= 0.0) & (proj <= length)
-            vec_sum[limb.paf_x_channel][band] += ux
-            vec_sum[limb.paf_y_channel][band] += uy
-            counts[limb.id][band] += 1
-    for limb in LIMBS:
-        hit = counts[limb.id] > 0
-        n = counts[limb.id][hit]
-        vec_sum[limb.paf_x_channel][hit] /= n
-        vec_sum[limb.paf_y_channel][hit] /= n
+    table, box = _limb_boxes(persons, cfg)
+    area = np.cumsum(box[2] * box[3])
+    start = 0
+    while start < len(area):
+        base = area[start - 1] if start else 0
+        stop = max(int(np.searchsorted(area, base + h * w, side="right")), start + 1)
+        _scatter_bands(vec_sum, counts, table[:, start:stop], box[:, start:stop],
+                       cfg.limb_width)
+        start = stop
+    # x / 1 is x, so only pixels that limbs of one type share are divided.
+    # Channels 2i and 2i+1 hold limb i's x and y components.
+    shared = np.flatnonzero(counts > 1)
+    limb, pixel = np.divmod(shared, h * w)
+    vec_sum.reshape(len(LIMBS), 2, h * w)[limb, :, pixel] /= counts.reshape(-1)[shared, None]
     return FeatureMaps(vec_sum.astype(np.float32))
+
+
+_LIMB_ENDS = np.array([[limb.from_kind, limb.to_kind] for limb in LIMBS])
+_ABSENT = (np.nan, np.nan)
+
+
+def _limb_boxes(persons, cfg: RenderConfig):
+    """Every drawable (person, limb) segment, in that order, and its box.
+
+    Returns ``(table, box)``, one column per segment. ``table`` holds the
+    float rows ``ax, ux, uy, ay, uy, ux, length, limb``: start point, unit
+    direction (twice, in the order ``_scatter_bands`` reads it), length and
+    limb id. ``box`` holds the int rows ``x0, y0, width, height``. Segments
+    with an absent end or zero length are left out; a box off the map is
+    empty.
+    """
+    xy = np.fromiter(chain.from_iterable(_ABSENT if p is None else p
+                                         for person in persons for p in person.keypoints),
+                     np.float64, 2 * NUM_KEYPOINTS * len(persons)).reshape(-1, NUM_KEYPOINTS, 2)
+    ends = xy[:, _LIMB_ENDS].reshape(-1, 2, 2).transpose(1, 2, 0)  # (end, xy, segment)
+    d = ends[1] - ends[0]
+    length = np.hypot(d[0], d[1])
+    keep = np.flatnonzero(length > 0.0)  # NaN for an absent end; zero length has no direction
+    ends, d, length = ends.take(keep, axis=2), d.take(keep, axis=1), length.take(keep)
+    table = np.empty((8, len(keep)))
+    table[[0, 3]] = ends[0]
+    table[1:3] = table[4:6][::-1] = d / length
+    table[6] = length
+    table[7] = keep % len(LIMBS)
+    # One pixel of slack covers rounding for coordinates up to ~2^48 px; the
+    # term that grows with the coordinates keeps boxes safe beyond that.
+    reach = cfg.limb_width + 1.0 + np.abs(ends).max(initial=0.0) * 2.0**-40
+    size = ((cfg.map_width,), (cfg.map_height,))
+    lo = np.clip(np.ceil(ends.min(axis=0) - reach), 0, size)
+    hi = np.clip(np.floor(ends.max(axis=0) + reach) + 1, 0, size)
+    return table, np.concatenate([lo, hi - lo]).astype(np.intp)
+
+
+def _ragged_ranges(starts, sizes):
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, sizes)])``."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
+
+
+def _scatter_bands(vec_sum, counts, table, box, limb_width) -> None:
+    """Run the band test on every pixel of each box and add in the hits.
+
+    The ``rel_x`` products are formed once per box column and the ``rel_y``
+    products once per box row; each pixel adds its column's and its row's
+    terms, the same float64 operations as on the full map.
+    """
+    _, h, w = vec_sum.shape
+    x0, y0, width, height = box
+    xs, ys = _ragged_ranges(x0, width), _ragged_ranges(y0, height)
+    cols = np.repeat(table[0:3], width, axis=1)   # ax, ux, uy per box column
+    rows = np.repeat(table[3:8], height, axis=1)  # ay, uy, ux, length, limb per box row
+    col_terms = (xs - cols[0]) * cols[1:3]  # rel_x * ux, rel_x * uy
+    row_terms = (ys - rows[0]) * rows[1:3]  # rel_y * uy, rel_y * ux
+    # Every pixel of every box, row by row.
+    row_width = np.repeat(width, height)
+    row = np.repeat(np.arange(len(ys)), row_width)
+    col = _ragged_ranges(np.repeat(np.cumsum(width) - width, height), row_width)
+    c, r = col_terms.take(col, axis=1), row_terms.take(row, axis=1)
+    proj = c[0] + r[0]
+    perp = np.abs(c[1] - r[1])
+    hit = np.flatnonzero((perp <= limb_width) & (proj >= 0.0) & (proj <= rows[3].take(row)))
+    row = row.take(hit)
+    _, uy, ux, _, limb = rows.take(row, axis=1)
+    limb_offset = limb.astype(np.intp) * (h * w)
+    plane = limb_offset + ys.take(row) * w + xs.take(col.take(hit))
+    x_channel = plane + limb_offset  # in channel 2 * limb; channel 2 * limb + 1 follows
+    np.add.at(vec_sum.reshape(-1), x_channel, ux)
+    np.add.at(vec_sum.reshape(-1), x_channel + h * w, uy)
+    np.add.at(counts.reshape(-1), plane, np.int32(1))
 
 
 def _anchor_range(template, cfg: RenderConfig):

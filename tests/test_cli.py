@@ -173,6 +173,15 @@ def test_non_finite_maps_exit_2(tmp_path, capsys, monkeypatch):
     assert "finite" in capsys.readouterr().err
 
 
+def test_non_finite_scene_truth_exits_2(tmp_path, capsys):
+    fixture = _synth(tmp_path, "scene", persons=1)
+    truth = fixture / "truth.json"
+    truth.write_text(truth.read_text().replace('"limb_width":1.5', '"limb_width":NaN'))
+    code = main(["bench", "--scenario", str(fixture)])
+    assert code == 2
+    assert "limb_width must be finite" in capsys.readouterr().err
+
+
 def test_infeasible_scene_exits_4(tmp_path, capsys):
     code = main(["synth", "--persons", "100", "--size", "20x20",
                  "--out-dir", str(tmp_path / "dense")])

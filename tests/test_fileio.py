@@ -228,3 +228,21 @@ def test_scene_truth_schema_violations_are_rejected(tmp_path, mutate):
     path.write_text(json.dumps(obj))
     with pytest.raises(SchemaError):
         read_scene_truth(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+@pytest.mark.parametrize("field", ["sigma", "limb_width", "x", "y"])
+def test_scene_truth_rejects_non_finite_numbers(tmp_path, field, literal):
+    # Python's json module reads NaN and Infinity as floats, 1e400 as inf,
+    # and a 401-digit integer as an int that no float can hold.
+    cfg = RenderConfig(map_height=32, map_width=57)
+    obj = json.loads(scene_truth_bytes(_persons(), cfg))
+    if field in ("x", "y"):
+        obj["persons"][0][1][field == "y"] = "@"
+    else:
+        obj[field] = "@"
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(obj).replace('"@"', literal))
+    with pytest.raises(SchemaError, match=f"^{field} "):
+        read_scene_truth(path)

@@ -2,15 +2,17 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posekit import GroundTruthPerson, RenderConfig, generate_scene
 from posekit.errors import PlacementInfeasibleError
 from posekit.fileio import scene_truth_bytes
+from posekit.featuremaps import FeatureMaps
 from posekit.skeleton import (
     BACKGROUND_CHANNEL,
     LIMBS,
@@ -120,6 +122,112 @@ def test_degenerate_zero_length_limb_renders_nothing():
     assert not pafs.any()
 
 
+def _reference_render_pafs(persons, cfg: RenderConfig) -> FeatureMaps:
+    """The band test on every pixel of the map, one limb instance at a time."""
+    h, w = cfg.map_height, cfg.map_width
+    vec_sum = np.zeros((NUM_PAF_CHANNELS, h, w), dtype=np.float64)
+    counts = np.zeros((len(LIMBS), h, w), dtype=np.int32)
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
+    for person in persons:
+        for limb in LIMBS:
+            a = person.keypoints[limb.from_kind]
+            b = person.keypoints[limb.to_kind]
+            if a is None or b is None:
+                continue
+            ax, ay = a
+            bx, by = b
+            dx, dy = bx - ax, by - ay
+            length = float(np.hypot(dx, dy))
+            if length == 0.0:
+                continue
+            ux, uy = dx / length, dy / length
+            rel_x = xs - ax
+            rel_y = ys - ay
+            proj = rel_x * ux + rel_y * uy
+            perp = np.abs(rel_x * uy - rel_y * ux)
+            band = (perp <= cfg.limb_width) & (proj >= 0.0) & (proj <= length)
+            vec_sum[limb.paf_x_channel][band] += ux
+            vec_sum[limb.paf_y_channel][band] += uy
+            counts[limb.id][band] += 1
+    for limb in LIMBS:
+        hit = counts[limb.id] > 0
+        n = counts[limb.id][hit]
+        vec_sum[limb.paf_x_channel][hit] /= n
+        vec_sum[limb.paf_y_channel][hit] /= n
+    return FeatureMaps(vec_sum.astype(np.float32))
+
+
+@st.composite
+def _paf_scenes(draw):
+    h = draw(st.integers(min_value=1, max_value=40))
+    w = draw(st.integers(min_value=1, max_value=40))
+    cfg = RenderConfig(h, w, limb_width=draw(st.floats(min_value=0.5, max_value=4.0)))
+
+    # Positions reach 8 px past every edge, so limbs leave the map or cross it.
+    def coordinate(size):
+        return st.one_of(st.integers(min_value=-8, max_value=size + 8).map(float),
+                         st.floats(min_value=-8.0, max_value=size + 8.0))
+
+    point = st.tuples(coordinate(w), coordinate(h))
+    persons = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        # Slots share a few positions, so some limbs have zero length.
+        pool = draw(st.lists(point, min_size=1, max_size=6))
+        slots = draw(st.lists(st.one_of(st.none(), st.sampled_from(pool)),
+                              min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS))
+        persons.append(GroundTruthPerson(tuple(slots)))
+    return persons, cfg
+
+
+# Limb type 0 runs neck (1) -> right shoulder (2); limb 12 neck -> nose (0).
+_SPANNING = _person({1: (-5.0, -3.0), 2: (90.0, 50.0), 0: (3.5, 7.25)})
+_ZERO_LENGTH = _person({1: (4.0, 0.0), 2: (4.0, 0.0), 0: (4.0, 3.0)})
+_REVERSED = _person({1: (90.0, 50.0), 2: (-5.0, -3.0)})
+# Three same-type bands over pixels x 0..2, y 4..6 whose x components are 1,
+# -(1 - 1.25e-11) and 8e-17: added in person order the last one survives,
+# added in reverse it is rounded away, and the float32 averages differ.
+_ORDER_SENSITIVE = [_person({1: (-10.0, 5.0), 2: (40.0, 5.0)}),
+                    _person({1: (40.0, 5.0), 2: (-40.0, 5.0004)}),
+                    _person({1: (1.0, -20.0), 2: (1.0 + 6.4e-15, 60.0)})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_paf_scenes())
+@example(scene=([_SPANNING, _ZERO_LENGTH, _REVERSED], RenderConfig(40, 40, limb_width=4.0)))
+@example(scene=([_SPANNING, _ZERO_LENGTH], RenderConfig(1, 1, limb_width=0.5)))
+@example(scene=([_SPANNING, _REVERSED, _ZERO_LENGTH], RenderConfig(1, 37, limb_width=1.5)))
+@example(scene=([_ZERO_LENGTH, _SPANNING], RenderConfig(29, 1, limb_width=2.25)))
+@example(scene=([], RenderConfig(7, 9)))
+@example(scene=(_ORDER_SENSITIVE, RenderConfig(10, 10)))
+def test_render_pafs_matches_the_full_map_loop_bit_for_bit(scene):
+    persons, cfg = scene
+    assert render_pafs(persons, cfg).data.tobytes() == \
+        _reference_render_pafs(persons, cfg).data.tobytes()
+
+
+def _wide_persons():
+    return generate_scene(3, RenderConfig(46, 82, seed=20))[0]
+
+
+@pytest.mark.parametrize("scene", [
+    lambda: (generate_scene(20, RenderConfig(32, 57, seed=20))[0], RenderConfig(32, 57)),
+    lambda: (_wide_persons(), RenderConfig(46, 82)),
+    lambda: ([*_wide_persons(), _SPANNING], RenderConfig(46, 82)),
+], ids=["canonical", "wide", "wide-plus-spanning-limb"])
+def test_render_pafs_peak_stays_below_two_accumulators(scene):
+    # One box as large as the map must not make every box that large.
+    persons, cfg = scene()
+    render_pafs(persons, cfg)
+    tracemalloc.start()
+    try:
+        render_pafs(persons, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * NUM_PAF_CHANNELS * cfg.map_height * cfg.map_width * 8  # float64 accumulator
+
+
 # ---------------------------------------------------------------------------
 # Templates
 # ---------------------------------------------------------------------------
@@ -217,6 +325,22 @@ def test_keypoints_stay_inside_the_refinable_interior(seed, num):
                 continue
             assert 1 <= pos[0] <= cfg.map_width - 2
             assert 1 <= pos[1] <= cfg.map_height - 2
+
+
+@pytest.mark.parametrize("widths", [
+    dict(sigma=math.nan), dict(limb_width=math.nan), dict(limb_width=math.inf),
+], ids=["sigma-nan", "limb-width-nan", "limb-width-inf"])
+def test_render_config_rejects_non_finite_widths(widths):
+    with pytest.raises(ValueError, match="finite and positive"):
+        RenderConfig(map_height=10, map_width=10, **widths)
+
+
+@pytest.mark.parametrize("pos", [(math.nan, 3.0), (3.0, math.inf), (-math.inf, math.nan)],
+                         ids=["nan-x", "inf-y", "both"])
+def test_person_rejects_non_finite_coordinates(pos):
+    # render_heatmaps returned non-finite maps for such a person without an error.
+    with pytest.raises(ValueError, match="finite"):
+        _person({1: (4.0, 4.0), 2: pos})
 
 
 def test_person_and_config_validation():
