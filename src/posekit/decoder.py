@@ -29,7 +29,6 @@ from .errors import DimensionMismatchError
 from .featuremaps import (
     FeatureMaps,
     InputGeometry,
-    _axis_blocks,
     _axis_tables,
     _require_finite,
     _sample_upsampled,
@@ -188,17 +187,10 @@ def _cell_weights(size: int, factor: int) -> np.ndarray:
     samples ``a - 1`` and ``a``, clamped, so cells 0 and ``size`` hold the
     clamped edge samples. It starts at sample ``a * factor - ceil(factor / 2)``
     and may stick out of the map; samples outside it get an edge weight that
-    nothing reads. Where the resize copies a clamped edge sample instead of
-    interpolating it (see ``_axis_blocks``) the weight is -0.0, because
-    ``(b - a) * -0.0 + a`` is ``a``, -0.0 included.
+    nothing reads. The weights are ``_axis_tables``', so the clamped edge
+    samples copy their source sample, -0.0 included.
     """
-    _, _, weights = _axis_tables(size, factor)
-    blocks = _axis_blocks(size, factor)
-    if blocks is not None:
-        head, tail, _ = blocks
-        weights = weights.copy()
-        weights[:head] = -0.0
-        weights[size * factor - tail:] = -0.0
+    weights = _axis_tables(size, factor)[2]
     first = np.arange(size + 1) * factor - (factor + 1) // 2
     table = weights[np.clip(first + np.arange(factor)[:, None], 0, size * factor - 1)]
     table.flags.writeable = False
@@ -431,6 +423,10 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
                  keep_all: bool = False) -> list[list[LimbConnection]]:
     """``_score_pairs`` as one candidate list per limb, where ``pairs[k]`` is
     the ``(kps_a, kps_b)`` lists of ``limbs[k]``'s from and to keypoints."""
+    if pafs.channels != NUM_PAF_CHANNELS:
+        raise DimensionMismatchError(
+            f"expected {NUM_PAF_CHANNELS} PAF channels, got {pafs.channels}"
+        )
     flat = [kp for ends in pairs for kps in ends for kp in kps]
     x = np.array([kp.x for kp in flat], dtype=np.float64)
     y = np.array([kp.y for kp in flat], dtype=np.float64)
@@ -469,10 +465,6 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
 def score_connection(pafs: FeatureMaps, limb, a: Keypoint, b: Keypoint,
                      cfg: DecoderConfig | None = None) -> LimbConnection:
     """Score a single candidate connection. See ``score_connections``."""
-    if pafs.channels != NUM_PAF_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected {NUM_PAF_CHANNELS} PAF channels, got {pafs.channels}"
-        )
     if a.kind != limb.from_kind or b.kind != limb.to_kind:
         raise ValueError(
             f"keypoint kinds ({a.kind}, {b.kind}) do not match limb "

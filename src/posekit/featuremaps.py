@@ -3,6 +3,10 @@
 Maps are stored channel-major: ``data[c, y, x]``, row-major within a plane.
 All resampling uses the half-pixel-center convention, i.e. output sample ``i``
 reads source coordinate ``(i + 0.5) / factor - 0.5``, with edge clamping.
+A sample between source samples ``a`` and ``b`` is ``(b - a) * w + a`` in
+float32. A clamped edge sample, whose coordinate lies before the first or
+after the last source sample, copies that source sample bit for bit, -0.0
+included. ``_axis_tables`` holds this rule for every reader.
 """
 
 from __future__ import annotations
@@ -74,48 +78,18 @@ def _axis_tables(size: int, factor: int):
     """Index/weight tables for one axis of a half-pixel bilinear upsample.
 
     Returns ``(lo, hi, w)`` where output sample ``i`` equals
-    ``src[lo[i]] + w[i] * (src[hi[i]] - src[lo[i]])``.
+    ``(src[hi[i]] - src[lo[i]]) * w[i] + src[lo[i]]`` in float32. A clamped
+    sample (``lo == hi``) has weight -0.0, which makes it ``src[lo[i]]`` bit
+    for bit, -0.0 included: the copy rule of the module docstring.
     """
     coords = (np.arange(size * factor, dtype=np.float64) + 0.5) / factor - 0.5
     base = np.floor(coords)
-    w = (coords - base).astype(np.float32)
     lo = np.clip(base, 0, size - 1).astype(np.intp)
     hi = np.clip(base + 1, 0, size - 1).astype(np.intp)
+    w = np.where(lo == hi, np.float32(-0.0), (coords - base).astype(np.float32))
     for arr in (lo, hi, w):
         arr.flags.writeable = False
     return lo, hi, w
-
-
-@lru_cache(maxsize=64)
-def _axis_blocks(size: int, factor: int):
-    """Regular block structure of an axis table, if it has one.
-
-    For the usual case the table splits into ``head`` leading samples clamped
-    to ``src[0]``, a body where sample ``q * factor + k`` interpolates between
-    ``src[q]`` and ``src[q + 1]`` with a weight depending only on ``k``, and
-    ``tail`` trailing samples clamped to ``src[-1]``. That shape lets the
-    resize run on strided views instead of index gathers. Returns
-    ``(head, tail, weights)`` or None when the table is irregular (weights for
-    a non-power-of-two factor can drift by an ulp between periods).
-    """
-    if size < 2:
-        return None
-    lo, hi, w = _axis_tables(size, factor)
-    head = int(np.sum(hi == 0))
-    tail = int(np.sum(lo == size - 1))
-    body = size * factor - head - tail
-    if body != (size - 1) * factor:
-        return None
-    blo = lo[head:head + body]
-    if not np.array_equal(blo, np.repeat(np.arange(size - 1), factor)):
-        return None
-    if not np.array_equal(hi[head:head + body], blo + 1):
-        return None
-    weights = w[head:head + factor].copy()
-    if not np.array_equal(w[head:head + body], np.tile(weights, size - 1)):
-        return None
-    weights.flags.writeable = False
-    return head, tail, weights
 
 
 def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
@@ -124,9 +98,8 @@ def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
     ``up`` is ``_resize_planes(src, factor)``, gathered without the resize.
 
     Repeats the resize's float32 operations from ``_axis_tables``: columns
-    first, then rows, each as ``(b - a) * w + a``. For finite maps the values
-    are therefore bit-equal to the dense upsample, except that a -0.0 the
-    resize copies into a clamped edge sample comes out as +0.0.
+    first, then rows, each as ``(b - a) * w + a``, so the values are
+    bit-equal to the dense upsample.
     """
     _, h, w = src.shape
     flat = src.reshape(-1)
@@ -145,56 +118,37 @@ def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
     return (bottom - top) * wy[ys] + top
 
 
-def _resize_planes(src: np.ndarray, factor: int) -> np.ndarray:
-    """Separable bilinear upsample of a ``(c, h, w)`` float32 stack.
+def _resize_axis(src: np.ndarray, out: np.ndarray, factor: int) -> None:
+    """Upsample the last axis of ``src`` into ``out`` by ``factor``.
 
-    Columns are interpolated first, then rows, each as ``a + w * (b - a)``:
-    exact where a == b, so constant regions and plateaus survive upsampling
-    bit-for-bit. When the axis table is block-regular (see ``_axis_blocks``)
-    each output phase is one strided slice expression and no index gathers
-    are built; irregular tables fall back to gathers.
+    The first ``factor // 2`` samples copy ``src[..., 0]`` and the samples
+    after the body copy ``src[..., -1]``. Body sample ``q * factor + k``
+    interpolates between ``src[..., q]`` and ``src[..., q + 1]`` with a
+    weight that depends only on ``k``, so each phase ``k`` is one strided
+    ``(b - a) * w + a`` and no index gathers are built.
     """
+    size = src.shape[-1]
+    head, span = factor // 2, (size - 1) * factor
+    diff = src[..., 1:] - src[..., :-1]
+    base = src[..., :-1]
+    # A 1-pixel axis has no body: its phases are empty slices.
+    for k, weight in enumerate(_axis_tables(size, factor)[2][head:head + factor]):
+        phase = out[..., head + k:head + k + span:factor]
+        np.multiply(diff, weight, out=phase)
+        np.add(phase, base, out=phase)
+    out[..., :head] = src[..., :1]
+    out[..., head + span:] = src[..., -1:]
+
+
+def _resize_planes(src: np.ndarray, factor: int) -> np.ndarray:
+    """Separable bilinear upsample of a ``(c, h, w)`` float32 stack:
+    ``_resize_axis`` on the columns, then on the rows through swapped-axis
+    views."""
     c, h, w = src.shape
-    out = np.empty((c, h * factor, w * factor), dtype=np.float32)
     tmp = np.empty((c, h, w * factor), dtype=np.float32)
-
-    xb = _axis_blocks(w, factor)
-    if xb is not None:
-        head, tail, wv = xb
-        span = (w - 1) * factor
-        diff = src[:, :, 1:] - src[:, :, :-1]
-        base = src[:, :, :-1]
-        for k in range(factor):
-            col = tmp[:, :, head + k:head + k + span:factor]
-            np.multiply(diff, wv[k], out=col)
-            np.add(col, base, out=col)
-        tmp[:, :, :head] = src[:, :, :1]
-        if tail:
-            tmp[:, :, head + span:] = src[:, :, -1:]
-    else:
-        xlo, xhi, wx = _axis_tables(w, factor)
-        np.subtract(src[:, :, xhi], src[:, :, xlo], out=tmp)
-        np.multiply(tmp, wx, out=tmp)
-        np.add(tmp, src[:, :, xlo], out=tmp)
-
-    yb = _axis_blocks(h, factor)
-    if yb is not None:
-        head, tail, wv = yb
-        span = (h - 1) * factor
-        diff = tmp[:, 1:, :] - tmp[:, :-1, :]
-        base = tmp[:, :-1, :]
-        for k in range(factor):
-            rows = out[:, head + k:head + k + span:factor, :]
-            np.multiply(diff, wv[k], out=rows)
-            np.add(rows, base, out=rows)
-        out[:, :head, :] = tmp[:, :1, :]
-        if tail:
-            out[:, head + span:, :] = tmp[:, -1:, :]
-    else:
-        ylo, yhi, wy = _axis_tables(h, factor)
-        np.subtract(tmp[:, yhi, :], tmp[:, ylo, :], out=out)
-        np.multiply(out, wy[:, None], out=out)
-        np.add(out, tmp[:, ylo, :], out=out)
+    _resize_axis(src, tmp, factor)
+    out = np.empty((c, h * factor, w * factor), dtype=np.float32)
+    _resize_axis(tmp.swapaxes(1, 2), out.swapaxes(1, 2), factor)
     return out
 
 

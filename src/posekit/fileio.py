@@ -131,6 +131,13 @@ def _require_finite(value, what: str) -> float:
     return number
 
 
+def _require_positive(value, what: str) -> float:
+    number = _require_finite(value, what)
+    if number <= 0:
+        raise SchemaError(f"{what} must be positive, got {number}")
+    return number
+
+
 def _require_int(value, what: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
@@ -301,8 +308,8 @@ def read_scene_truth(path):
     cfg = RenderConfig(
         map_height=_require_int(obj["map_height"], "map_height", 1),
         map_width=_require_int(obj["map_width"], "map_width", 1),
-        sigma=_require_finite(obj["sigma"], "sigma"),
-        limb_width=_require_finite(obj["limb_width"], "limb_width"),
+        sigma=_require_positive(obj["sigma"], "sigma"),
+        limb_width=_require_positive(obj["limb_width"], "limb_width"),
         seed=_require_int(obj["seed"], "seed"),
     )
     if not isinstance(obj["persons"], list):

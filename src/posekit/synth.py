@@ -174,6 +174,14 @@ _LIMB_ENDS = np.array([[limb.from_kind, limb.to_kind] for limb in LIMBS])
 _ABSENT = (np.nan, np.nan)
 
 
+def _keypoint_array(persons) -> np.ndarray:
+    """The persons' keypoints as a float64 ``(person, kind, xy)`` array, NaN
+    where a person lacks a kind."""
+    return np.fromiter(chain.from_iterable(_ABSENT if p is None else p
+                                           for person in persons for p in person.keypoints),
+                       np.float64, 2 * NUM_KEYPOINTS * len(persons)).reshape(-1, NUM_KEYPOINTS, 2)
+
+
 def _limb_boxes(persons, cfg: RenderConfig):
     """Every drawable (person, limb) segment, in that order, and its box.
 
@@ -184,10 +192,8 @@ def _limb_boxes(persons, cfg: RenderConfig):
     with an absent end or zero length are left out; a box off the map is
     empty.
     """
-    xy = np.fromiter(chain.from_iterable(_ABSENT if p is None else p
-                                         for person in persons for p in person.keypoints),
-                     np.float64, 2 * NUM_KEYPOINTS * len(persons)).reshape(-1, NUM_KEYPOINTS, 2)
-    ends = xy[:, _LIMB_ENDS].reshape(-1, 2, 2).transpose(1, 2, 0)  # (end, xy, segment)
+    ends = _keypoint_array(persons)[:, _LIMB_ENDS]
+    ends = ends.reshape(-1, 2, 2).transpose(1, 2, 0)  # (end, xy, segment)
     d = ends[1] - ends[0]
     length = np.hypot(d[0], d[1])
     keep = np.flatnonzero(length > 0.0)  # NaN for an absent end; zero length has no direction
@@ -342,8 +348,7 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
 
 
 def _check_separation(persons) -> None:
-    xy = np.array([[(np.nan, np.nan) if p is None else p for p in person.keypoints]
-                   for person in persons], dtype=np.float64)
+    xy = _keypoint_array(persons)
     i, j = np.triu_indices(len(persons), k=1)
     d = np.hypot(xy[i, :, 0] - xy[j, :, 0], xy[i, :, 1] - xy[j, :, 1])  # (pair, kind)
     close = d < MIN_SAME_KIND_SEPARATION

@@ -223,13 +223,14 @@ def test_criterion_09_thread_determinism(fifty_scenes):
     workloads.append((canonical.heatmaps, canonical.pafs))
     identical = 0
     for heatmaps, pafs in workloads:
-        docs = [
-            pose_document_bytes(PoseDocument(
-                geometry=geometry,
-                skeletons=tuple(decode(heatmaps, pafs, geometry, threads=threads)),
-            ))
-            for threads in (1, 4)
-        ]
+        with pytest.warns(DeprecationWarning):
+            docs = [
+                pose_document_bytes(PoseDocument(
+                    geometry=geometry,
+                    skeletons=tuple(decode(heatmaps, pafs, geometry, threads=threads)),
+                ))
+                for threads in (1, 4)
+            ]
         if docs[0] == docs[1]:
             identical += 1
     _verdict(9, "decode output documents are bit-identical across thread counts",

@@ -182,6 +182,15 @@ def test_non_finite_scene_truth_exits_2(tmp_path, capsys):
     assert "limb_width must be finite" in capsys.readouterr().err
 
 
+def test_non_positive_scene_truth_exits_2(tmp_path, capsys):
+    fixture = _synth(tmp_path, "scene", persons=1)
+    truth = fixture / "truth.json"
+    truth.write_text(truth.read_text().replace('"sigma":2.0', '"sigma":-1'))
+    code = main(["bench", "--scenario", str(fixture)])
+    assert code == 2
+    assert "sigma must be positive" in capsys.readouterr().err
+
+
 def test_infeasible_scene_exits_4(tmp_path, capsys):
     code = main(["synth", "--persons", "100", "--size", "20x20",
                  "--out-dir", str(tmp_path / "dense")])

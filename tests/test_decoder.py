@@ -348,6 +348,22 @@ def test_score_connection_checks_kinds():
                          _kp(1, limb.from_kind, 2.0, 2.0))
 
 
+@pytest.mark.parametrize("channels", [2, 40])
+@pytest.mark.parametrize("scorer", [
+    lambda pafs, limb, a, b: score_connection(pafs, limb, a[0], b[0]),
+    score_connections,
+    collect_limb_candidates,
+], ids=["score_connection", "score_connections", "collect_limb_candidates"])
+def test_scorers_reject_wrong_paf_channel_count(scorer, channels):
+    # The last limb reads channels beyond 2; 40 channels would score silently.
+    limb = LIMBS[-1]
+    pafs = FeatureMaps.zeros(channels, 16, 16)
+    kps_a = [_kp(0, limb.from_kind, 2.0, 8.0)]
+    kps_b = [_kp(1, limb.to_kind, 12.0, 8.0)]
+    with pytest.raises(DimensionMismatchError):
+        scorer(pafs, limb, kps_a, kps_b)
+
+
 def test_score_connections_covers_every_pair():
     limb = LIMBS[0]
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 0.5})
@@ -763,8 +779,9 @@ def test_decode_keypoint_ids_partition_across_skeletons():
 def test_decode_thread_counts_are_bit_identical():
     _, heatmaps, pafs = generate_scene(6, RenderConfig(32, 57, seed=13))
     geometry = identity_geometry(32, 57)
-    assert decode(heatmaps, pafs, geometry, threads=1) == \
-        decode(heatmaps, pafs, geometry, threads=4)
+    with pytest.warns(DeprecationWarning):
+        assert decode(heatmaps, pafs, geometry, threads=1) == \
+            decode(heatmaps, pafs, geometry, threads=4)
 
 
 def test_threads_is_deprecated_and_changes_nothing():

@@ -1,5 +1,7 @@
 """Bilinear upsampling and network input geometry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from posekit import FeatureMaps, STRIDE, compute_input_geometry, resize_bilinear
 from posekit.errors import DimensionMismatchError
-from posekit.featuremaps import _sample_upsampled
+from posekit.featuremaps import _axis_tables, _sample_upsampled
 
 # Hand-computed 2x2 -> 4x4 case. Output sample i reads source (i + 0.5)/2 - 0.5,
 # so interior weights alternate 0.25/0.75 and the border replicates edge values.
@@ -95,18 +97,64 @@ def test_plateau_around_integer_peak_is_bit_exact():
 def test_point_sampler_is_bit_equal_to_dense_upsample(factor, shape):
     rng = np.random.default_rng(factor)
     data = rng.uniform(-1.0, 1.0, size=(3, *shape)).astype(np.float32)
-    dense = resize_bilinear(FeatureMaps(data), factor).data
-    ys, xs = np.indices(dense.shape[1:])
-    channels = np.array([2, 0, 1])[:, None, None]
-    sampled = _sample_upsampled(data, channels, factor, ys, xs)
-    assert sampled.dtype == np.float32
-    np.testing.assert_array_equal(sampled.view(np.uint32),
-                                  dense[[2, 0, 1]].view(np.uint32))
-    # A channel per point, as limb scoring passes them.
-    per_point = rng.integers(0, 3, size=ys.shape)
-    sampled = _sample_upsampled(data, per_point, factor, ys, xs)
-    np.testing.assert_array_equal(sampled.view(np.uint32),
-                                  dense[per_point, ys, xs].view(np.uint32))
+    # The same maps with -0.0 on every edge, which clamped samples copy.
+    edged = data.copy()
+    edged[:, [0, -1], :] = -0.0
+    edged[:, :, [0, -1]] = -0.0
+    for maps in (data, edged):
+        dense = resize_bilinear(FeatureMaps(maps), factor).data
+        ys, xs = np.indices(dense.shape[1:])
+        channels = np.array([2, 0, 1])[:, None, None]
+        sampled = _sample_upsampled(maps, channels, factor, ys, xs)
+        assert sampled.dtype == np.float32
+        np.testing.assert_array_equal(sampled.view(np.uint32),
+                                      dense[[2, 0, 1]].view(np.uint32))
+        # A channel per point, as limb scoring passes them.
+        per_point = rng.integers(0, 3, size=ys.shape)
+        sampled = _sample_upsampled(maps, per_point, factor, ys, xs)
+        np.testing.assert_array_equal(sampled.view(np.uint32),
+                                      dense[per_point, ys, xs].view(np.uint32))
+
+
+def test_axis_tables_are_block_regular():
+    # The strided resize reads these tables as three blocks: ``factor // 2``
+    # head samples that copy src[0], a body whose sample q * factor + k
+    # interpolates src[q] and src[q + 1] with a weight that depends only on
+    # k, and a tail that copies src[-1]. Clamped samples carry -0.0.
+    for factor in range(2, 17):
+        head = factor // 2
+        for size in range(2, 1200):
+            lo, hi, w = _axis_tables.__wrapped__(size, factor)
+            stop = head + (size - 1) * factor
+            q = np.arange(size - 1)[:, None]
+            assert (lo[head:stop].reshape(-1, factor) == q).all()
+            assert (hi[head:stop].reshape(-1, factor) == q + 1).all()
+            assert (w[head:stop].reshape(-1, factor) == w[head:head + factor]).all()
+            assert (lo[:head] == 0).all() and (lo[stop:] == size - 1).all()
+            assert (hi[:head] == 0).all() and (hi[stop:] == size - 1).all()
+            clamped = np.concatenate([w[:head], w[stop:]])
+            assert (clamped.view(np.uint32) == np.float32(-0.0).view(np.uint32)).all()
+
+
+# sha256 of every (shape, factor) output below, computed with the resize
+# that chose per axis between strided blocks and an index-gather fallback.
+RESIZE_SWEEP_DIGEST = "90e946c4ccbf8a06f3a1341f478d41f79deae2c72cb75db808d8b5a38f1ef8d8"
+
+
+def test_resize_bits_are_pinned():
+    sizes, factors = (2, 3, 4, 5, 7, 9, 16, 32, 46, 57), (2, 3, 4, 5, 6, 7, 8, 16)
+    digest = hashlib.sha256()
+    for h in sizes:
+        for w in sizes:
+            # Exact float32 values without a random generator, some of them
+            # +0.0, and -0.0 planted on the edges, which clamped samples copy.
+            ramp = (np.arange(2 * h * w) * 7919 + 13 * h + w) % 2001 - 1000
+            data = (ramp.astype(np.float32) / np.float32(997)).reshape(2, h, w)
+            data[0, [0, -1], :] = data[0, :, [0, -1]] = -0.0
+            data[1, [0, -1], ::2] = data[1, 1::2, [0, -1]] = -0.0
+            for factor in factors:
+                digest.update(resize_bilinear(FeatureMaps(data), factor).data.tobytes())
+    assert digest.hexdigest() == RESIZE_SWEEP_DIGEST
 
 
 def test_rejects_bad_factor():

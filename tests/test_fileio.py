@@ -246,3 +246,14 @@ def test_scene_truth_rejects_non_finite_numbers(tmp_path, field, literal):
     path.write_text(json.dumps(obj).replace('"@"', literal))
     with pytest.raises(SchemaError, match=f"^{field} "):
         read_scene_truth(path)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["sigma", "limb_width"])
+def test_scene_truth_rejects_non_positive_render_sizes(tmp_path, field, value):
+    obj = json.loads(scene_truth_bytes(_persons(), RenderConfig(map_height=32, map_width=57)))
+    obj[field] = value
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match=f"^{field} must be positive"):
+        read_scene_truth(path)
