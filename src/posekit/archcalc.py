@@ -9,7 +9,7 @@ only, never cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import InvalidArchitectureError
 
@@ -167,15 +167,7 @@ class ComplexityReport:
         return {
             "arch": self.arch_name,
             "input": [self.input_height, self.input_width],
-            "groups": [
-                {
-                    "name": g.name,
-                    "gflops": g.gflops,
-                    "cumulative_gflops": g.cumulative_gflops,
-                    "params": g.params,
-                }
-                for g in self.groups
-            ],
+            "groups": [asdict(g) for g in self.groups],
             "total_gflops": self.total_gflops,
             "total_params": self.total_params,
             "footnotes": list(self.footnotes),
@@ -200,12 +192,30 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
+def _cost(group: str, layer: LayerSpec, h: int, w: int, channels: int | None,
+          multiplier: int) -> LayerCost:
+    """The cost row of ``layer`` on an ``h`` x ``w`` input of ``channels``
+    channels (``None`` before the first layer), run ``multiplier`` times.
+
+    A concat takes its inputs from several sources, so it resets the channel
+    count instead of checking it.
+    """
+    if layer.kind != "concat" and channels not in (None, layer.in_channels):
+        raise InvalidArchitectureError(
+            layer.name, f"expects {layer.in_channels} input channels but receives {channels}"
+        )
+    resolved = replace(layer, input_h=h, input_w=w)
+    return LayerCost(group, layer.name, layer.kind, resolved.out_h, resolved.out_w,
+                     layer.out_channels, multiplier, layer_flops(resolved) * multiplier,
+                     layer_params(resolved) * multiplier)
+
+
 def evaluate(arch: ArchSpec) -> ComplexityReport:
     """Resolve spatial dims through the network and total up cost per group.
 
-    Channel chaining is validated inside each group (a leading concat resets
-    the channel count, matching stage inputs assembled from several sources);
-    branch multiplicity doubles trunk cost; heads are added once each.
+    Channel chaining is validated across layers and into each head; branch
+    multiplicity doubles trunk cost; heads are added once each at the trunk's
+    output resolution.
     """
     h, w = arch.input_height, arch.input_width
     channels: int | None = None
@@ -214,45 +224,17 @@ def evaluate(arch: ArchSpec) -> ComplexityReport:
     cumulative = 0
     total_params = 0
     for grp in arch.groups:
-        g_flops = 0
-        g_params = 0
-        for i, layer in enumerate(grp.layers):
-            if layer.kind == "concat":
-                channels = layer.out_channels
-            elif channels is not None and layer.in_channels != channels:
-                raise InvalidArchitectureError(
-                    layer.name,
-                    f"expects {layer.in_channels} input channels but receives {channels}",
-                )
-            resolved = replace(layer, input_h=h, input_w=w)
-            if resolved.out_h < 1 or resolved.out_w < 1:
-                raise InvalidArchitectureError(layer.name, "spatial dims collapsed below 1")
-            f = layer_flops(resolved) * grp.branches
-            p = layer_params(resolved) * grp.branches
-            layer_rows.append(LayerCost(grp.name, layer.name, layer.kind,
-                                        resolved.out_h, resolved.out_w,
-                                        layer.out_channels, grp.branches, f, p))
-            g_flops += f
-            g_params += p
-            h, w = resolved.out_h, resolved.out_w
-            channels = layer.out_channels
-        for head in grp.heads:
-            if head.in_channels != channels:
-                raise InvalidArchitectureError(
-                    head.name,
-                    f"expects {head.in_channels} input channels but receives {channels}",
-                )
-            resolved = replace(head, input_h=h, input_w=w)
-            f = layer_flops(resolved)
-            p = layer_params(resolved)
-            layer_rows.append(LayerCost(grp.name, head.name, head.kind,
-                                        resolved.out_h, resolved.out_w,
-                                        head.out_channels, 1, f, p))
-            g_flops += f
-            g_params += p
+        rows = []
+        for layer in grp.layers:
+            rows.append(_cost(grp.name, layer, h, w, channels, grp.branches))
+            h, w, channels = rows[-1].out_h, rows[-1].out_w, rows[-1].out_channels
+        rows += [_cost(grp.name, head, h, w, channels, 1) for head in grp.heads]
+        g_flops = sum(row.flops for row in rows)
+        g_params = sum(row.params for row in rows)
         cumulative += g_flops
         total_params += g_params
         group_rows.append(GroupCost(grp.name, g_flops / 1e9, cumulative / 1e9, g_params))
+        layer_rows += rows
     return ComplexityReport(
         arch_name=arch.name,
         input_height=arch.input_height,

@@ -35,7 +35,7 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ import numpy as np
 from . import decoder
 from .decoder import assemble_skeletons, group_limbs
 from .errors import DimensionMismatchError, GateFailureError
-from .featuremaps import STRIDE, FeatureMaps, InputGeometry
+from .featuremaps import STRIDE, FeatureMaps, InputGeometry, compute_input_geometry
 from .fileio import read_scene_truth, read_tensor
 from .skeleton import (
     LIMBS,
@@ -57,21 +57,16 @@ from .synth import RenderConfig, generate_scene
 
 MODES = ("naive", "optimized")
 MIN_FRAMES = 30
-MIN_WARMUPS = 5
+WARMUPS = 5
+# Largest coordinate difference, in original-image pixels, the gate accepts.
+COORD_TOL = 1e-4
 
 STAGE_HEADERS = ("Resize feature maps", "Extract keypoints", "Group keypoints", "Total")
 
 
 def identity_geometry(map_height: int, map_width: int) -> InputGeometry:
     """Geometry for maps that came from an unscaled, unpadded input."""
-    return InputGeometry(
-        net_input_height=map_height * STRIDE,
-        net_input_width=map_width * STRIDE,
-        original_height=map_height * STRIDE,
-        original_width=map_width * STRIDE,
-        stride=STRIDE,
-        pad=(0, 0, 0, 0),
-    )
+    return compute_input_geometry(map_height * STRIDE, map_width * STRIDE, map_height * STRIDE)
 
 
 @dataclass(frozen=True)
@@ -284,7 +279,7 @@ def _canonical_rows(skeletons) -> list:
     return rows
 
 
-def compare_skeletons(expected, actual, coord_tol: float = 1e-4) -> str | None:
+def compare_skeletons(expected, actual) -> str | None:
     """Order-insensitive comparison; returns a diff string or None.
 
     Skeletons are matched by sorted (count, slot pattern, coordinates) rows.
@@ -300,10 +295,10 @@ def compare_skeletons(expected, actual, coord_tol: float = 1e-4) -> str | None:
             return (f"skeleton {i}: slot pattern differs\n"
                     f"  expected {e[1]}\n  actual   {a[1]}")
         for (kind, ex, ey), (_, ax, ay) in zip(e[2], a[2]):
-            if abs(ex - ax) > coord_tol or abs(ey - ay) > coord_tol:
+            if abs(ex - ax) > COORD_TOL or abs(ey - ay) > COORD_TOL:
                 return (f"skeleton {i}, kind {kind}: coordinates differ by "
                         f"({ax - ex:+.6g}, {ay - ey:+.6g}) "
-                        f"(tolerance {coord_tol:g})")
+                        f"(tolerance {COORD_TOL:g})")
     return None
 
 
@@ -331,10 +326,13 @@ class BenchReport:
     timings: StageTimings
 
     @property
-    def fps(self) -> dict:
+    def median_ns(self) -> dict:
         t = self.timings
-        ns = (t.resize_ns, t.extract_ns, t.group_ns, t.total_ns)
-        return {name: _sig3(1e9 / v) for name, v in zip(STAGE_HEADERS, ns)}
+        return dict(zip(STAGE_HEADERS, (t.resize_ns, t.extract_ns, t.group_ns, t.total_ns)))
+
+    @property
+    def fps(self) -> dict:
+        return {name: _sig3(1e9 / ns) for name, ns in self.median_ns.items()}
 
     @property
     def pipeline_fps(self) -> float:
@@ -348,12 +346,7 @@ class BenchReport:
             "machine": self.machine,
             "frames": t.frames,
             "config_digest": t.config_digest,
-            "median_ns": {
-                "Resize feature maps": t.resize_ns,
-                "Extract keypoints": t.extract_ns,
-                "Group keypoints": t.group_ns,
-                "Total": t.total_ns,
-            },
+            "median_ns": self.median_ns,
             "fps": self.fps,
         }
 
@@ -363,17 +356,7 @@ def _sig3(value: float) -> float:
 
 
 def _config_digest(cfg: DecoderConfig, height: int, width: int) -> str:
-    blob = json.dumps({
-        "upsample_factor": cfg.upsample_factor,
-        "peak_threshold": cfg.peak_threshold,
-        "paf_sample_count": cfg.paf_sample_count,
-        "paf_alignment_threshold": cfg.paf_alignment_threshold,
-        "min_valid_ratio": cfg.min_valid_ratio,
-        "min_keypoints": cfg.min_keypoints,
-        "min_skeleton_score": cfg.min_skeleton_score,
-        "height": height,
-        "width": width,
-    }, sort_keys=True)
+    blob = json.dumps({**asdict(cfg), "height": height, "width": width}, sort_keys=True)
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
@@ -384,7 +367,7 @@ def _machine_descriptor() -> str:
 
 
 def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = None,
-                  frames: int = MIN_FRAMES, warmups: int = MIN_WARMUPS) -> BenchReport:
+                  frames: int = MIN_FRAMES) -> BenchReport:
     """Time one mode on a scenario, gating on naive/optimized agreement first.
 
     The gate runs both pipelines once at ``cfg.upsample_factor``, whatever
@@ -394,7 +377,6 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if frames < MIN_FRAMES:
         raise ValueError(f"frames must be >= {MIN_FRAMES}, got {frames}")
-    warmups = max(warmups, MIN_WARMUPS)
     cfg = cfg or DecoderConfig()
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
 
@@ -405,8 +387,8 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     if diff is not None:
         raise GateFailureError(diff)
 
-    resize_ns, extract_ns, group_ns, total_ns = [], [], [], []
-    for frame in range(warmups + frames):
+    samples = []
+    for frame in range(WARMUPS + frames):
         if mode == "optimized":
             t0 = time.perf_counter_ns()
             cells = decoder._upsample_hot_cells(heat.data, cfg)
@@ -423,18 +405,12 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
             t2 = time.perf_counter_ns()
             _naive_group(up_paf, keypoints, cfg)
             t3 = time.perf_counter_ns()
-        if frame < warmups:
-            continue
-        resize_ns.append(t1 - t0)
-        extract_ns.append(t2 - t1)
-        group_ns.append(t3 - t2)
-        total_ns.append(t3 - t0)
+        if frame >= WARMUPS:
+            samples.append((t1 - t0, t2 - t1, t3 - t2, t3 - t0))
 
+    # One median per stage, in StageTimings' field order.
     timings = StageTimings(
-        resize_ns=max(1, round(statistics.median(resize_ns))),
-        extract_ns=max(1, round(statistics.median(extract_ns))),
-        group_ns=max(1, round(statistics.median(group_ns))),
-        total_ns=max(1, round(statistics.median(total_ns))),
+        *(max(1, round(statistics.median(stage))) for stage in zip(*samples)),
         frames=frames,
         config_digest=_config_digest(cfg, heat.height, heat.width),
     )

@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pafs", required=True, help="PAF tensor file")
     p.add_argument("--orig-size", type=_parse_size, required=True, metavar="HxW",
                    help="original image size the maps were computed from")
-    p.add_argument("--upsample", type=int, default=4, help="upsample factor")
+    p.add_argument("--upsample", type=int, default=DecoderConfig.upsample_factor,
+                   help="upsample factor (default %(default)s)")
     p.add_argument("--out", help="write a pose document here")
     p.set_defaults(func=cmd_decode)
 

@@ -73,6 +73,11 @@ def _buffer(name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def _require_channels(maps: FeatureMaps, count: int, what: str) -> None:
+    if maps.channels != count:
+        raise DimensionMismatchError(f"expected {count} {what} channels, got {maps.channels}")
+
+
 def _deprecated_threads(threads) -> None:
     """Validate a ``threads`` argument that a caller still passes, then warn
     the caller of ``decode`` or ``extract_keypoints`` that it changes nothing."""
@@ -343,10 +348,7 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
     ``decode``.
     """
     cfg = cfg or DecoderConfig()
-    if heatmaps.channels != NUM_HEATMAP_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected {NUM_HEATMAP_CHANNELS} heatmap channels, got {heatmaps.channels}"
-        )
+    _require_channels(heatmaps, NUM_HEATMAP_CHANNELS, "heatmap")
     _deprecated_threads(threads)
     result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
     columns = (c.tolist() for c in _dense_peaks(heatmaps.data, cfg.peak_threshold))
@@ -423,10 +425,7 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
                  keep_all: bool = False) -> list[list[LimbConnection]]:
     """``_score_pairs`` as one candidate list per limb, where ``pairs[k]`` is
     the ``(kps_a, kps_b)`` lists of ``limbs[k]``'s from and to keypoints."""
-    if pafs.channels != NUM_PAF_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected {NUM_PAF_CHANNELS} PAF channels, got {pafs.channels}"
-        )
+    _require_channels(pafs, NUM_PAF_CHANNELS, "PAF")
     flat = [kp for ends in pairs for kps in ends for kp in kps]
     x = np.array([kp.x for kp in flat], dtype=np.float64)
     y = np.array([kp.y for kp in flat], dtype=np.float64)
@@ -670,14 +669,8 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     any other passed value a ``DeprecationWarning``.
     """
     cfg = cfg or DecoderConfig()
-    if heatmaps.channels != NUM_HEATMAP_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected {NUM_HEATMAP_CHANNELS} heatmap channels, got {heatmaps.channels}"
-        )
-    if pafs.channels != NUM_PAF_CHANNELS:
-        raise DimensionMismatchError(
-            f"expected {NUM_PAF_CHANNELS} PAF channels, got {pafs.channels}"
-        )
+    _require_channels(heatmaps, NUM_HEATMAP_CHANNELS, "heatmap")
+    _require_channels(pafs, NUM_PAF_CHANNELS, "PAF")
     if (heatmaps.height, heatmaps.width) != (pafs.height, pafs.width):
         raise DimensionMismatchError(
             f"heatmap resolution {heatmaps.height}x{heatmaps.width} does not match "

@@ -68,6 +68,14 @@ class FeatureMaps:
         return self.data[channel]
 
 
+def _require_integer(value, what: str, minimum: int = 1) -> int:
+    """``value`` as an ``int``, or ``ValueError`` unless it is an integer of at
+    least ``minimum``. NumPy integers pass; ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _require_finite(*arrays: np.ndarray) -> None:
     if not all(np.isfinite(arr).all() for arr in arrays):
         raise ValueError("feature maps must contain only finite values")
@@ -159,13 +167,10 @@ def resize_bilinear(maps: FeatureMaps, factor: int) -> FeatureMaps:
     so min/max never escape the source range (up to float rounding). A factor
     of 1 returns the input unchanged.
     """
-    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)):
-        raise ValueError(f"factor must be a positive integer, got {factor!r}")
-    if factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor}")
+    factor = _require_integer(factor, "factor")
     if factor == 1:
         return maps
-    return FeatureMaps(_resize_planes(maps.data, int(factor)))
+    return FeatureMaps(_resize_planes(maps.data, factor))
 
 
 @dataclass(frozen=True)

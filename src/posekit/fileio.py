@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,7 +101,9 @@ def read_tensor(path) -> FeatureMaps:
 # ---------------------------------------------------------------------------
 
 def _dump_canonical(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    # NaN and the infinities would become tokens that the readers reject.
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            + "\n").encode("ascii")
 
 
 def _require_keys(obj, keys: tuple, what: str) -> None:
@@ -115,17 +117,13 @@ def _require_keys(obj, keys: tuple, what: str) -> None:
         raise SchemaError(f"{what} has unknown field(s) {unknown}")
 
 
-def _require_number(value, what: str) -> float:
+def _require_finite(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} must be a number, got {type(value).__name__}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:  # an integer literal too large for a float
         raise SchemaError(f"{what} is out of range: {exc}") from exc
-
-
-def _require_finite(value, what: str) -> float:
-    number = _require_number(value, what)
     if not math.isfinite(number):
         raise SchemaError(f"{what} must be finite, got {number}")
     return number
@@ -159,17 +157,6 @@ class PoseDocument:
     schema_version: int = POSE_SCHEMA_VERSION
 
 
-def _geometry_to_json(geo: InputGeometry) -> dict:
-    return {
-        "net_input_height": geo.net_input_height,
-        "net_input_width": geo.net_input_width,
-        "original_height": geo.original_height,
-        "original_width": geo.original_width,
-        "stride": geo.stride,
-        "pad": list(geo.pad),
-    }
-
-
 def _geometry_from_json(obj) -> InputGeometry:
     _require_keys(obj, ("net_input_height", "net_input_width", "original_height",
                         "original_width", "stride", "pad"), "geometry")
@@ -199,7 +186,7 @@ def pose_document_bytes(doc: PoseDocument) -> bytes:
         skeletons.append({"score": float(sk.score), "keypoints": entries})
     return _dump_canonical({
         "schema_version": doc.schema_version,
-        "geometry": _geometry_to_json(doc.geometry),
+        "geometry": asdict(doc.geometry),
         "skeletons": skeletons,
     })
 
@@ -229,14 +216,14 @@ def _skeleton_from_json(obj, index: int) -> PoseSkeleton:
                 f"skeletons[{index}].keypoints[{slot}] has kind {kind}, expected {slot}"
             )
         keypoints.append(Keypoint(id=-1, kind=kind,
-                                  x=_require_number(entry["x"], "x"),
-                                  y=_require_number(entry["y"], "y"),
-                                  score=_require_number(entry["score"], "score")))
+                                  x=_require_finite(entry["x"], "x"),
+                                  y=_require_finite(entry["y"], "y"),
+                                  score=_require_finite(entry["score"], "score")))
     present = sum(kp is not None for kp in keypoints)
     if present == 0:
         raise SchemaError(f"skeletons[{index}] has no keypoints")
     return PoseSkeleton(keypoints=tuple(keypoints),
-                        score=_require_number(obj["score"], "score"),
+                        score=_require_finite(obj["score"], "score"),
                         num_keypoints=present)
 
 
@@ -274,15 +261,8 @@ def scene_truth_bytes(persons, cfg: RenderConfig) -> bytes:
             None if pos is None else [float(pos[0]), float(pos[1])]
             for pos in person.keypoints
         ])
-    return _dump_canonical({
-        "schema_version": SCENE_SCHEMA_VERSION,
-        "map_height": cfg.map_height,
-        "map_width": cfg.map_width,
-        "sigma": cfg.sigma,
-        "limb_width": cfg.limb_width,
-        "seed": cfg.seed,
-        "persons": rows,
-    })
+    return _dump_canonical({"schema_version": SCENE_SCHEMA_VERSION, **asdict(cfg),
+                            "persons": rows})
 
 
 def write_scene_truth(persons, cfg: RenderConfig, path) -> None:

@@ -7,7 +7,10 @@ per kind plus a background channel at index 18.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .featuremaps import _require_integer
 
 KEYPOINT_NAMES = (
     "nose", "neck",
@@ -110,11 +113,12 @@ class DecoderConfig:
     min_skeleton_score: float = 0.2
 
     def __post_init__(self):
-        if isinstance(self.upsample_factor, bool) or self.upsample_factor < 1:
-            raise ValueError(f"upsample_factor must be >= 1, got {self.upsample_factor}")
-        if self.paf_sample_count < 2:
-            raise ValueError(f"paf_sample_count must be >= 2, got {self.paf_sample_count}")
+        # Kept as int: a NumPy integer would not serialize into a JSON config digest.
+        for name, minimum in (("upsample_factor", 1), ("paf_sample_count", 2),
+                              ("min_keypoints", 1)):
+            object.__setattr__(self, name, _require_integer(getattr(self, name), name, minimum))
+        for name in ("peak_threshold", "paf_alignment_threshold", "min_skeleton_score"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.min_valid_ratio <= 1.0:
             raise ValueError(f"min_valid_ratio must be in [0, 1], got {self.min_valid_ratio}")
-        if self.min_keypoints < 1:
-            raise ValueError(f"min_keypoints must be >= 1, got {self.min_keypoints}")

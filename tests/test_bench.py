@@ -19,6 +19,7 @@ from posekit.bench import (
     MODES,
     STAGE_HEADERS,
     Scenario,
+    _config_digest,
     compare_skeletons,
     format_report,
     identity_geometry,
@@ -155,6 +156,9 @@ def test_config_digest_tracks_config_and_shape():
     rep_base = run_benchmark(sc_a, "optimized")
     rep_cfg = run_benchmark(sc_a, "optimized", cfg=DecoderConfig(peak_threshold=0.2))
     assert rep_base.timings.config_digest != rep_cfg.timings.config_digest
+    # Reports from different commits compare only while these bits hold.
+    assert _config_digest(DecoderConfig(), 32, 57) == "10c32ddaf13d89b5"
+    assert _config_digest(DecoderConfig(upsample_factor=8), 46, 82) == "4e037a8f70e750c7"
 
 
 def test_resize_time_grows_with_upsample_factor():

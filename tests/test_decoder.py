@@ -1,6 +1,7 @@
 """Peak extraction, limb scoring, greedy grouping, and skeleton assembly."""
 
 import hashlib
+import math
 import sys
 import threading
 import tracemalloc
@@ -818,16 +819,21 @@ def test_decode_validates_shapes():
 
 
 def test_decoder_config_validation():
-    with pytest.raises(ValueError):
-        DecoderConfig(upsample_factor=0)
-    with pytest.raises(ValueError):
-        DecoderConfig(upsample_factor=True)
-    with pytest.raises(ValueError):
-        DecoderConfig(paf_sample_count=1)
-    with pytest.raises(ValueError):
-        DecoderConfig(min_valid_ratio=1.5)
-    with pytest.raises(ValueError):
-        DecoderConfig(min_keypoints=0)
+    bad = [
+        {"upsample_factor": 0}, {"upsample_factor": True}, {"upsample_factor": 2.0},
+        {"upsample_factor": 2.5}, {"paf_sample_count": 1}, {"paf_sample_count": 2.5},
+        {"min_valid_ratio": 1.5}, {"min_keypoints": 0}, {"min_keypoints": 3.0},
+        {"peak_threshold": math.nan}, {"paf_alignment_threshold": math.nan},
+        {"min_skeleton_score": math.nan}, {"peak_threshold": math.inf},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            DecoderConfig(**kwargs)
+    # NumPy integers are integers, for the config as for resize_bilinear, and
+    # the config keeps them as int.
+    cfg = DecoderConfig(upsample_factor=np.int64(2), paf_sample_count=np.int32(5))
+    assert [type(v) for v in (cfg.upsample_factor, cfg.paf_sample_count)] == [int, int]
+    assert cfg == DecoderConfig(upsample_factor=2, paf_sample_count=5)
 
 
 def test_decode_rejects_non_finite_maps():

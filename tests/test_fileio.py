@@ -1,6 +1,8 @@
 """Binary tensor container and the JSON document schemas."""
 
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -165,6 +167,17 @@ def _valid_pose_obj() -> dict:
     return json.loads(pose_document_bytes(_document()))
 
 
+def _number_literal(field: str, literal: str):
+    """A mutation that puts the bare JSON ``literal`` in ``field`` of keypoint 1
+    of skeleton 0, or in the skeleton's own score: ``"@" + literal`` here,
+    unquoted before parsing."""
+    def mutate(obj):
+        skeleton = obj["skeletons"][0]
+        target = skeleton if field == "skeleton score" else skeleton["keypoints"][1]
+        target[field.split()[-1]] = "@" + literal
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     lambda obj: obj.pop("geometry"),
     lambda obj: obj.update(schema_version=99),
@@ -178,12 +191,22 @@ def _valid_pose_obj() -> dict:
     lambda obj: obj["skeletons"][0]["keypoints"][1].update(kind=5),
     lambda obj: obj["skeletons"][0]["keypoints"][1].update(x="oops"),
     lambda obj: obj["skeletons"][0].update(keypoints=[None] * NUM_KEYPOINTS),
+    *(pytest.param(_number_literal(field, literal), id=f"{field}={literal}")
+      for field in ("x", "y", "score", "skeleton score")
+      for literal in ("NaN", "Infinity", "-Infinity", "1e400")),
 ])
 def test_pose_schema_violations_are_rejected(mutate):
     obj = _valid_pose_obj()
     mutate(obj)
     with pytest.raises(SchemaError):
-        parse_poses(json.dumps(obj).encode())
+        parse_poses(re.sub(r'"@([^"]*)"', r"\1", json.dumps(obj)).encode())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pose_writer_refuses_what_the_reader_rejects(value):
+    doc = PoseDocument(_document().geometry, (_skeleton({1: (10.5, 20.25, 0.9)}, value),))
+    with pytest.raises(ValueError):
+        pose_document_bytes(doc)
 
 
 def test_pose_parse_rejects_non_json():
