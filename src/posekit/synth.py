@@ -13,6 +13,15 @@ could only fail and the next strategy seeds its own generator; otherwise the
 remaining draws look their anchor up. Either way the draws, and so the scenes
 and errors, are those of the plain attempt loop.
 
+A strategy that cannot fit is skipped before its generator is seeded. Two
+integer anchors less than 12 apart on both axes are at most 11 * sqrt(2) ~
+15.56 px apart, so the separation test keeps a second instance of a template
+out of any 12x12 block of anchors that already holds one. A template used
+more often than its anchor range has such blocks can therefore only fail, and
+since every strategy seeds its own generator, skipping it changes no draw,
+scene or error. On 32x57 maps the full-body range has 8 blocks, so 20 persons
+go straight to the partial-body templates.
+
 Affinity bands are rendered in one pass over every (person, limb) segment, and
 the band test runs only on each segment's box, grown by ``limb_width + 1``
 around it: a pixel farther away than that cannot pass the test, even after
@@ -29,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import PlacementInfeasibleError
-from .featuremaps import FeatureMaps
+from .featuremaps import FeatureMaps, _require_integer
 from .skeleton import (
     BACKGROUND_CHANNEL,
     LIMBS,
@@ -48,6 +57,10 @@ _PLACEMENT_ATTEMPTS = 10000
 # Failed attempts after which a template's free-anchor mask is computed. Sparse
 # scenes place every template well before this and never build a mask.
 _ATTEMPTS_BEFORE_MASK = 16
+
+# Side of the anchor blocks that hold at most one instance of a template:
+# (_ANCHOR_BLOCK - 1) * sqrt(2) < MIN_SAME_KIND_SEPARATION.
+_ANCHOR_BLOCK = 12
 
 # Keypoints stay at least this far from the map border so that peak
 # refinement never sees clamped samples.
@@ -80,11 +93,15 @@ class RenderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.map_height, self.map_width) < 1:
-            raise ValueError("map dimensions must be >= 1")
+        # Stored as int and float: the scene-truth format writes them as JSON
+        # and reads back only such values.
+        for name, minimum in (("map_height", 1), ("map_width", 1), ("seed", 0)):
+            object.__setattr__(self, name, _require_integer(getattr(self, name), name, minimum))
         # Written so that NaN fails too: box arithmetic needs finite widths.
         if not (0 < self.sigma < math.inf and 0 < self.limb_width < math.inf):
             raise ValueError("sigma and limb_width must be finite and positive")
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "limb_width", float(self.limb_width))
 
 
 # Template offsets are (x, y), integers, designed so that every limb is
@@ -278,18 +295,38 @@ def _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
     return ~(d < MIN_SAME_KIND_SEPARATION).any(axis=(2, 3))
 
 
-def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | None:
-    # Placed keypoints as (person, kind, xy), NaN where a person lacks a kind,
-    # so each attempt is one array comparison instead of a loop over persons.
-    placed = np.empty((0, NUM_KEYPOINTS, 2))
-    for template in templates:
+def _may_fit(templates, cfg: RenderConfig) -> bool:
+    """False when a template recurs more often than its anchor range has
+    ``_ANCHOR_BLOCK``-square blocks, or has no anchor range: ``_try_place``
+    could then only return None."""
+    for template in {id(t): t for t in templates}.values():
         rng_range = _anchor_range(template, cfg)
         if rng_range is None:
-            return None
+            return False
         x_lo, x_hi, y_lo, y_hi = rng_range
+        blocks = (math.ceil((x_hi - x_lo + 1) / _ANCHOR_BLOCK)
+                  * math.ceil((y_hi - y_lo + 1) / _ANCHOR_BLOCK))
+        if sum(t is template for t in templates) > blocks:
+            return False
+    return True
+
+
+def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | None:
+    """Place ``templates`` in order, or None once one of them cannot be placed.
+    Every template has an anchor range: ``_may_fit`` passed them."""
+    # Placed keypoints as (person, kind, xy), NaN where a person lacks a kind,
+    # so each attempt is one array comparison instead of a loop over persons.
+    placed = np.full((len(templates), NUM_KEYPOINTS, 2), np.nan)
+    for n, template in enumerate(templates):
+        x_lo, x_hi, y_lo, y_hi = _anchor_range(template, cfg)
         kinds = list(template)
         offsets = np.array([template[k] for k in kinds], dtype=np.float64)
-        others = placed[:, kinds]
+        ox, oy = offsets.T
+        # A person with none of the kinds is all NaN here, and NaN fails every
+        # ``<`` test, so dropping it changes no decision.
+        others = placed[:n, kinds]
+        others = others[~np.isnan(others[..., 0]).all(axis=1)]
+        px, py = others[..., 0], others[..., 1]
         free = None
         for attempt in range(_PLACEMENT_ATTEMPTS):
             if attempt == _ATTEMPTS_BEFORE_MASK:
@@ -297,21 +334,20 @@ def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | N
                 free = _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi)
                 if not free.any():
                     return None
-            anchor = (int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1)))
-            spots = offsets + anchor
+            ax, ay = int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1))
             if free is None:
-                d = np.hypot(others[..., 0] - spots[:, 0], others[..., 1] - spots[:, 1])
+                d = np.hypot(px - (ox + ax), py - (oy + ay))
                 fits = not (d < MIN_SAME_KIND_SEPARATION).any()
             else:
-                fits = free[anchor[1] - y_lo, anchor[0] - x_lo]
+                fits = free[ay - y_lo, ax - x_lo]
             if fits:
-                placed = np.concatenate([placed, np.full((1, NUM_KEYPOINTS, 2), np.nan)])
-                placed[-1, kinds] = spots
+                placed[n, kinds, 0] = ox + ax
+                placed[n, kinds, 1] = oy + ay
                 break
         else:
             return None
-    return [GroundTruthPerson(tuple(None if np.isnan(x) else (float(x), float(y))
-                                    for x, y in person)) for person in placed]
+    return [GroundTruthPerson(tuple(None if math.isnan(x) else (x, y) for x, y in person))
+            for person in placed.tolist()]
 
 
 def generate_scene(num_persons: int, cfg: RenderConfig):
@@ -322,8 +358,7 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
     neither strategy fits after the attempt budget, raises
     PlacementInfeasibleError rather than overlapping silently.
     """
-    if num_persons < 0:
-        raise ValueError(f"num_persons must be >= 0, got {num_persons}")
+    num_persons = _require_integer(num_persons, "num_persons", 0)
     persons: list[GroundTruthPerson] = []
     if num_persons > 0:
         strategies = (
@@ -332,6 +367,8 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
         )
         placed = None
         for strategy_idx, templates in enumerate(strategies):
+            if not _may_fit(templates, cfg):
+                continue
             rng = np.random.default_rng([cfg.seed, strategy_idx])
             placed = _try_place(templates, cfg, rng)
             if placed is not None:

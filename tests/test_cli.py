@@ -191,6 +191,12 @@ def test_non_positive_scene_truth_exits_2(tmp_path, capsys):
     assert "sigma must be positive" in capsys.readouterr().err
 
 
+def test_negative_synth_seed_exits_2(tmp_path, capsys):
+    code = main(["synth", "--persons", "1", "--seed", "-1", "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
 def test_infeasible_scene_exits_4(tmp_path, capsys):
     code = main(["synth", "--persons", "100", "--size", "20x20",
                  "--out-dir", str(tmp_path / "dense")])

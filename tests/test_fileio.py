@@ -236,6 +236,14 @@ def test_scene_truth_round_trip(tmp_path):
     assert persons == _persons()
 
 
+def test_scene_truth_round_trip_of_numpy_config_values(tmp_path):
+    # NumPy integers made scene_truth_bytes raise "not JSON serializable".
+    cfg = RenderConfig(np.int64(32), np.int64(57), sigma=np.float64(2.0), seed=np.int64(3))
+    path = tmp_path / "truth.json"
+    write_scene_truth(_persons(), cfg, path)
+    assert read_scene_truth(path) == (_persons(), RenderConfig(32, 57, seed=3))
+
+
 @pytest.mark.parametrize("mutate", [
     lambda obj: obj.pop("sigma"),
     lambda obj: obj.update(schema_version=3),

@@ -21,6 +21,7 @@ from posekit.skeleton import (
     NUM_PAF_CHANNELS,
 )
 from posekit.synth import (
+    _ANCHOR_BLOCK,
     _PLACEMENT_ATTEMPTS,
     FULL_BODY_TEMPLATE,
     MIN_SAME_KIND_SEPARATION,
@@ -290,8 +291,10 @@ def test_empty_scene():
 
 
 def test_generate_scene_rejects_negative_count():
-    with pytest.raises(ValueError):
-        generate_scene(-1, RenderConfig(16, 16))
+    # 2.0 raised a TypeError deep inside placement and True placed one person.
+    for num in (-1, 2.0, 2.5, True):
+        with pytest.raises(ValueError, match="num_persons must be an integer >= 0"):
+            generate_scene(num, RenderConfig(16, 16))
 
 
 def test_impossible_density_raises():
@@ -350,6 +353,21 @@ def test_person_and_config_validation():
         RenderConfig(map_height=0, map_width=10)
     with pytest.raises(ValueError):
         RenderConfig(map_height=10, map_width=10, sigma=0.0)
+    # Each of these constructed, and the scene-truth file written from it
+    # could not be read back.
+    for args, kwargs in [((32.0, 57), {}), ((32, 57.5), {}), ((True, 57), {}),
+                         ((32, 57), dict(seed=-1)), ((32, 57), dict(seed=1.0))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            RenderConfig(*args, **kwargs)
+
+
+def test_render_config_stores_python_numbers():
+    cfg = RenderConfig(np.int64(32), np.int32(57), sigma=np.float32(2.0), limb_width=1,
+                       seed=np.uint8(3))
+    assert cfg == RenderConfig(32, 57, limb_width=1.0, seed=3)
+    for name, kind in (("map_height", int), ("map_width", int), ("seed", int),
+                       ("sigma", float), ("limb_width", float)):
+        assert type(getattr(cfg, name)) is kind, name
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +406,18 @@ def _reference_placements(templates, cfg, rng):
             return
         yield GroundTruthPerson(tuple(None if np.isnan(x) else (float(x), float(y))
                                       for x, y in placed[-1]))
+
+
+def test_anchors_in_one_block_always_collide():
+    # Two instances of a template whose anchors lie in one _ANCHOR_BLOCK-square
+    # block fail the per-attempt test, which is what lets a strategy that
+    # needs more instances than blocks be skipped.
+    for template in (FULL_BODY_TEMPLATE, *MINI_TEMPLATES):
+        offsets = np.array(list(template.values()), dtype=np.float64)
+        others = offsets[None]  # one instance anchored at (0, 0)
+        for dx in range(1 - _ANCHOR_BLOCK, _ANCHOR_BLOCK):
+            for dy in range(1 - _ANCHOR_BLOCK, _ANCHOR_BLOCK):
+                assert _blocked(offsets, others, (dx, dy)), (dx, dy)
 
 
 _MAX_PERSONS = 25
@@ -458,11 +488,14 @@ _REAL_DEFAULT_RNG = np.random.default_rng
 
 
 class _CountingRng:
-    """Stands in for a ``Generator`` and counts its ``integers`` draws."""
+    """Stands in for a ``Generator``, records its seed and counts its
+    ``integers`` draws."""
 
     draws = 0
+    seeds: list = []
 
     def __init__(self, seed):
+        _CountingRng.seeds.append(seed)
         self._rng = _REAL_DEFAULT_RNG(seed)
 
     def integers(self, *args, **kwargs):
@@ -473,6 +506,7 @@ class _CountingRng:
 @pytest.fixture
 def counting_rng(monkeypatch):
     monkeypatch.setattr(_CountingRng, "draws", 0)
+    monkeypatch.setattr(_CountingRng, "seeds", [])
     monkeypatch.setattr(np.random, "default_rng", _CountingRng)
     return _CountingRng
 
@@ -481,6 +515,27 @@ def test_canonical_scene_stops_drawing_once_no_anchor_is_free(counting_rng):
     persons, _, _ = generate_scene(20, RenderConfig(32, 57, seed=20))
     assert len(persons) == 20
     assert counting_rng.draws < 1000
+
+
+def test_full_bodies_are_skipped_only_when_they_cannot_fit(counting_rng):
+    # 20 or 9 full bodies on 32x57 maps need more than the range's 8 anchor
+    # blocks, so that strategy never seeds its generator; 3 on 46x82 maps
+    # (18 blocks) do.
+    for num in (20, 9):
+        counting_rng.seeds.clear()
+        generate_scene(num, RenderConfig(32, 57, seed=20))
+        assert counting_rng.seeds == [[20, 1]], num
+    counting_rng.seeds.clear()
+    persons, _, _ = generate_scene(3, RenderConfig(46, 82, seed=20))
+    assert counting_rng.seeds[0] == [20, 0]
+    assert persons[0].num_visible() == NUM_KEYPOINTS
+    # 8 full bodies fit the 8 blocks in principle, so the strategy runs; it
+    # places fewer and ends once no anchor is free.
+    counting_rng.seeds.clear()
+    counting_rng.draws = 0
+    persons, _, _ = generate_scene(8, RenderConfig(32, 57, seed=20))
+    assert counting_rng.seeds == [[20, 0], [20, 1]]
+    assert len(persons) == 8 and counting_rng.draws < 1000
 
 
 def test_impossible_density_fails_without_spending_the_attempt_budget(counting_rng):
