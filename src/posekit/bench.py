@@ -381,8 +381,9 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
 
     # Off-lattice peaks refine to other positions at another upsample factor.
-    naive_sk = naive_decode(heat, pafs, geometry, cfg)
+    # Decode goes first: its channel checks run before the naive path indexes.
     opt_sk = decoder.decode(heat, pafs, geometry, cfg)
+    naive_sk = naive_decode(heat, pafs, geometry, cfg)
     diff = compare_skeletons(naive_sk, opt_sk)
     if diff is not None:
         raise GateFailureError(diff)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -35,8 +34,6 @@ from .fileio import (
 from .skeleton import DecoderConfig
 from .synth import RenderConfig, generate_scene
 
-THREADS_ENV = "POSE_DECODE_THREADS"
-
 
 def _parse_size(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
@@ -48,21 +45,7 @@ def _parse_size(text: str) -> tuple[int, int]:
     return h, w
 
 
-def _threads(args: argparse.Namespace) -> None:
-    """Validate the deprecated ``--threads`` or ``$POSE_DECODE_THREADS``.
-    Decoding runs on the calling thread, so the value goes no further."""
-    threads, env = args.threads, os.environ.get(THREADS_ENV)
-    if threads is None and env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    if threads is not None and threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
-    _threads(args)
     heatmaps = read_tensor(args.heatmaps)
     pafs = read_tensor(args.pafs)
     orig_h, orig_w = args.orig_size
@@ -114,7 +97,6 @@ def cmd_flops(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _threads(args)
     scenario = bench.load_scenario(args.scenario)
     report = bench.run_benchmark(scenario, args.mode, frames=args.frames)
     payload = json.dumps(report.to_json_dict())
@@ -131,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true",
                            help="machine-readable output on stdout")
-    threads_flag = argparse.ArgumentParser(add_help=False)
-    threads_flag.add_argument("--threads", type=int, default=None,
-                              help="deprecated, no effect: decoding runs on one thread "
-                                   f"(validated like ${THREADS_ENV}, >= 0)")
 
     parser = argparse.ArgumentParser(
         prog="posekit",
@@ -143,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("decode", parents=[json_flag, threads_flag],
+    p = sub.add_parser("decode", parents=[json_flag],
                        help="decode heatmap/PAF tensors into skeletons")
     p.add_argument("--heatmaps", required=True, help="heatmap tensor file")
     p.add_argument("--pafs", required=True, help="PAF tensor file")
@@ -171,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network input size (default 368x368)")
     p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("bench", parents=[json_flag, threads_flag],
+    p = sub.add_parser("bench", parents=[json_flag],
                        help="benchmark the decode pipeline on a fixture")
     p.add_argument("--scenario", required=True, help="fixture directory from synth")
     p.add_argument("--mode", choices=bench.MODES, default="optimized")

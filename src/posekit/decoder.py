@@ -593,21 +593,17 @@ def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
                        ) -> list[PoseSkeleton]:
     """Assemble accepted connections into skeletons.
 
-    Connections are consumed in the order produced by ``group_limbs`` (limb
-    types in id order). For each connection: start a new skeleton, attach the
-    free endpoint, or merge two skeletons when their filled slots are
-    disjoint; a connection whose placement would overwrite an occupied slot
-    is dropped. Skeletons failing the keypoint-count or score minimums are
-    discarded, and the rest are sorted by descending score.
+    ``keypoints`` holds one list of ``Keypoint`` per kind, as
+    ``extract_keypoints`` returns them. Connections are consumed in the order
+    produced by ``group_limbs`` (limb types in id order). For each
+    connection: start a new skeleton, attach the free endpoint, or merge two
+    skeletons when their filled slots are disjoint; a connection whose
+    placement would overwrite an occupied slot is dropped. Skeletons failing
+    the keypoint-count or score minimums are discarded, and the rest are
+    sorted by descending score.
     """
     cfg = cfg or DecoderConfig()
-    by_id: dict[int, Keypoint] = {}
-    for bucket in keypoints:
-        if isinstance(bucket, Keypoint):
-            by_id[bucket.id] = bucket
-        else:
-            for kp in bucket:
-                by_id[kp.id] = kp
+    by_id = {kp.id: kp for bucket in keypoints for kp in bucket}
     kind = {kp_id: kp.kind for kp_id, kp in by_id.items()}
     score = {kp_id: kp.score for kp_id, kp in by_id.items()}
     skeletons = _assemble(((c.from_kp, c.to_kp, c.affinity) for c in connections),

@@ -64,9 +64,6 @@ class FeatureMaps:
     def width(self) -> int:
         return self.data.shape[2]
 
-    def plane(self, channel: int) -> np.ndarray:
-        return self.data[channel]
-
 
 def _require_integer(value, what: str, minimum: int = 1) -> int:
     """``value`` as an ``int``, or ``ValueError`` unless it is an integer of at

@@ -23,6 +23,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -154,7 +155,7 @@ class PoseDocument:
 
     geometry: InputGeometry
     skeletons: tuple
-    schema_version: int = POSE_SCHEMA_VERSION
+    schema_version: ClassVar[int] = POSE_SCHEMA_VERSION
 
 
 def _geometry_from_json(obj) -> InputGeometry:

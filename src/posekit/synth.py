@@ -285,10 +285,8 @@ def _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
     the per-attempt test of ``_try_place`` to every anchor at once: the same
     float64 differences and the same ``< MIN_SAME_KIND_SEPARATION`` test.
     ``offsets`` is ``(kinds, 2)``; ``others`` is ``(persons, kinds, 2)``,
-    NaN where a person lacks a kind; persons with none of the kinds are
-    dropped before the broadcast.
+    NaN where a person lacks a kind, which fails every ``<`` test.
     """
-    others = others[~np.isnan(others[..., 0]).all(axis=1)]
     dx = others[..., 0] - (offsets[:, 0] + np.arange(x_lo, x_hi + 1)[:, None, None])
     dy = others[..., 1] - (offsets[:, 1] + np.arange(y_lo, y_hi + 1)[:, None, None])
     d = np.hypot(dx[None], dy[:, None])  # (y, x, persons, kinds)

@@ -157,6 +157,17 @@ def test_dimension_mismatch_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("subcommand", ["decode", "bench"])
+def test_heatmaps_as_pafs_exit_3(tmp_path, capsys, subcommand):
+    fixture = _synth(tmp_path, "scene", persons=1)
+    (fixture / "pafs.ptns").write_bytes((fixture / "heatmaps.ptns").read_bytes())
+    argv = (["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
+             "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456"]
+            if subcommand == "decode" else ["bench", "--scenario", str(fixture)])
+    assert main(argv) == 3
+    assert "expected 38 PAF channels, got 19" in capsys.readouterr().err
+
+
 def test_non_finite_maps_exit_2(tmp_path, capsys, monkeypatch):
     # read_tensor rejects non-finite payloads itself; maps that reach decode
     # another way must be refused there with the same exit code.
@@ -223,32 +234,14 @@ def test_bad_size_argument_is_a_usage_error(capsys):
     assert err.value.code == 2
 
 
-def test_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
-    fixture = _synth(tmp_path, "scene", persons=1)
-    monkeypatch.setenv("POSE_DECODE_THREADS", "lots")
-    code = main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
-                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456"])
-    assert code == 2
-
-
-def test_threads_flag_overrides_env(tmp_path, capsys, monkeypatch):
+def test_threads_env_is_ignored(tmp_path, capsys, monkeypatch):
     fixture = _synth(tmp_path, "scene", persons=1)
     monkeypatch.setenv("POSE_DECODE_THREADS", "lots")
     capsys.readouterr()
     code = main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
-                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456",
-                 "--threads", "2"])
+                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456"])
     assert code == 0
     assert "1 skeletons" in capsys.readouterr().out
-
-
-def test_negative_threads_flag_exits_2(tmp_path, capsys):
-    fixture = _synth(tmp_path, "scene", persons=1)
-    code = main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
-                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456",
-                 "--threads", "-1"])
-    assert code == 2
-    assert "threads must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,8 +249,11 @@ def test_negative_threads_flag_exits_2(tmp_path, capsys):
     ["flops", "--arch", "baseline", "--threads", "1"],
     ["synth", "--persons", "1", "--out-dir", "x", "--threads", "2"],
     ["decode", "--heatmaps", "h", "--pafs", "p", "--orig-size", "256x456", "--seed", "1"],
+    ["decode", "--heatmaps", "h", "--pafs", "p", "--orig-size", "256x456", "--threads", "2"],
     ["bench", "--scenario", "x", "--seed", "1"],
-], ids=["flops-seed", "flops-threads", "synth-threads", "decode-seed", "bench-seed"])
+    ["bench", "--scenario", "x", "--threads", "2"],
+], ids=["flops-seed", "flops-threads", "synth-threads", "decode-seed", "decode-threads",
+       "bench-seed", "bench-threads"])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
@@ -266,13 +262,13 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
 
 
 def test_cli_threads_flag_raises_no_deprecation_warning(tmp_path, capsys):
+    # Decode and bench must not reach the library's deprecated ``threads``.
     fixture = _synth(tmp_path, "scene", persons=1, size="24x33")
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         assert main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
-                     "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "192x264",
-                     "--threads", "2"]) == 0
-        assert main(["bench", "--scenario", str(fixture), "--threads", "2"]) == 0
+                     "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "192x264"]) == 0
+        assert main(["bench", "--scenario", str(fixture)]) == 0
 
 
 def test_pyproject_version_matches_the_package():

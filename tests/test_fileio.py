@@ -148,6 +148,14 @@ def test_pose_document_round_trip(tmp_path):
                     (kp_orig.kind, kp_orig.x, kp_orig.y, kp_orig.score)
 
 
+def test_pose_document_schema_version_is_not_settable():
+    # A document of another version would write but not read back.
+    doc = _document()
+    with pytest.raises(TypeError):
+        PoseDocument(doc.geometry, doc.skeletons, schema_version=2)
+    assert doc.schema_version == 1
+
+
 def test_pose_document_bytes_are_canonical():
     doc = _document()
     blob = pose_document_bytes(doc)
