@@ -30,7 +30,6 @@ from .featuremaps import (
     FeatureMaps,
     InputGeometry,
     _axis_tables,
-    _require_finite,
     _sample_upsampled,
 )
 from .skeleton import (
@@ -161,7 +160,8 @@ def _hot_margin(max_abs: float) -> float:
     of the corners. ``32u * max(1, M)`` covers that with a safety factor of
     about 3, and the 1 keeps subnormal rounding (``2**-150`` per operation)
     far inside it. Corners must stay below half the float32 range, else the
-    resize's own ``b - a`` overflows.
+    resize's own ``b - a`` overflows; ``FeatureMaps`` refuses any value of
+    2**127 or more in magnitude, so every map that reaches here complies.
 
     Decode's peak search reads -inf for every sample of a cold cell. With
     ``T = float32(threshold)`` and ``e`` the rounding bound above, that
@@ -659,10 +659,10 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     groups and assembles them, then maps coordinates back through stride,
     upsample factor, scale, and padding. The result is what the public stages
     give on densely upsampled maps, and each output ``Keypoint`` and
-    ``PoseSkeleton`` is built once, in original-image pixels. Maps whose
-    data is not float32, or not finite, raise ``ValueError``. ``threads`` is
-    deprecated and changes nothing: a negative value raises ``ValueError``,
-    any other passed value a ``DeprecationWarning``.
+    ``PoseSkeleton`` is built once, in original-image pixels. Maps that do not
+    fit each other or ``geometry`` raise ``DimensionMismatchError``.
+    ``threads`` is deprecated and changes nothing: a negative value raises
+    ``ValueError``, any other passed value a ``DeprecationWarning``.
     """
     cfg = cfg or DecoderConfig()
     _require_channels(heatmaps, NUM_HEATMAP_CHANNELS, "heatmap")
@@ -678,14 +678,6 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
             f"geometry net input {geometry.net_input_height}x{geometry.net_input_width} "
             f"does not match maps {heatmaps.height}x{heatmaps.width} at stride {geometry.stride}"
         )
-    # A FeatureMaps built directly skips the conversion and check in
-    # ``from_planes``. Other dtypes would be rounded to float32 before
-    # interpolating, unlike ``resize_bilinear``; NaN would fail every
-    # comparison and silently decode to nothing.
-    for maps in (heatmaps, pafs):
-        if maps.data.dtype != np.float32:
-            raise ValueError(f"feature maps must be float32, got {maps.data.dtype}")
-    _require_finite(heatmaps.data, pafs.data)
     _deprecated_threads(threads)
     peaks = _cell_peaks(heatmaps, _upsample_hot_cells(heatmaps.data, cfg), cfg)
     return _group_peaks(pafs, peaks, cfg, geometry)

@@ -1,6 +1,8 @@
 """Dense multi-channel feature maps, bilinear upsampling, and input sizing.
 
 Maps are stored channel-major: ``data[c, y, x]``, row-major within a plane.
+``FeatureMaps`` owns the rule for a valid stack (float32, 3-D, finite and
+below 2**127 in magnitude) and checks it once, when a stack is built.
 All resampling uses the half-pixel-center convention, i.e. output sample ``i``
 reads source coordinate ``(i + 0.5) / factor - 0.5``, with edge clamping.
 A sample between source samples ``a`` and ``b`` is ``(b - a) * w + a`` in
@@ -21,36 +23,45 @@ from .errors import DimensionMismatchError
 # Network output stride: one feature-map pixel covers an 8x8 input patch.
 STRIDE = 8
 
+# Half the float32 range: the resize's ``b - a`` of two map values is finite.
+_LIMIT = np.float32(2.0 ** 127)
+
 
 @dataclass(frozen=True, eq=False)
 class FeatureMaps:
-    """A stack of dense planes with shape ``(channels, height, width)``, float32.
+    """A stack of dense planes ``data[c, y, x]``, valid by construction.
 
-    Treat ``data`` as read-only; operations in this package never mutate a
-    wrapped array in place.
+    ``data`` must be a 3-D float32 array, every dimension >= 1 and every
+    value finite and below 2**127 in magnitude, else ``DimensionMismatchError``
+    (shape) or ``ValueError``; no stage checks it again. ``data`` is kept as
+    a read-only view of the array passed in, which is not copied.
     """
 
     data: np.ndarray
 
+    def __post_init__(self):
+        data = self.data
+        dtype = data.dtype if isinstance(data, np.ndarray) else type(data).__name__
+        if dtype != np.float32:
+            raise ValueError(f"feature maps must be a float32 array, got {dtype}")
+        if data.ndim != 3 or min(data.shape) < 1:
+            raise DimensionMismatchError(f"expected (channels, height, width), all >= 1, "
+                                         f"got shape {data.shape}")
+        # NaN fails both comparisons.
+        if not (data.max() < _LIMIT and data.min() > -_LIMIT):
+            raise ValueError("feature maps must hold finite values below 2**127 in magnitude")
+        view = data.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
+
     @classmethod
     def from_planes(cls, planes) -> "FeatureMaps":
-        arr = np.ascontiguousarray(planes, dtype=np.float32)
-        if arr.ndim != 3:
-            raise DimensionMismatchError(
-                f"expected (channels, height, width), got shape {arr.shape}"
-            )
-        if min(arr.shape) < 1:
-            raise DimensionMismatchError(f"all dimensions must be >= 1, got {arr.shape}")
-        _require_finite(arr)
-        return cls(arr)
+        return cls(np.ascontiguousarray(planes, dtype=np.float32))
 
     @classmethod
     def zeros(cls, channels: int, height: int, width: int) -> "FeatureMaps":
-        if min(channels, height, width) < 1:
-            raise DimensionMismatchError(
-                f"all dimensions must be >= 1, got ({channels}, {height}, {width})"
-            )
-        return cls(np.zeros((channels, height, width), dtype=np.float32))
+        # A negative size allocates an empty axis, which the shape rule refuses.
+        return cls(np.zeros([max(n, 0) for n in (channels, height, width)], dtype=np.float32))
 
     @property
     def channels(self) -> int:
@@ -71,11 +82,6 @@ def _require_integer(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
-
-
-def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(arr).all() for arr in arrays):
-        raise ValueError("feature maps must contain only finite values")
 
 
 @lru_cache(maxsize=64)

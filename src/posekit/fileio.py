@@ -86,10 +86,10 @@ def parse_tensor(buf: bytes) -> FeatureMaps:
         raise TensorFormatError("payload", f"{actual - expected} trailing bytes")
     data = np.frombuffer(buf, dtype="<f4", count=expected // 4,
                          offset=TENSOR_HEADER_SIZE)
-    data = data.reshape(channels, height, width).astype(np.float32)
-    if not np.isfinite(data).all():
-        raise TensorFormatError("payload", "non-finite values")
-    return FeatureMaps(data)
+    try:
+        return FeatureMaps(data.reshape(channels, height, width).astype(np.float32))
+    except ValueError as exc:
+        raise TensorFormatError("payload", str(exc)) from exc
 
 
 def read_tensor(path) -> FeatureMaps:
@@ -105,6 +105,21 @@ def _dump_canonical(obj) -> bytes:
     # NaN and the infinities would become tokens that the readers reject.
     return (json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
             + "\n").encode("ascii")
+
+
+def _load_document(buf: bytes, keys: tuple, version: int, what: str) -> dict:
+    """The JSON object in ``buf``, with exactly ``keys`` and ``version`` as its
+    ``schema_version``. Anything else, bad encodings (a ``ValueError``) and
+    nesting too deep to parse included, raises ``SchemaError``."""
+    try:
+        obj = json.loads(buf)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    _require_keys(obj, keys, what)
+    found = _require_int(obj["schema_version"], "schema_version")
+    if found != version:
+        raise SchemaError(f"schema_version {found} not supported (expected {version})")
+    return obj
 
 
 def _require_keys(obj, keys: tuple, what: str) -> None:
@@ -229,16 +244,8 @@ def _skeleton_from_json(obj, index: int) -> PoseSkeleton:
 
 
 def parse_poses(buf: bytes) -> PoseDocument:
-    try:
-        obj = json.loads(buf)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    _require_keys(obj, ("schema_version", "geometry", "skeletons"), "document")
-    version = _require_int(obj["schema_version"], "schema_version")
-    if version != POSE_SCHEMA_VERSION:
-        raise SchemaError(
-            f"schema_version {version} not supported (expected {POSE_SCHEMA_VERSION})"
-        )
+    obj = _load_document(buf, ("schema_version", "geometry", "skeletons"),
+                         POSE_SCHEMA_VERSION, "document")
     if not isinstance(obj["skeletons"], list):
         raise SchemaError("skeletons must be an array")
     skeletons = tuple(_skeleton_from_json(sk, i) for i, sk in enumerate(obj["skeletons"]))
@@ -274,18 +281,9 @@ def write_scene_truth(persons, cfg: RenderConfig, path) -> None:
 def read_scene_truth(path):
     """Returns ``(persons, render_config)``."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    try:
-        obj = json.loads(buf)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    _require_keys(obj, ("schema_version", "map_height", "map_width", "sigma",
-                        "limb_width", "seed", "persons"), "scene truth")
-    version = _require_int(obj["schema_version"], "schema_version")
-    if version != SCENE_SCHEMA_VERSION:
-        raise SchemaError(
-            f"schema_version {version} not supported (expected {SCENE_SCHEMA_VERSION})"
-        )
+        obj = _load_document(fh.read(), ("schema_version", "map_height", "map_width", "sigma",
+                                         "limb_width", "seed", "persons"),
+                             SCENE_SCHEMA_VERSION, "scene truth")
     cfg = RenderConfig(
         map_height=_require_int(obj["map_height"], "map_height", 1),
         map_width=_require_int(obj["map_width"], "map_width", 1),

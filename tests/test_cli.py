@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 import posekit
 from posekit import FeatureMaps, read_poses, read_tensor
 from posekit.cli import main
+from posekit.fileio import TENSOR_HEADER_SIZE
 
 
 def _synth(tmp_path, name, persons=3, size="32x57", seed=0):
@@ -182,6 +184,26 @@ def test_non_finite_maps_exit_2(tmp_path, capsys, monkeypatch):
                  "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456"])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_out_of_range_tensor_exits_2(tmp_path, capsys):
+    # Finite float32 values that the resize's b - a would overflow.
+    fixture = _synth(tmp_path, "scene", persons=1)
+    path = fixture / "heatmaps.ptns"
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<ff", buf, TENSOR_HEADER_SIZE, 3e38, -3e38)
+    path.write_bytes(buf)
+    code = main(["decode", "--heatmaps", str(path), "--pafs", str(fixture / "pafs.ptns"),
+                 "--orig-size", "256x456"])
+    assert code == 2
+    assert "payload: feature maps must hold finite values" in capsys.readouterr().err
+
+
+def test_deeply_nested_scene_truth_exits_2(tmp_path, capsys):
+    fixture = _synth(tmp_path, "scene", persons=1)
+    (fixture / "truth.json").write_bytes(b"[" * 100_000)
+    assert main(["bench", "--scenario", str(fixture)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_non_finite_scene_truth_exits_2(tmp_path, capsys):

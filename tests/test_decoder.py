@@ -849,6 +849,25 @@ def test_decode_rejects_non_finite_maps():
         decode(heatmaps, FeatureMaps(paf), geometry)
 
 
+def test_maps_at_the_value_bound_resize_and_decode_without_warnings():
+    # FeatureMaps accepts the largest float32 below 2**127 of either sign,
+    # and the resize's b - a of two such values stays finite.
+    big = np.nextafter(np.float32(2.0 ** 127), np.float32(0.0))
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(32, 57, seed=7))
+    heat = np.where(heatmaps.data > 0.5, big, -big).astype(np.float32)
+    heat[:, 10, 10] = big
+    paf = (np.sign(pafs.data) * big).astype(np.float32)
+    heat, paf = FeatureMaps(heat), FeatureMaps(paf)
+    geometry = identity_geometry(32, 57)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for factor in (2, 3, 4, 8):
+            for maps in (heat, paf):
+                up = resize_bilinear(maps, factor).data
+                assert up.min() == -big and up.max() == big
+            assert decode(heat, paf, geometry, DecoderConfig(upsample_factor=factor))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.int32])
 def test_decode_rejects_maps_that_are_not_float32(dtype):
     # decode would round float64 data to float32 before interpolating, where

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from posekit import FeatureMaps, STRIDE, compute_input_geometry, resize_bilinear
 from posekit.errors import DimensionMismatchError
 from posekit.featuremaps import _axis_tables, _sample_upsampled
+from posekit.fileio import parse_tensor, tensor_bytes
+from posekit.synth import RenderConfig, render_pafs
 
 # Hand-computed 2x2 -> 4x4 case. Output sample i reads source (i + 0.5)/2 - 0.5,
 # so interior weights alternate 0.25/0.75 and the border replicates edge values.
@@ -172,6 +174,49 @@ def test_from_planes_validation():
         FeatureMaps.from_planes(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         FeatureMaps.from_planes(np.full((1, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FeatureMaps(np.zeros((2, 2), dtype=np.float32)),
+    lambda: FeatureMaps(np.zeros((2, 2, 2, 2), dtype=np.float32)),
+    lambda: FeatureMaps(np.zeros((1, 0, 2), dtype=np.float32)),
+    lambda: FeatureMaps(np.zeros((0, 2, 2), dtype=np.float32)),
+    lambda: FeatureMaps.zeros(1, 2, 0),
+    lambda: FeatureMaps.zeros(-1, 2, 2),
+], ids=["2d", "4d", "zero-height", "zero-channels", "zeros-zero-width", "zeros-negative"])
+def test_construction_rejects_bad_shapes(build):
+    with pytest.raises(DimensionMismatchError):
+        build()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int32])
+def test_construction_rejects_other_dtypes(dtype):
+    with pytest.raises(ValueError, match="float32"):
+        FeatureMaps(np.zeros((1, 2, 2), dtype=dtype))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0 ** 127, -2.0 ** 127, 3e38, -3e38])
+def test_construction_rejects_values_outside_the_rule(value):
+    data = np.zeros((2, 3, 4), dtype=np.float32)
+    data[1, 2, 3] = value
+    with pytest.raises(ValueError, match="finite"):
+        FeatureMaps(data)
+
+
+@pytest.mark.parametrize("build", [
+    lambda src: FeatureMaps(src),
+    lambda src: FeatureMaps.from_planes(src.astype(np.float64)),
+    lambda src: FeatureMaps.zeros(*src.shape),
+    lambda src: resize_bilinear(FeatureMaps(src), 2),
+    lambda src: parse_tensor(tensor_bytes(FeatureMaps(src))),
+    lambda src: render_pafs([], RenderConfig(*src.shape[1:])),
+], ids=["direct", "from_planes", "zeros", "resize", "parse_tensor", "render"])
+def test_data_is_read_only(build):
+    src = np.ones((2, 3, 4), dtype=np.float32)
+    maps = build(src)
+    with pytest.raises(ValueError, match="read-only"):
+        maps.data[0, 0, 0] = 2.0
+    assert src.flags.writeable  # the caller's array is only viewed
 
 
 @settings(max_examples=60)

@@ -95,6 +95,8 @@ def test_non_contiguous_input_serializes_correctly():
     (_pack_header() + b"\x00" * 2, "payload"),
     (_pack_header() + b"\x00" * 6, "payload"),
     (_pack_header() + struct.pack("<f", float("nan")), "payload"),
+    (_pack_header() + struct.pack("<f", 3e38), "payload"),
+    (_pack_header() + struct.pack("<f", -3e38), "payload"),
 ])
 def test_malformed_tensors_report_the_faulty_field(blob, field):
     with pytest.raises(TensorFormatError) as err:
@@ -220,6 +222,17 @@ def test_pose_writer_refuses_what_the_reader_rejects(value):
 def test_pose_parse_rejects_non_json():
     with pytest.raises(SchemaError):
         parse_poses(b"{not json")
+
+
+@pytest.mark.parametrize("buf", [b"\xff\xfe{", b"[" * 100_000],
+                         ids=["bad-encoding", "deep-nesting"])
+def test_malformed_json_is_a_schema_error_in_both_documents(tmp_path, buf):
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse_poses(buf)
+    path = tmp_path / "truth.json"
+    path.write_bytes(buf)
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        read_scene_truth(path)
 
 
 # ---------------------------------------------------------------------------
