@@ -70,7 +70,7 @@ from .synth import (
     render_pafs,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ArchSpec", "ComplexityReport", "LayerGroup", "LayerSpec",

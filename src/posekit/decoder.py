@@ -371,6 +371,11 @@ def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
     return coords.astype(np.intp)
 
 
+def _grouping_filter(affinity: np.ndarray, valid: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
+    """Which scored candidates may become connections: valid ratio and positive affinity."""
+    return (valid >= cfg.min_valid_ratio) & (affinity > 0.0)
+
+
 def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
                  keep_all: bool = False):
     """Candidate columns ``(limb, from, to, affinity, valid_ratio)`` for the
@@ -417,7 +422,7 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
         (aligned > cfg.paf_alignment_threshold).sum(axis=-1) / cfg.paf_sample_count,
         0.0,
     )
-    keep = keep_all | ((valid >= cfg.min_valid_ratio) & (affinity > 0.0))
+    keep = keep_all | _grouping_filter(affinity, valid, cfg)
     return owner[keep], ia[keep], ib[keep], affinity[keep], valid[keep]
 
 
@@ -480,7 +485,7 @@ def _match(limb, frm, to, affinity, valid, cfg: DecoderConfig) -> list[int]:
     affinity (ties by smaller from, then to) and accepted when neither
     endpoint is already used within the limb.
     """
-    keep = np.flatnonzero((valid >= cfg.min_valid_ratio) & (affinity > 0.0))
+    keep = np.flatnonzero(_grouping_filter(affinity, valid, cfg))
     order = keep[np.lexsort((to[keep], frm[keep], -affinity[keep], limb[keep]))]
     accepted: list[int] = []
     current, used_from, used_to = None, set(), set()

@@ -2,7 +2,8 @@
 
 Maps are stored channel-major: ``data[c, y, x]``, row-major within a plane.
 ``FeatureMaps`` owns the rule for a valid stack (float32, 3-D, finite and
-below 2**127 in magnitude) and checks it once, when a stack is built.
+below 2**127 in magnitude) and ``InputGeometry`` the rule for a valid
+geometry; each checks it once, when a value is built.
 All resampling uses the half-pixel-center convention, i.e. output sample ``i``
 reads source coordinate ``(i + 0.5) / factor - 0.5``, with edge clamping.
 A sample between source samples ``a`` and ``b`` is ``(b - a) * w + a`` in
@@ -13,6 +14,7 @@ included. ``_axis_tables`` holds this rule for every reader.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +36,9 @@ class FeatureMaps:
     ``data`` must be a 3-D float32 array, every dimension >= 1 and every
     value finite and below 2**127 in magnitude, else ``DimensionMismatchError``
     (shape) or ``ValueError``; no stage checks it again. ``data`` is kept as
-    a read-only view of the array passed in, which is not copied.
+    a read-only view of the array passed in, which is not copied: the rule
+    covers that array as it was passed, and a caller that writes into it
+    afterwards breaks the contract.
     """
 
     data: np.ndarray
@@ -82,6 +86,23 @@ def _require_integer(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _require_real(value, what: str, positive: bool = False) -> float:
+    """``value`` as a ``float``, or ``ValueError`` unless it is a finite real number, and
+    > 0 when ``positive``. NumPy numbers pass; ``bool`` and too large integers do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is out of range: {exc}") from exc
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite{' and positive' if positive else ''}, "
+                         f"got {number}")
+    if positive and number <= 0:
+        raise ValueError(f"{what} must be positive, got {number}")
+    return number
 
 
 @lru_cache(maxsize=64)
@@ -184,6 +205,10 @@ class InputGeometry:
     bottom and right are ever non-zero. The forward transform resizes the
     image by ``scale = scaled_height / original_height`` on both axes, then
     pads. ``map_to_original`` inverts it for feature-map coordinates.
+
+    Valid by construction, else ``ValueError``: the four sizes and ``stride``
+    are integers >= 1, stored as ``int``; ``pad`` is four integers >= 0,
+    stored as a tuple, that leave at least one scaled pixel on each axis.
     """
 
     net_input_height: int
@@ -192,6 +217,16 @@ class InputGeometry:
     original_width: int
     stride: int
     pad: tuple[int, int, int, int]
+
+    def __post_init__(self):
+        for name in ("net_input_height", "net_input_width", "original_height",
+                     "original_width", "stride"):
+            object.__setattr__(self, name, _require_integer(getattr(self, name), name))
+        if not (isinstance(self.pad, (tuple, list)) and len(self.pad) == 4):
+            raise ValueError(f"pad must be 4 integers (top, left, bottom, right), got {self.pad}")
+        object.__setattr__(self, "pad", tuple(_require_integer(p, "pad", 0) for p in self.pad))
+        if min(self.scaled_height, self.scaled_width) < 1:
+            raise ValueError(f"pad {self.pad} leaves no scaled pixel on an axis of the input")
 
     @property
     def scaled_height(self) -> int:
@@ -230,7 +265,7 @@ def compute_input_geometry(original_height: int, original_width: int,
 
     The image is scaled so its height becomes ``target_height``; the scaled
     width is rounded to the nearest pixel, then both axes are padded on the
-    bottom/right to the next multiple of the stride.
+    bottom/right to the next multiple of the stride. ``InputGeometry`` checks it.
     """
     if min(original_height, original_width, target_height) < 1:
         raise ValueError(

@@ -20,15 +20,15 @@ content yields identical bytes.
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import SchemaError, TensorFormatError
-from .featuremaps import FeatureMaps, InputGeometry
+from .featuremaps import FeatureMaps, InputGeometry, _require_real
 from .skeleton import NUM_KEYPOINTS, Keypoint, PoseSkeleton
 from .synth import GroundTruthPerson, RenderConfig
 
@@ -116,9 +116,9 @@ def _load_document(buf: bytes, keys: tuple, version: int, what: str) -> dict:
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _require_keys(obj, keys, what)
-    found = _require_int(obj["schema_version"], "schema_version")
-    if found != version:
-        raise SchemaError(f"schema_version {found} not supported (expected {version})")
+    found = obj["schema_version"]
+    if type(found) is not int or found != version:
+        raise SchemaError(f"schema_version {found!r} not supported (expected {version})")
     return obj
 
 
@@ -133,31 +133,15 @@ def _require_keys(obj, keys: tuple, what: str) -> None:
         raise SchemaError(f"{what} has unknown field(s) {unknown}")
 
 
-def _require_finite(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number, got {type(value).__name__}")
+@contextmanager
+def _record_rules():
+    """Raise the ``ValueError`` of a record's own rule as ``SchemaError``."""
     try:
-        number = float(value)
-    except OverflowError as exc:  # an integer literal too large for a float
-        raise SchemaError(f"{what} is out of range: {exc}") from exc
-    if not math.isfinite(number):
-        raise SchemaError(f"{what} must be finite, got {number}")
-    return number
-
-
-def _require_positive(value, what: str) -> float:
-    number = _require_finite(value, what)
-    if number <= 0:
-        raise SchemaError(f"{what} must be positive, got {number}")
-    return number
-
-
-def _require_int(value, what: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
-    if value < minimum:
-        raise SchemaError(f"{what} must be >= {minimum}, got {value}")
-    return value
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +158,8 @@ class PoseDocument:
 
 
 def _geometry_from_json(obj) -> InputGeometry:
-    _require_keys(obj, ("net_input_height", "net_input_width", "original_height",
-                        "original_width", "stride", "pad"), "geometry")
-    pad = obj["pad"]
-    if not (isinstance(pad, list) and len(pad) == 4):
-        raise SchemaError("geometry.pad must be a 4-element array")
-    return InputGeometry(
-        net_input_height=_require_int(obj["net_input_height"], "net_input_height", 1),
-        net_input_width=_require_int(obj["net_input_width"], "net_input_width", 1),
-        original_height=_require_int(obj["original_height"], "original_height", 1),
-        original_width=_require_int(obj["original_width"], "original_width", 1),
-        stride=_require_int(obj["stride"], "stride", 1),
-        pad=tuple(_require_int(p, "pad entry") for p in pad),
-    )
+    _require_keys(obj, tuple(f.name for f in fields(InputGeometry)), "geometry")
+    return InputGeometry(**obj)
 
 
 def pose_document_bytes(doc: PoseDocument) -> bytes:
@@ -226,20 +199,20 @@ def _skeleton_from_json(obj, index: int) -> PoseSkeleton:
             continue
         _require_keys(entry, ("kind", "x", "y", "score"),
                       f"skeletons[{index}].keypoints[{slot}]")
-        kind = _require_int(entry["kind"], "kind")
-        if kind != slot:
+        kind = entry["kind"]
+        if type(kind) is not int or kind != slot:
             raise SchemaError(
-                f"skeletons[{index}].keypoints[{slot}] has kind {kind}, expected {slot}"
+                f"skeletons[{index}].keypoints[{slot}] has kind {kind!r}, expected {slot}"
             )
-        keypoints.append(Keypoint(id=-1, kind=kind,
-                                  x=_require_finite(entry["x"], "x"),
-                                  y=_require_finite(entry["y"], "y"),
-                                  score=_require_finite(entry["score"], "score")))
+        # Keypoint holds no rule of its own, since decode builds hundreds per frame.
+        keypoints.append(Keypoint(id=-1, kind=kind, x=_require_real(entry["x"], "x"),
+                                  y=_require_real(entry["y"], "y"),
+                                  score=_require_real(entry["score"], "score")))
     present = sum(kp is not None for kp in keypoints)
     if present == 0:
         raise SchemaError(f"skeletons[{index}] has no keypoints")
     return PoseSkeleton(keypoints=tuple(keypoints),
-                        score=_require_finite(obj["score"], "score"),
+                        score=_require_real(obj["score"], "score"),
                         num_keypoints=present)
 
 
@@ -248,9 +221,10 @@ def parse_poses(buf: bytes) -> PoseDocument:
                          POSE_SCHEMA_VERSION, "document")
     if not isinstance(obj["skeletons"], list):
         raise SchemaError("skeletons must be an array")
-    skeletons = tuple(_skeleton_from_json(sk, i) for i, sk in enumerate(obj["skeletons"]))
-    return PoseDocument(geometry=_geometry_from_json(obj["geometry"]),
-                        skeletons=skeletons)
+    with _record_rules():
+        skeletons = tuple(_skeleton_from_json(sk, i) for i, sk in enumerate(obj["skeletons"]))
+        return PoseDocument(geometry=_geometry_from_json(obj["geometry"]),
+                            skeletons=skeletons)
 
 
 def read_poses(path) -> PoseDocument:
@@ -280,31 +254,17 @@ def write_scene_truth(persons, cfg: RenderConfig, path) -> None:
 
 def read_scene_truth(path):
     """Returns ``(persons, render_config)``."""
+    names = tuple(f.name for f in fields(RenderConfig))
     with open(path, "rb") as fh:
-        obj = _load_document(fh.read(), ("schema_version", "map_height", "map_width", "sigma",
-                                         "limb_width", "seed", "persons"),
+        obj = _load_document(fh.read(), ("schema_version", *names, "persons"),
                              SCENE_SCHEMA_VERSION, "scene truth")
-    cfg = RenderConfig(
-        map_height=_require_int(obj["map_height"], "map_height", 1),
-        map_width=_require_int(obj["map_width"], "map_width", 1),
-        sigma=_require_positive(obj["sigma"], "sigma"),
-        limb_width=_require_positive(obj["limb_width"], "limb_width"),
-        seed=_require_int(obj["seed"], "seed"),
-    )
-    if not isinstance(obj["persons"], list):
-        raise SchemaError("persons must be an array")
-    persons = []
-    for i, row in enumerate(obj["persons"]):
-        if not (isinstance(row, list) and len(row) == NUM_KEYPOINTS):
-            raise SchemaError(f"persons[{i}] must hold exactly {NUM_KEYPOINTS} entries")
-        positions = []
+    rows = obj["persons"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise SchemaError("persons must be an array of arrays")
+    for i, row in enumerate(rows):
         for j, pos in enumerate(row):
-            if pos is None:
-                positions.append(None)
-            else:
-                if not (isinstance(pos, list) and len(pos) == 2):
-                    raise SchemaError(f"persons[{i}][{j}] must be [x, y] or null")
-                positions.append((_require_finite(pos[0], "x"),
-                                  _require_finite(pos[1], "y")))
-        persons.append(GroundTruthPerson(tuple(positions)))
-    return tuple(persons), cfg
+            if not (pos is None or (isinstance(pos, list) and len(pos) == 2)):
+                raise SchemaError(f"persons[{i}][{j}] must be [x, y] or null")
+    with _record_rules():
+        cfg = RenderConfig(**{name: obj[name] for name in names})
+        return tuple(GroundTruthPerson(tuple(row)) for row in rows), cfg

@@ -7,10 +7,9 @@ per kind plus a background channel at index 18.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .featuremaps import _require_integer
+from .featuremaps import _require_integer, _require_real
 
 KEYPOINT_NAMES = (
     "nose", "neck",
@@ -113,12 +112,12 @@ class DecoderConfig:
     min_skeleton_score: float = 0.2
 
     def __post_init__(self):
-        # Kept as int: a NumPy integer would not serialize into a JSON config digest.
+        # Kept as int and float: NumPy numbers would not serialize into a JSON config digest.
         for name, minimum in (("upsample_factor", 1), ("paf_sample_count", 2),
                               ("min_keypoints", 1)):
             object.__setattr__(self, name, _require_integer(getattr(self, name), name, minimum))
-        for name in ("peak_threshold", "paf_alignment_threshold", "min_skeleton_score"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("peak_threshold", "paf_alignment_threshold", "min_skeleton_score",
+                     "min_valid_ratio"):
+            object.__setattr__(self, name, _require_real(getattr(self, name), name))
         if not 0.0 <= self.min_valid_ratio <= 1.0:
             raise ValueError(f"min_valid_ratio must be in [0, 1], got {self.min_valid_ratio}")

@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import PlacementInfeasibleError
-from .featuremaps import FeatureMaps, _require_integer
+from .featuremaps import FeatureMaps, _require_integer, _require_real
 from .skeleton import (
     BACKGROUND_CHANNEL,
     LIMBS,
@@ -76,9 +76,10 @@ class GroundTruthPerson:
     def __post_init__(self):
         if len(self.keypoints) != NUM_KEYPOINTS:
             raise ValueError(f"expected {NUM_KEYPOINTS} keypoint slots, got {len(self.keypoints)}")
-        for pos in self.keypoints:
-            if pos is not None and not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
-                raise ValueError(f"keypoint coordinates must be finite, got {pos}")
+        # Stored as Python floats, which the scene-truth format writes and reads back.
+        object.__setattr__(self, "keypoints", tuple(
+            None if pos is None else (_require_real(pos[0], "x"), _require_real(pos[1], "y"))
+            for pos in self.keypoints))
 
     def num_visible(self) -> int:
         return sum(1 for p in self.keypoints if p is not None)
@@ -97,11 +98,9 @@ class RenderConfig:
         # and reads back only such values.
         for name, minimum in (("map_height", 1), ("map_width", 1), ("seed", 0)):
             object.__setattr__(self, name, _require_integer(getattr(self, name), name, minimum))
-        # Written so that NaN fails too: box arithmetic needs finite widths.
-        if not (0 < self.sigma < math.inf and 0 < self.limb_width < math.inf):
-            raise ValueError("sigma and limb_width must be finite and positive")
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "limb_width", float(self.limb_width))
+        # Box arithmetic needs finite widths.
+        for name in ("sigma", "limb_width"):
+            object.__setattr__(self, name, _require_real(getattr(self, name), name, positive=True))
 
 
 # Template offsets are (x, y), integers, designed so that every limb is

@@ -111,6 +111,14 @@ def test_run_benchmark_gate_failure_raises(monkeypatch):
     assert "forced diff" in str(err.value)
 
 
+def test_run_benchmark_digests_numpy_config_values():
+    # A float32 threshold made the config digest raise "not JSON serializable".
+    sc = _scenario(1, height=24, width=33)
+    report = run_benchmark(sc, "optimized", cfg=DecoderConfig(peak_threshold=np.float32(0.2)))
+    same = DecoderConfig(peak_threshold=float(np.float32(0.2)))
+    assert report.timings.config_digest == _config_digest(same, 24, 33)
+
+
 def test_report_invariants_and_fps_arithmetic():
     sc = _scenario(2, height=24, width=33)
     report = run_benchmark(sc, "optimized", frames=MIN_FRAMES)

@@ -825,6 +825,9 @@ def test_decoder_config_validation():
         {"min_valid_ratio": 1.5}, {"min_keypoints": 0}, {"min_keypoints": 3.0},
         {"peak_threshold": math.nan}, {"paf_alignment_threshold": math.nan},
         {"min_skeleton_score": math.nan}, {"peak_threshold": math.inf},
+        # True thresholded as 1.0; a string raised TypeError.
+        {"peak_threshold": True}, {"peak_threshold": "0.1"}, {"min_valid_ratio": "0.8"},
+        {"paf_alignment_threshold": np.bool_(False)}, {"min_skeleton_score": 10**400},
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -834,6 +837,13 @@ def test_decoder_config_validation():
     cfg = DecoderConfig(upsample_factor=np.int64(2), paf_sample_count=np.int32(5))
     assert [type(v) for v in (cfg.upsample_factor, cfg.paf_sample_count)] == [int, int]
     assert cfg == DecoderConfig(upsample_factor=2, paf_sample_count=5)
+    # NumPy reals are kept as float, with the same value.
+    cfg = DecoderConfig(peak_threshold=np.float32(0.2), min_valid_ratio=np.float64(0.5),
+                        paf_alignment_threshold=np.int8(0), min_skeleton_score=1)
+    assert cfg.peak_threshold == np.float32(0.2)
+    assert [type(getattr(cfg, name)) for name in ("peak_threshold", "paf_alignment_threshold",
+                                                  "min_valid_ratio", "min_skeleton_score")] \
+        == [float] * 4
 
 
 def test_decode_rejects_non_finite_maps():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posekit import FeatureMaps, STRIDE, compute_input_geometry, resize_bilinear
+from posekit import FeatureMaps, InputGeometry, STRIDE, compute_input_geometry, resize_bilinear
 from posekit.errors import DimensionMismatchError
 from posekit.featuremaps import _axis_tables, _sample_upsampled
 from posekit.fileio import parse_tensor, tensor_bytes
@@ -304,3 +304,43 @@ def test_geometry_invariants(orig_h, orig_w, target):
 def test_geometry_rejects_nonpositive_dims():
     with pytest.raises(ValueError):
         compute_input_geometry(0, 100, 256)
+
+
+# A 256x456 input at stride 8 with no pad: the identity geometry of a 32x57 map.
+_GEOMETRY = dict(net_input_height=256, net_input_width=456, original_height=256,
+                 original_width=456, stride=8, pad=(0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("change", [
+    dict(original_height=0),          # scale divided by zero
+    dict(original_height=True),       # mapped as a height of 1
+    dict(original_height=720.5),
+    dict(net_input_width=456.0),
+    dict(stride=0),
+    dict(pad=(0, 0, 300, 0)),         # negative scale: mirrored coordinates
+    dict(pad=(0, 0, 256, 0)),         # zero scale
+    dict(pad=(0, 0, 0, 456)),
+    dict(pad=(0, 0, -1, 0)),
+    dict(pad=(0, 0, 0)),
+    dict(pad=(0, 0, 0.0, 0)),
+    dict(pad=None),
+], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+def test_geometry_construction_rejects_values_outside_the_rule(change):
+    with pytest.raises(ValueError):
+        InputGeometry(**{**_GEOMETRY, **change})
+
+
+def test_geometry_stores_python_ints():
+    geo = InputGeometry(**{name: np.int64(value) for name, value in _GEOMETRY.items()
+                           if name != "pad"}, pad=[np.int32(0), 0, 0, np.uint8(0)])
+    assert geo == InputGeometry(**_GEOMETRY)
+    assert all(type(v) is int for v in (*geo.pad, geo.original_height, geo.stride))
+
+
+@pytest.mark.parametrize("args", [(720.5, 1280, 368), (720, 1280, 368.0), (True, 1280, 368)],
+                         ids=repr)
+def test_compute_input_geometry_rejects_non_integer_sizes(args):
+    # Each built a geometry its own pose document could not hold: a
+    # fractional original height, float net sizes, a height of True.
+    with pytest.raises(ValueError):
+        compute_input_geometry(*args)

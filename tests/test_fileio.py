@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posekit import (
     FeatureMaps,
@@ -173,6 +175,19 @@ def test_empty_skeleton_list_round_trips():
     assert parse_poses(pose_document_bytes(doc)).skeletons == ()
 
 
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.tuples(st.integers(1, 4000), st.integers(1, 6000), st.integers(1, 1024)),
+       numpy_ints=st.booleans())
+def test_every_computed_geometry_round_trips(tmp_path_factory, sizes, numpy_ints):
+    # NumPy sizes gave a geometry whose document could not be written.
+    if numpy_ints:
+        sizes = tuple(np.int64(n) for n in sizes)
+    geometry = compute_input_geometry(*sizes)
+    path = tmp_path_factory.mktemp("geometry") / "poses.json"
+    write_poses(PoseDocument(geometry=geometry, skeletons=()), path)
+    assert read_poses(path).geometry == geometry
+
+
 def _valid_pose_obj() -> dict:
     return json.loads(pose_document_bytes(_document()))
 
@@ -201,6 +216,11 @@ def _number_literal(field: str, literal: str):
     lambda obj: obj["skeletons"][0]["keypoints"][1].update(kind=5),
     lambda obj: obj["skeletons"][0]["keypoints"][1].update(x="oops"),
     lambda obj: obj["skeletons"][0].update(keypoints=[None] * NUM_KEYPOINTS),
+    # Pads that leave no image in the 256x456 input: decode mirrored every
+    # keypoint through the first and divided by zero on the others.
+    lambda obj: obj["geometry"].update(pad=[0, 0, 300, 0]),
+    lambda obj: obj["geometry"].update(pad=[0, 0, 256, 0]),
+    lambda obj: obj["geometry"].update(pad=[0, 0, 0, 456]),
     *(pytest.param(_number_literal(field, literal), id=f"{field}={literal}")
       for field in ("x", "y", "score", "skeleton score")
       for literal in ("NaN", "Infinity", "-Infinity", "1e400")),

@@ -359,6 +359,20 @@ def test_person_and_config_validation():
                          ((32, 57), dict(seed=-1)), ((32, 57), dict(seed=1.0))]:
         with pytest.raises(ValueError, match="must be an integer"):
             RenderConfig(*args, **kwargs)
+    # True rendered as 1; a string raised TypeError and 10**400 OverflowError.
+    for build in (lambda: RenderConfig(10, 10, sigma=True),
+                  lambda: RenderConfig(10, 10, limb_width="1.5"),
+                  lambda: RenderConfig(10, 10, sigma=10**400),
+                  lambda: _person({1: (4.0, 4.0), 2: (True, 1.0)}),
+                  lambda: _person({1: (4.0, 4.0), 2: (3.0, "1")})):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_person_stores_python_floats():
+    person = _person({1: (np.float32(4.5), np.int64(4)), 2: (3, 2.0)})
+    assert person == _person({1: (4.5, 4.0), 2: (3.0, 2.0)})
+    assert all(type(v) is float for v in (*person.keypoints[1], *person.keypoints[2]))
 
 
 def test_render_config_stores_python_numbers():
