@@ -24,7 +24,6 @@ from .decoder import (
     decode,
     extract_keypoints,
     group_limbs,
-    score_connection,
     score_connections,
 )
 from .errors import (
@@ -70,7 +69,7 @@ from .synth import (
     render_pafs,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "ArchSpec", "ComplexityReport", "LayerGroup", "LayerSpec",
@@ -78,7 +77,7 @@ __all__ = [
     "builtin_lightweight", "conv7x7_replacement_block", "evaluate",
     "layer_flops", "layer_params",
     "assemble_skeletons", "collect_limb_candidates", "decode",
-    "extract_keypoints", "group_limbs", "score_connection", "score_connections",
+    "extract_keypoints", "group_limbs", "score_connections",
     "DimensionMismatchError", "GateFailureError", "InvalidArchitectureError",
     "PlacementInfeasibleError", "SchemaError", "TensorFormatError",
     "STRIDE", "FeatureMaps", "InputGeometry", "compute_input_geometry",

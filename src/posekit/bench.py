@@ -12,8 +12,8 @@ hold a peak, its extract stage applies the peak rule there and sorts the
 peak columns, and its group stage scores every limb's candidates in one
 batch on the stride-level PAFs, matches and assembles them on peak ids,
 maps the survivors back and builds the output objects. It upsamples no map
-stack. The naive mode maps each keypoint back on its own with the same
-float64 formula.
+stack. The naive group stage ends at the same point: it maps each keypoint
+back on its own with the same float64 formula.
 
 Before any timing, ``naive_decode`` and ``decoder.decode`` decode the
 scenario once at the configured upsample factor and their skeletons are
@@ -243,6 +243,22 @@ def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
     return assemble_skeletons(accepted, keypoints, cfg)
 
 
+def _naive_map_back(skeletons: list, geometry: InputGeometry, factor: int) -> list:
+    """Skeletons found on maps upsampled by ``factor``, in original-image
+    pixels: one keypoint at a time through the float64 formula decode
+    applies to arrays."""
+    result = []
+    for sk in skeletons:
+        moved = []
+        for kp in sk.keypoints:
+            if kp is not None:
+                x, y = geometry.map_to_original(kp.x, kp.y, factor)
+                kp = replace(kp, x=x, y=y)
+            moved.append(kp)
+        result.append(PoseSkeleton(tuple(moved), sk.score, sk.num_keypoints))
+    return result
+
+
 def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
                  cfg: DecoderConfig | None = None) -> list:
     """Naive decode upsampling by ``cfg.upsample_factor``."""
@@ -250,17 +266,7 @@ def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeomet
     factor = cfg.upsample_factor
     up_heat, up_paf = _naive_resize(heatmaps, pafs, factor)
     keypoints = _naive_extract(up_heat, cfg.peak_threshold)
-    # One keypoint at a time through the float64 formula decode applies to arrays.
-    skeletons = []
-    for sk in _naive_group(up_paf, keypoints, cfg):
-        moved = []
-        for kp in sk.keypoints:
-            if kp is not None:
-                x, y = geometry.map_to_original(kp.x, kp.y, factor)
-                kp = replace(kp, x=x, y=y)
-            moved.append(kp)
-        skeletons.append(PoseSkeleton(tuple(moved), sk.score, sk.num_keypoints))
-    return skeletons
+    return _naive_map_back(_naive_group(up_paf, keypoints, cfg), geometry, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +410,7 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
             t1 = time.perf_counter_ns()
             keypoints = _naive_extract(up_heat, cfg.peak_threshold)
             t2 = time.perf_counter_ns()
-            _naive_group(up_paf, keypoints, cfg)
+            _naive_map_back(_naive_group(up_paf, keypoints, cfg), geometry, geometry.stride)
             t3 = time.perf_counter_ns()
         if frame >= WARMUPS:
             samples.append((t1 - t0, t2 - t1, t3 - t2, t3 - t0))

@@ -46,7 +46,6 @@ from .skeleton import (
 
 __all__ = [
     "extract_keypoints",
-    "score_connection",
     "score_connections",
     "collect_limb_candidates",
     "group_limbs",
@@ -112,9 +111,10 @@ def _row_maxima(center: np.ndarray, left: np.ndarray, right: np.ndarray,
     return mask
 
 
-def _divmod(x: np.ndarray, d: int):
-    """``np.divmod`` of non-negative integers by a scalar, through floor
-    division, which NumPy runs several times faster."""
+def _divmod(x: np.ndarray, d):
+    """``np.divmod`` of non-negative integers by a positive integer or an
+    array of them, through floor division, which NumPy runs several times
+    faster."""
     q = x // d
     return q, x - q * d
 
@@ -327,11 +327,11 @@ def _dense_peaks(data: np.ndarray, threshold: float):
     # The row test runs on the flattened stack; the ring goes before the
     # other six neighbors are read.
     idx = np.flatnonzero(_row_maxima(flat[1:-1], flat[:-2], flat[2:], threshold)) + 1
-    ys, xs = np.divmod(idx % (h * w), w)
+    ys, xs = _divmod(_divmod(idx, h * w)[1], w)
     idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
     idx, score, dy, dx = _peaks(flat, idx, 1, idx - w, idx + w)
-    kind, pos = np.divmod(idx, h * w)
-    ys, xs = np.divmod(pos, w)
+    kind, pos = _divmod(idx, h * w)
+    ys, xs = _divmod(pos, w)
     return _sort_peaks(kind, xs + dx, ys + dy, score)
 
 
@@ -400,7 +400,7 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
     # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
     # na x nb block gives the row-major (i, j).
     owner = np.repeat(np.arange(len(counts)), counts)
-    i, j = np.divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
+    i, j = _divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
     ia = a_start[owner] + i
     ib = b_start[owner] + j
 
@@ -456,37 +456,23 @@ def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
 
 def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
                             cfg: DecoderConfig | None = None) -> list[LimbConnection]:
-    """Like ``score_connections`` but materializes only candidates that pass
-    the grouping filter (valid ratio and positive affinity).
-
-    Feeding these to ``group_limbs`` yields the same result as the unfiltered
-    list; building objects for pairs that are about to be discarded is the
-    bulk of the grouping stage's cost on crowded scenes.
+    """Like ``score_connections`` but returns only the candidates that pass
+    the grouping filter (valid ratio and positive affinity), in the same
+    order. ``group_limbs`` applies that filter itself, so it accepts the
+    same connections from these as from the unfiltered list.
     """
     return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg or DecoderConfig())[0]
 
 
-def score_connection(pafs: FeatureMaps, limb, a: Keypoint, b: Keypoint,
-                     cfg: DecoderConfig | None = None) -> LimbConnection:
-    """Score a single candidate connection. See ``score_connections``."""
-    if a.kind != limb.from_kind or b.kind != limb.to_kind:
-        raise ValueError(
-            f"keypoint kinds ({a.kind}, {b.kind}) do not match limb "
-            f"({limb.from_kind} -> {limb.to_kind})"
-        )
-    return score_connections(pafs, limb, [a], [b], cfg)[0]
-
-
-def _match(limb, frm, to, affinity, valid, cfg: DecoderConfig) -> list[int]:
+def _match(limb, frm, to, affinity) -> list[int]:
     """Greedy matching of candidate columns: the rows it accepts, in order.
 
     Limbs are matched in ascending ``limb`` order, each on its own. Its
-    candidates that pass the grouping filter are taken by descending
-    affinity (ties by smaller from, then to) and accepted when neither
-    endpoint is already used within the limb.
+    candidates are taken by descending affinity (ties by smaller from, then
+    to) and accepted when neither endpoint is already used within the limb.
+    The caller passes only usable candidates (see ``_grouping_filter``).
     """
-    keep = np.flatnonzero(_grouping_filter(affinity, valid, cfg))
-    order = keep[np.lexsort((to[keep], frm[keep], -affinity[keep], limb[keep]))]
+    order = np.lexsort((to, frm, -affinity, limb))
     accepted: list[int] = []
     current, used_from, used_to = None, set(), set()
     for row, p, a, b in zip(order.tolist(), limb[order].tolist(), frm[order].tolist(),
@@ -502,12 +488,13 @@ def _match(limb, frm, to, affinity, valid, cfg: DecoderConfig) -> list[int]:
 
 
 def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[LimbConnection]:
-    """Greedy per-limb-type matching.
+    """Greedy per-limb-type matching of the caller's candidate lists.
 
     Candidates with valid_ratio below the minimum or non-positive affinity
     are dropped; the rest are taken in order of descending affinity (ties by
     smaller from-id, then to-id), accepting a candidate only when neither
-    endpoint is already used within its limb type.
+    endpoint is already used within its limb type. Returns the caller's own
+    objects, by limb type, in acceptance order.
     """
     cfg = cfg or DecoderConfig()
     blocks = [list(cands) for cands in candidates_by_type]
@@ -517,7 +504,9 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[Li
                for name in ("from_kp", "to_kp"))
     affinity, valid = (np.array([getattr(c, name) for c in flat], dtype=np.float64)
                        for name in ("affinity", "valid_ratio"))
-    return [flat[row] for row in _match(limb, frm, to, affinity, valid, cfg)]
+    keep = np.flatnonzero(_grouping_filter(affinity, valid, cfg))
+    accepted = _match(limb[keep], frm[keep], to[keep], affinity[keep])
+    return [flat[row] for row in keep[accepted].tolist()]
 
 
 class _Builder:
@@ -637,11 +626,11 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
     counts = np.bincount(kind, minlength=NUM_KEYPOINTS)
     starts = np.cumsum(counts) - counts
     from_kind, to_kind, x_channel, y_channel = _LIMB_COLUMNS
-    limb, frm, to, affinity, valid = _score_pairs(
+    limb, frm, to, affinity, _ = _score_pairs(
         pafs, factor, x, y,
         (starts[from_kind], counts[from_kind], starts[to_kind], counts[to_kind],
          x_channel, y_channel), cfg)
-    accepted = _match(limb, frm, to, affinity, valid, cfg)
+    accepted = _match(limb, frm, to, affinity)
     kinds, scores = kind.tolist(), score.tolist()
     skeletons = _assemble(zip(frm[accepted].tolist(), to[accepted].tolist(),
                               affinity[accepted].tolist()), kinds, scores, cfg)

@@ -6,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+import posekit.bench
 from posekit import (
     DecoderConfig,
     FeatureMaps,
@@ -18,6 +19,7 @@ from posekit.bench import (
     MIN_FRAMES,
     MODES,
     STAGE_HEADERS,
+    WARMUPS,
     Scenario,
     _config_digest,
     compare_skeletons,
@@ -109,6 +111,23 @@ def test_run_benchmark_gate_failure_raises(monkeypatch):
     with pytest.raises(GateFailureError) as err:
         run_benchmark(sc, "optimized")
     assert "forced diff" in str(err.value)
+
+
+def test_naive_group_stage_maps_back_every_frame(monkeypatch):
+    # The optimized group stage ends with map-back and the output objects,
+    # so the naive one does too: once per warm-up and timed frame, at the
+    # stride it resized by, after the gate's one call at the decode factor.
+    sc = _scenario(1, height=12, width=16)
+    calls, map_back = [], posekit.bench._naive_map_back
+
+    def spy(skeletons, geometry, factor):
+        calls.append((len(skeletons), factor))
+        return map_back(skeletons, geometry, factor)
+
+    monkeypatch.setattr(posekit.bench, "_naive_map_back", spy)
+    run_benchmark(sc, "naive")
+    assert calls == [(1, DecoderConfig().upsample_factor)] + \
+        [(1, sc.geometry.stride)] * (WARMUPS + MIN_FRAMES)
 
 
 def test_run_benchmark_digests_numpy_config_values():

@@ -299,6 +299,20 @@ def test_pyproject_version_matches_the_package():
     assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == posekit.__version__
 
 
+def test_public_names_agree():
+    # posekit.__all__, decoder.__all__ and the README's list of public stage
+    # functions describe one surface.
+    public = set(posekit.__all__)
+    assert all(hasattr(posekit, name) for name in public)
+    stages = set(posekit.decoder.__all__)
+    assert stages <= public
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The public stage functions \(([^)]*)\)", readme).group(1)
+    listed = set(re.findall(r"`(\w+)`", sentence))
+    assert listed and listed <= stages
+    assert "score_connection" not in public | stages | listed
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "posekit.cli", "flops", "--arch", "baseline", "--json"],

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import posekit.bench
 import posekit.decoder
 import posekit.featuremaps
 from posekit import (
+    KEYPOINT_NAMES,
     DecoderConfig,
     FeatureMaps,
     Keypoint,
@@ -31,7 +33,6 @@ from posekit import (
     extract_keypoints,
     group_limbs,
     resize_bilinear,
-    score_connection,
     score_connections,
 )
 from posekit.bench import (
@@ -50,6 +51,7 @@ from posekit.synth import (
     GroundTruthPerson,
     RenderConfig,
     generate_scene,
+    render_heatmaps,
     render_pafs,
 )
 
@@ -283,7 +285,7 @@ def test_aligned_constant_field_scores_one():
     pafs = _paf_stack(32, 32, {limb.paf_x_channel: 1.0})
     a = _kp(0, limb.from_kind, 5.0, 16.0)
     b = _kp(1, limb.to_kind, 25.0, 16.0)
-    conn = score_connection(pafs, limb, a, b)
+    conn = score_connections(pafs, limb, [a], [b])[0]
     assert conn.affinity == pytest.approx(1.0)
     assert conn.valid_ratio == 1.0
 
@@ -291,8 +293,8 @@ def test_aligned_constant_field_scores_one():
 def test_perpendicular_field_scores_zero():
     limb = LIMBS[0]
     pafs = _paf_stack(32, 32, {limb.paf_y_channel: 1.0})
-    conn = score_connection(pafs, limb, _kp(0, limb.from_kind, 5.0, 16.0),
-                            _kp(1, limb.to_kind, 25.0, 16.0))
+    conn = score_connections(pafs, limb, [_kp(0, limb.from_kind, 5.0, 16.0)],
+                             [_kp(1, limb.to_kind, 25.0, 16.0)])[0]
     assert conn.affinity == pytest.approx(0.0, abs=1e-12)
     assert conn.valid_ratio == 0.0
 
@@ -300,8 +302,8 @@ def test_perpendicular_field_scores_zero():
 def test_antiparallel_field_scores_minus_one():
     limb = LIMBS[0]
     pafs = _paf_stack(32, 32, {limb.paf_x_channel: 1.0})
-    conn = score_connection(pafs, limb, _kp(0, limb.from_kind, 25.0, 16.0),
-                            _kp(1, limb.to_kind, 5.0, 16.0))
+    conn = score_connections(pafs, limb, [_kp(0, limb.from_kind, 25.0, 16.0)],
+                             [_kp(1, limb.to_kind, 5.0, 16.0)])[0]
     assert conn.affinity == pytest.approx(-1.0)
     assert conn.valid_ratio == 0.0
 
@@ -309,8 +311,8 @@ def test_antiparallel_field_scores_minus_one():
 def test_coincident_endpoints_score_zero():
     limb = LIMBS[0]
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
-    conn = score_connection(pafs, limb, _kp(0, limb.from_kind, 8.0, 8.0),
-                            _kp(1, limb.to_kind, 8.0, 8.0))
+    conn = score_connections(pafs, limb, [_kp(0, limb.from_kind, 8.0, 8.0)],
+                             [_kp(1, limb.to_kind, 8.0, 8.0)])[0]
     assert (conn.affinity, conn.valid_ratio) == (0.0, 0.0)
 
 
@@ -323,7 +325,7 @@ def test_rendered_limb_scores_high_after_upsampling():
     up_paf = resize_bilinear(render_pafs([person], cfg), 4)
     a = _kp(0, limb.from_kind, 15 * 4 + 1.5, 10 * 4 + 1.5)
     b = _kp(1, limb.to_kind, 20 * 4 + 1.5, 10 * 4 + 1.5)
-    conn = score_connection(pafs=up_paf, limb=limb, a=a, b=b)
+    conn = score_connections(up_paf, limb, [a], [b])[0]
     assert conn.affinity > 0.95
     assert conn.valid_ratio == 1.0
 
@@ -336,25 +338,16 @@ def test_connection_off_the_band_fails_the_ratio_filter():
     cfg = RenderConfig(map_height=32, map_width=57)
     pafs = render_pafs([person], cfg)
     # Endpoints far above the rendered band: every sample reads zeros.
-    conn = score_connection(pafs, limb, _kp(0, limb.from_kind, 10.0, 25.0),
-                            _kp(1, limb.to_kind, 15.0, 25.0))
+    conn = score_connections(pafs, limb, [_kp(0, limb.from_kind, 10.0, 25.0)],
+                             [_kp(1, limb.to_kind, 15.0, 25.0)])[0]
     assert conn.valid_ratio < DecoderConfig().min_valid_ratio
-
-
-def test_score_connection_checks_kinds():
-    limb = LIMBS[0]
-    pafs = _paf_stack(8, 8)
-    with pytest.raises(ValueError):
-        score_connection(pafs, limb, _kp(0, limb.to_kind, 1.0, 1.0),
-                         _kp(1, limb.from_kind, 2.0, 2.0))
 
 
 @pytest.mark.parametrize("channels", [2, 40])
 @pytest.mark.parametrize("scorer", [
-    lambda pafs, limb, a, b: score_connection(pafs, limb, a[0], b[0]),
     score_connections,
     collect_limb_candidates,
-], ids=["score_connection", "score_connections", "collect_limb_candidates"])
+], ids=["score_connections", "collect_limb_candidates"])
 def test_scorers_reject_wrong_paf_channel_count(scorer, channels):
     # The last limb reads channels beyond 2; 40 channels would score silently.
     limb = LIMBS[-1]
@@ -401,7 +394,6 @@ def test_scoring_wrappers_score_a_against_b_on_a_same_kind_limb():
     assert [(c.from_kp, c.to_kp) for c in conns] == [(0, 2), (1, 2)]
     assert all(c.affinity == pytest.approx(1.0) for c in conns)
     assert collect_limb_candidates(pafs, limb, kps_a, kps_b) == conns
-    assert score_connection(pafs, limb, kps_a[0], kps_b[0]) == conns[0]
 
 
 def _limb_pairs(keypoints):
@@ -506,16 +498,17 @@ def _canonical_variants():
 def test_scorer_bits_are_pinned(monkeypatch, factor):
     sc, variants = _canonical_variants()
     cfg = DecoderConfig(upsample_factor=factor)
-    seen, match = [], posekit.decoder._match
+    seen, score_pairs = [], posekit.decoder._score_pairs
 
-    def spy(limb, frm, to, affinity, valid, cfg):
-        # decode's candidate columns on their way into greedy matching, as
-        # the rows _candidate_rows makes of LimbConnection lists.
-        seen.append(list(zip(limb.tolist(), frm.tolist(), to.tolist(),
-                             map(float.hex, affinity.tolist()), map(float.hex, valid.tolist()))))
-        return match(limb, frm, to, affinity, valid, cfg)
+    def spy(*args):
+        # The kept candidate columns decode hands to greedy matching, as the
+        # rows _candidate_rows makes of LimbConnection lists.
+        columns = score_pairs(*args)
+        limb, frm, to, affinity, valid = (c.tolist() for c in columns)
+        seen.append(list(zip(limb, frm, to, map(float.hex, affinity), map(float.hex, valid))))
+        return columns
 
-    monkeypatch.setattr(posekit.decoder, "_match", spy)
+    monkeypatch.setattr(posekit.decoder, "_score_pairs", spy)
     scored, grouped = hashlib.sha256(), hashlib.sha256()
     for heat, paf in variants:
         up_paf = resize_bilinear(paf, factor)
@@ -523,8 +516,10 @@ def test_scorer_bits_are_pinned(monkeypatch, factor):
         every = [score_connections(up_paf, limb, keypoints[limb.from_kind],
                                    keypoints[limb.to_kind], cfg) for limb in LIMBS]
         scored.update(repr(_candidate_rows(every)).encode())
+        seen.clear()
         decode(heat, paf, sc.geometry, cfg)
-        grouped.update(repr(seen.pop()).encode())
+        (rows,) = seen
+        grouped.update(repr(rows).encode())
     assert (scored.hexdigest(), grouped.hexdigest()) == SCORER_DIGESTS[factor]
 
 
@@ -1275,3 +1270,81 @@ def test_decode_builds_each_output_object_once(monkeypatch):
     assert len(skeletons) == 20
     assert built == {"Keypoint": sum(sk.num_keypoints for sk in skeletons),
                      "PoseSkeleton": len(skeletons), "LimbConnection": 0}
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: a left-right mirror
+# ---------------------------------------------------------------------------
+
+def _mirror_name(name):
+    side = {"r_": "l_", "l_": "r_"}.get(name[:2])
+    return name if side is None else side + name[2:]
+
+
+# The kind and the limb each kind and limb becomes in a left-right mirror.
+_MIRROR_KIND = [KEYPOINT_NAMES.index(_mirror_name(name)) for name in KEYPOINT_NAMES]
+_MIRROR_LIMB = [_limb_for(_MIRROR_KIND[limb.from_kind], _MIRROR_KIND[limb.to_kind])
+                for limb in LIMBS]
+
+
+def _mirror_maps(heat, paf):
+    """Both stacks flipped along x, with the left and right kinds swapped and
+    each limb's field moved to its mirror limb, x component negated."""
+    heat_m, paf_m = np.empty_like(heat), np.empty_like(paf)
+    heat_m[_MIRROR_KIND + [BACKGROUND_CHANNEL]] = heat[:, :, ::-1]
+    for limb, mirror in zip(LIMBS, _MIRROR_LIMB):
+        paf_m[mirror.paf_x_channel] = -paf[limb.paf_x_channel, :, ::-1]
+        paf_m[mirror.paf_y_channel] = paf[limb.paf_y_channel, :, ::-1]
+    return heat_m, paf_m
+
+
+def _mirror_skeleton(sk, width):
+    slots = [None] * NUM_KEYPOINTS
+    for kp in sk.keypoints:
+        if kp is not None:
+            kind = _MIRROR_KIND[kp.kind]
+            slots[kind] = replace(kp, kind=kind, x=width - 1 - kp.x)
+    return PoseSkeleton(tuple(slots), sk.score, sk.num_keypoints)
+
+
+def test_mirror_tables_pair_the_sides():
+    assert sorted(_MIRROR_KIND) == list(range(NUM_KEYPOINTS))
+    assert sum(k != m for k, m in enumerate(_MIRROR_KIND)) == 16
+    assert all(_MIRROR_KIND[m] == k for k, m in enumerate(_MIRROR_KIND))
+    assert sum(limb is mirror for limb, mirror in zip(LIMBS, _MIRROR_LIMB)) == 1  # neck -> nose
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       persons=st.integers(min_value=1, max_value=5),
+       factor=st.integers(min_value=1, max_value=8),
+       sigma=st.floats(min_value=0.005, max_value=0.05))
+def test_decode_commutes_with_a_left_right_mirror(seed, persons, factor, sigma):
+    # No truth and no second implementation: a mirrored input must decode
+    # to the mirrored skeletons. Persons sit at sub-pixel anchors, and
+    # continuous noise keeps exact ties, which a mirror may break the other
+    # way, out of the draw. One tie no noise removes: the upsample copies
+    # each edge column into the ring beside it, and the peak rule then keeps
+    # a maximum on the last column and drops one on the first. So the
+    # heatmaps' edge columns are zero, below the threshold.
+    rng = np.random.default_rng(seed)
+    cfg = RenderConfig(32, 57, seed=seed)
+    placed, _, _ = generate_scene(persons, cfg)
+    shifted = []
+    for person in placed:
+        dx, dy = rng.uniform(-0.5, 0.5, 2)
+        shifted.append(GroundTruthPerson(tuple(
+            None if p is None else (p[0] + dx, p[1] + dy) for p in person.keypoints)))
+    heat, paf = (m.data + rng.normal(0.0, sigma, m.data.shape)
+                 for m in (render_heatmaps(shifted, cfg), render_pafs(shifted, cfg)))
+    heat[:, :, [0, -1]] = 0.0
+    geometry = identity_geometry(cfg.map_height, cfg.map_width)
+    decoder_cfg = DecoderConfig(upsample_factor=factor)
+    got = decode(*(FeatureMaps.from_planes(m) for m in _mirror_maps(heat, paf)),
+                 geometry, decoder_cfg)
+    want = [_mirror_skeleton(sk, geometry.original_width)
+            for sk in decode(FeatureMaps.from_planes(heat), FeatureMaps.from_planes(paf),
+                             geometry, decoder_cfg)]
+    assert want
+    # Same count and slot patterns, and coordinates within bench.COORD_TOL.
+    assert compare_skeletons(want, got) is None
