@@ -1,10 +1,17 @@
 """Analytic FLOP and parameter accounting for convolutional pose networks.
 
-Conventions: one multiply-accumulate counts as one FLOP; bias terms are
-excluded from FLOPs but included in parameter counts; pooling, concatenation
-and residual additions count zero FLOPs. Spatial dims propagate through
-strides with ceil division (same padding); dilation changes receptive field
-only, never cost.
+Conventions: a layer costs one multiply-accumulate (one FLOP) per weight and
+output pixel. A layer's weights are ``out_channels * fan_in * kernel**2``,
+where ``fan_in`` is 1 for a depthwise convolution and ``in_channels``
+otherwise; biases add ``out_channels`` to the parameters and nothing to the
+FLOPs. Pooling, concatenation and residual additions have no weights, so they
+cost nothing. Spatial dims propagate through strides with ceil division (same
+padding); dilation changes receptive field only, never cost.
+
+The records are valid by construction: every size is an integer >= 1, stored
+as an ``int``, or the constructor raises ``InvalidArchitectureError`` naming
+the record. The built-in networks take their head widths from the body model
+in ``skeleton``.
 """
 
 from __future__ import annotations
@@ -12,10 +19,22 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from .errors import InvalidArchitectureError
+from .featuremaps import _require_integer
+from .skeleton import NUM_HEATMAP_CHANNELS, NUM_PAF_CHANNELS
 
 LAYER_KINDS = ("conv", "depthwise_conv", "pointwise_conv", "pool", "concat", "residual_add")
 
 _ZERO_COST_KINDS = ("pool", "concat", "residual_add")
+
+
+def _require_sizes(record, fields) -> None:
+    """Store each of ``fields`` on the frozen ``record`` as an ``int`` >= 1, or
+    raise ``InvalidArchitectureError`` naming the record."""
+    for field in fields:
+        try:
+            object.__setattr__(record, field, _require_integer(getattr(record, field), field))
+        except ValueError as exc:
+            raise InvalidArchitectureError(record.name, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -35,10 +54,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise InvalidArchitectureError(self.name, f"unknown kind '{self.kind}'")
-        if min(self.in_channels, self.out_channels) < 1:
-            raise InvalidArchitectureError(self.name, "channel counts must be >= 1")
-        if min(self.kernel, self.stride, self.dilation) < 1:
-            raise InvalidArchitectureError(self.name, "kernel/stride/dilation must be >= 1")
+        _require_sizes(self, ("in_channels", "out_channels", "kernel", "stride", "dilation"))
+        _require_sizes(self, [field for field in ("input_h", "input_w")
+                              if getattr(self, field) is not None])
         if self.kind == "depthwise_conv" and self.in_channels != self.out_channels:
             raise InvalidArchitectureError(
                 self.name, "depthwise convolution requires in_channels == out_channels"
@@ -64,28 +82,23 @@ class LayerSpec:
             raise InvalidArchitectureError(self.name, "spatial dims not resolved yet")
 
 
+def _weights(layer: LayerSpec) -> int:
+    """Weight count of ``layer`` without biases; zero for the cost-free kinds."""
+    if layer.kind in _ZERO_COST_KINDS:
+        return 0
+    fan_in = 1 if layer.kind == "depthwise_conv" else layer.in_channels
+    return layer.out_channels * fan_in * layer.kernel ** 2
+
+
 def layer_flops(layer: LayerSpec) -> int:
     """Multiply-accumulate count for one resolved layer."""
-    px = layer.out_h * layer.out_w
-    if layer.kind == "conv":
-        return px * layer.out_channels * layer.in_channels * layer.kernel ** 2
-    if layer.kind == "depthwise_conv":
-        return px * layer.out_channels * layer.kernel ** 2
-    if layer.kind == "pointwise_conv":
-        return px * layer.out_channels * layer.in_channels
-    layer._require_resolved()
-    return 0
+    return layer.out_h * layer.out_w * _weights(layer)
 
 
 def layer_params(layer: LayerSpec) -> int:
     """Weight plus bias count for one layer (zero for cost-free kinds)."""
-    if layer.kind == "conv":
-        return layer.out_channels * layer.in_channels * layer.kernel ** 2 + layer.out_channels
-    if layer.kind == "depthwise_conv":
-        return layer.out_channels * layer.kernel ** 2 + layer.out_channels
-    if layer.kind == "pointwise_conv":
-        return layer.out_channels * layer.in_channels + layer.out_channels
-    return 0
+    weights = _weights(layer)
+    return weights + layer.out_channels if weights else 0
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,8 @@ class LayerGroup:
     heads: tuple = ()
 
     def __post_init__(self):
-        if self.branches not in (1, 2):
+        _require_sizes(self, ("branches",))
+        if self.branches > 2:
             raise InvalidArchitectureError(self.name, "branches must be 1 or 2")
         if not self.layers:
             raise InvalidArchitectureError(self.name, "group has no layers")
@@ -118,8 +132,7 @@ class ArchSpec:
     groups: tuple
 
     def __post_init__(self):
-        if min(self.input_height, self.input_width) < 1:
-            raise InvalidArchitectureError(self.name, "input dims must be >= 1")
+        _require_sizes(self, ("input_height", "input_width"))
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise InvalidArchitectureError(self.name, "group names must be unique")
@@ -277,13 +290,13 @@ def _dw_sep(prefix, cin, cout, stride=1, dilation=1):
 
 def _heads(prefix, cin):
     return (
-        LayerSpec(f"{prefix}/heatmaps", "pointwise_conv", cin, 19),
-        LayerSpec(f"{prefix}/pafs", "pointwise_conv", cin, 38),
+        LayerSpec(f"{prefix}/heatmaps", "pointwise_conv", cin, NUM_HEATMAP_CHANNELS),
+        LayerSpec(f"{prefix}/pafs", "pointwise_conv", cin, NUM_PAF_CHANNELS),
     )
 
 
-# Stage inputs concatenate trunk features (128) with 19 + 38 prediction maps.
-_STAGE_INPUT_CHANNELS = 128 + 19 + 38
+# Stage inputs concatenate trunk features (128) with the heatmap and PAF predictions.
+_STAGE_INPUT_CHANNELS = 128 + NUM_HEATMAP_CHANNELS + NUM_PAF_CHANNELS
 
 
 def _vgg19_backbone():
@@ -308,30 +321,41 @@ def _initial_stage(branches: int):
                       heads=_heads("initial", 512))
 
 
-def _refinement_stage_7x7(index: int, branches: int):
+def _refinement_stage(index: int, unit: str, block, branches: int = 1):
+    """Refinement stage ``index``: a concat of the stage inputs, five runs of
+    ``block(f"{stage}/{unit}{i}", cin)``, a 1x1 ``conv6`` and the heads."""
     name = f"refinement_stage_{index}"
     trunk = [LayerSpec(f"{name}/concat", "concat",
                        _STAGE_INPUT_CHANNELS, _STAGE_INPUT_CHANNELS)]
     cin = _STAGE_INPUT_CHANNELS
     for i in range(1, 6):
-        trunk.append(_conv(f"{name}/conv{i}", cin, 128, 7))
+        trunk += block(f"{name}/{unit}{i}", cin)
         cin = 128
     trunk.append(LayerSpec(f"{name}/conv6", "pointwise_conv", 128, 128))
     return LayerGroup(name, tuple(trunk), branches=branches, heads=_heads(name, 128))
 
 
-def builtin_baseline_openpose(input_height: int = 368, input_width: int = 368) -> ArchSpec:
-    """Stock two-branch network: VGG-19 backbone, one initial and five 7x7
-    refinement stages."""
+def _two_branch(name: str, backbone: LayerGroup, stages: int,
+                input_height: int, input_width: int) -> ArchSpec:
+    """``backbone`` completed with the stock two-branch stages: conv4_3,
+    conv4_4, the initial stage and ``stages`` 7x7 refinement stages."""
+    def conv7x7(prefix, cin):
+        return [_conv(prefix, cin, 128, 7)]
+
     groups = [
-        _vgg19_backbone(),
-        LayerGroup("conv4_3", (_conv("conv4_3", 512, 256, 3),)),
+        backbone,
+        LayerGroup("conv4_3", (_conv("conv4_3", backbone.layers[-1].out_channels, 256, 3),)),
         LayerGroup("conv4_4", (_conv("conv4_4", 256, 128, 3),)),
         _initial_stage(branches=2),
     ]
-    for i in range(1, 6):
-        groups.append(_refinement_stage_7x7(i, branches=2))
-    return ArchSpec("baseline", input_height, input_width, tuple(groups))
+    groups += [_refinement_stage(i, "conv", conv7x7, branches=2) for i in range(1, stages + 1)]
+    return ArchSpec(name, input_height, input_width, tuple(groups))
+
+
+def builtin_baseline_openpose(input_height: int = 368, input_width: int = 368) -> ArchSpec:
+    """Stock two-branch network: VGG-19 backbone, one initial and five 7x7
+    refinement stages."""
+    return _two_branch("baseline", _vgg19_backbone(), 5, input_height, input_width)
 
 
 def conv7x7_replacement_block(prefix: str, cin: int, channels: int = 128):
@@ -365,8 +389,6 @@ def _mobilenet_v1_backbone(cut: str, dilated: bool):
         if cut == "conv5_6":
             layers += _dw_sep("conv5_6", 512, 1024, stride=1 if dilated else 2,
                               dilation=2 if dilated else 1)
-        elif cut != "conv5_5":
-            raise ValueError(f"unknown cut point '{cut}'")
     return LayerGroup("backbone", tuple(layers))
 
 
@@ -419,51 +441,24 @@ def builtin_lightweight(input_height: int = 368, input_width: int = 368) -> Arch
         + _dw_sep("conv4_3b", 128, 128)
         + _dw_sep("conv4_3c", 128, 128)
     )
-    refine_name = "refinement_stage_1"
-    refine = [LayerSpec(f"{refine_name}/concat", "concat",
-                        _STAGE_INPUT_CHANNELS, _STAGE_INPUT_CHANNELS)]
-    cin = _STAGE_INPUT_CHANNELS
-    for i in range(1, 6):
-        refine += conv7x7_replacement_block(f"{refine_name}/block{i}", cin)
-        cin = 128
-    refine.append(LayerSpec(f"{refine_name}/conv6", "pointwise_conv", 128, 128))
     groups = (
         _mobilenet_v1_backbone(cut="conv5_5", dilated=True),
         LayerGroup("conv4_3", tuple(conv4_3)),
         LayerGroup("conv4_4", (_conv("conv4_4", 128, 128, 3),)),
         _initial_stage(branches=1),
-        LayerGroup(refine_name, tuple(refine), heads=_heads(refine_name, 128)),
+        _refinement_stage(1, "block", conv7x7_replacement_block),
     )
     return ArchSpec("lightweight", input_height, input_width, groups)
-
-
-def _variant(name: str, backbone: LayerGroup, backbone_out: int,
-             input_height: int, input_width: int) -> ArchSpec:
-    """A backbone candidate completed with the stock two-branch stages."""
-    groups = (
-        backbone,
-        LayerGroup("conv4_3", (_conv("conv4_3", backbone_out, 256, 3),)),
-        LayerGroup("conv4_4", (_conv("conv4_4", 256, 128, 3),)),
-        _initial_stage(branches=2),
-        _refinement_stage_7x7(1, branches=2),
-    )
-    return ArchSpec(name, input_height, input_width, groups)
 
 
 def builtin_backbone_variants(input_height: int = 368, input_width: int = 368):
     """The four backbone candidates, each completed with identical stages so
     their totals are comparable."""
-    return [
-        _variant("mobilenet_v1_conv4_1",
-                 _mobilenet_v1_backbone("conv4_1", dilated=False), 256,
-                 input_height, input_width),
-        _variant("dilated_mobilenet_v2_conv6_3",
-                 _mobilenet_v2_backbone_conv6_3(), 320,
-                 input_height, input_width),
-        _variant("dilated_mobilenet_v1_conv5_5",
-                 _mobilenet_v1_backbone("conv5_5", dilated=True), 512,
-                 input_height, input_width),
-        _variant("dilated_mobilenet_v1_conv5_6",
-                 _mobilenet_v1_backbone("conv5_6", dilated=True), 1024,
-                 input_height, input_width),
-    ]
+    candidates = (
+        ("mobilenet_v1_conv4_1", _mobilenet_v1_backbone("conv4_1", dilated=False)),
+        ("dilated_mobilenet_v2_conv6_3", _mobilenet_v2_backbone_conv6_3()),
+        ("dilated_mobilenet_v1_conv5_5", _mobilenet_v1_backbone("conv5_5", dilated=True)),
+        ("dilated_mobilenet_v1_conv5_6", _mobilenet_v1_backbone("conv5_6", dilated=True)),
+    )
+    return [_two_branch(name, backbone, 1, input_height, input_width)
+            for name, backbone in candidates]

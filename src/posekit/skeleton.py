@@ -21,9 +21,8 @@ KEYPOINT_NAMES = (
 )
 
 NUM_KEYPOINTS = len(KEYPOINT_NAMES)
-BACKGROUND_CHANNEL = 18
+BACKGROUND_CHANNEL = NUM_KEYPOINTS
 NUM_HEATMAP_CHANNELS = NUM_KEYPOINTS + 1
-NUM_PAF_CHANNELS = 38
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,7 @@ def _build_limbs() -> tuple[LimbType, ...]:
 
 LIMBS = _build_limbs()
 NUM_LIMBS = len(LIMBS)
+NUM_PAF_CHANNELS = 2 * NUM_LIMBS
 
 
 @dataclass(frozen=True)

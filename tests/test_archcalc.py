@@ -1,5 +1,10 @@
 """Layer cost arithmetic and the built-in network descriptions."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 from posekit import (
@@ -97,6 +102,18 @@ def test_layer_validation_names_the_layer():
         LayerSpec(name="pw", kind="pointwise_conv", in_channels=8, out_channels=8, kernel=3)
     with pytest.raises(InvalidArchitectureError):
         layer_flops(LayerSpec(name="unresolved", kind="conv", in_channels=1, out_channels=1))
+    # Every size is an integer >= 1; a fractional, boolean or zero one names the layer.
+    for bad in ({"kernel": 3.5}, {"stride": 1.5}, {"dilation": 2.0}, {"in_channels": True},
+                {"out_channels": 0}, {"input_h": 10.5}, {"input_w": 0}):
+        fields = {"kernel": 3, "input_h": 10, "input_w": 10, **bad}
+        with pytest.raises(InvalidArchitectureError) as err:
+            LayerSpec("sized", "conv", fields.pop("in_channels", 3),
+                      fields.pop("out_channels", 8), **fields)
+        assert err.value.layer == "sized"
+    numpy_sized = LayerSpec("np", "conv", np.int64(3), np.int32(8), kernel=np.int64(3),
+                            input_h=np.int64(10), input_w=10)
+    assert type(numpy_sized.in_channels) is type(numpy_sized.input_h) is int
+    assert type(layer_flops(numpy_sized)) is int
 
 
 def test_group_validation():
@@ -105,6 +122,11 @@ def test_group_validation():
         LayerGroup(name="g", layers=(layer,), branches=3)
     with pytest.raises(InvalidArchitectureError):
         LayerGroup(name="g", layers=())
+    for branches in (True, 2.0, 0):
+        with pytest.raises(InvalidArchitectureError) as err:
+            LayerGroup(name="g", layers=(layer,), branches=branches)
+        assert err.value.layer == "g"
+    assert type(LayerGroup(name="g", layers=(layer,), branches=np.int64(2)).branches) is int
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +182,23 @@ def test_replacement_block_ratio():
     ratio = layer_flops(conv) / (block_flops * 1e9)
     assert ratio == pytest.approx(49 / 19, rel=1e-9)
     assert 2.3 <= ratio <= 2.7
+
+
+# SHA-256 of every built-in network's per-layer rows, JSON and text at four
+# input sizes, frozen before the builders were merged.
+BUILTIN_LAYERS_SHA256 = "3b13b45309cb98cedcf790bbf358840d82245d72641f70f1c5b629b5ce1cb450"
+
+
+def test_builtin_networks_per_layer_digest():
+    texts = []
+    for size in ((368, 368), (184, 184), (256, 456), (369, 371)):
+        archs = [builtin_baseline_openpose(*size), builtin_lightweight(*size),
+                 *builtin_backbone_variants(*size)]
+        for arch in archs:
+            report = evaluate(arch)
+            texts.append(json.dumps([asdict(row) for row in report.layers])
+                         + json.dumps(report.to_json_dict()) + report.format_text())
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == BUILTIN_LAYERS_SHA256
 
 
 def test_quarter_resolution_scales_flops_not_params():
@@ -232,3 +271,12 @@ def test_arch_spec_validation():
         ArchSpec(name="bad", input_height=0, input_width=64, groups=(group,))
     with pytest.raises(InvalidArchitectureError):
         ArchSpec(name="dup", input_height=64, input_width=64, groups=(group, group))
+    for size in ({"input_height": 368.5}, {"input_width": False}):
+        with pytest.raises(InvalidArchitectureError) as err:
+            ArchSpec(**{"name": "sized", "input_height": 64, "input_width": 64,
+                        "groups": (group,), **size})
+        assert err.value.layer == "sized"
+    # NumPy sizes are stored as int, so the report serializes like the int one.
+    numpy_sized = evaluate(builtin_lightweight(np.int64(368), np.int64(368)))
+    assert json.dumps(numpy_sized.to_json_dict()) \
+        == json.dumps(evaluate(builtin_lightweight(368, 368)).to_json_dict())
