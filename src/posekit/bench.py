@@ -21,6 +21,10 @@ compared (counts, slot patterns, coordinates); a mismatch aborts with a
 diff. Scores are excluded from the comparison since the two paths
 accumulate in different float widths.
 
+A run's result is one ``BenchReport``. ``STAGE_HEADERS`` is the one stage
+list: the report's ``median_ns`` and ``fps`` are keyed by it, in its order,
+and the text table takes its columns from it.
+
 Stage medians are wall-clock numbers from one process, with no calibration
 against the host's speed, so they compare stages and modes within a run.
 Compare commits with alternating ``perfbench/run.py`` runs instead.
@@ -313,28 +317,20 @@ def compare_skeletons(expected, actual) -> str | None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StageTimings:
-    """Median per-frame wall-clock nanoseconds for each stage."""
-
-    resize_ns: int
-    extract_ns: int
-    group_ns: int
-    total_ns: int
-    frames: int
-    config_digest: str
-
-
-@dataclass(frozen=True)
 class BenchReport:
+    """One benchmark run: what was timed, where, and its stage medians.
+
+    ``median_ns`` maps each name in ``STAGE_HEADERS``, in that order, to
+    the median per-frame wall-clock nanoseconds of that stage. The mapping
+    is the run's own: the frozen record does not freeze it.
+    """
+
     scenario: str
     mode: str
     machine: str
-    timings: StageTimings
-
-    @property
-    def median_ns(self) -> dict:
-        t = self.timings
-        return dict(zip(STAGE_HEADERS, (t.resize_ns, t.extract_ns, t.group_ns, t.total_ns)))
+    frames: int
+    config_digest: str
+    median_ns: dict
 
     @property
     def fps(self) -> dict:
@@ -342,19 +338,10 @@ class BenchReport:
 
     @property
     def pipeline_fps(self) -> float:
-        return _sig3(1e9 / self.timings.total_ns)
+        return self.fps["Total"]
 
     def to_json_dict(self) -> dict:
-        t = self.timings
-        return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "machine": self.machine,
-            "frames": t.frames,
-            "config_digest": t.config_digest,
-            "median_ns": self.median_ns,
-            "fps": self.fps,
-        }
+        return {**asdict(self), "fps": self.fps}
 
 
 def _sig3(value: float) -> float:
@@ -415,14 +402,11 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
         if frame >= WARMUPS:
             samples.append((t1 - t0, t2 - t1, t3 - t2, t3 - t0))
 
-    # One median per stage, in StageTimings' field order.
-    timings = StageTimings(
-        *(max(1, round(statistics.median(stage))) for stage in zip(*samples)),
-        frames=frames,
-        config_digest=_config_digest(cfg, heat.height, heat.width),
-    )
-    return BenchReport(scenario=scenario.label, mode=mode,
-                       machine=_machine_descriptor(), timings=timings)
+    # One median per stage: the sample columns are in STAGE_HEADERS' order.
+    medians = (max(1, round(statistics.median(stage))) for stage in zip(*samples))
+    return BenchReport(scenario=scenario.label, mode=mode, machine=_machine_descriptor(),
+                       frames=frames, config_digest=_config_digest(cfg, heat.height, heat.width),
+                       median_ns=dict(zip(STAGE_HEADERS, medians)))
 
 
 def format_report(report: BenchReport) -> str:
@@ -430,10 +414,9 @@ def format_report(report: BenchReport) -> str:
     fps = report.fps
     cells = [f"{fps[name]:.3g}" for name in STAGE_HEADERS]
     widths = [max(len(h), len(c)) for h, c in zip(STAGE_HEADERS, cells)]
-    t = report.timings
     lines = [
-        f"Scenario: {report.scenario}  Mode: {report.mode}  Frames: {t.frames}  "
-        f"Config: {t.config_digest}",
+        f"Scenario: {report.scenario}  Mode: {report.mode}  Frames: {report.frames}  "
+        f"Config: {report.config_digest}",
         f"Machine: {report.machine}",
         "     " + "  ".join(h.ljust(w) for h, w in zip(STAGE_HEADERS, widths)),
         "Fps  " + "  ".join(c.ljust(w) for c, w in zip(cells, widths)),

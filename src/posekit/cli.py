@@ -2,7 +2,9 @@
 
 Exit codes are part of the contract: 0 success, 2 parse/format/usage
 problems, 3 dimension mismatches, 4 infeasible scene placement, 5 benchmark
-gate failure. Scripts branch on these.
+gate failure. Scripts branch on these. ``_EXIT_CODES`` is the one table from
+error class to code, and ``_ARCHS`` the one table from ``flops --arch``
+choice to the networks it reports.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from pathlib import Path
 
 from . import archcalc, bench
 from .decoder import decode
-from .errors import (
-    DimensionMismatchError,
-    GateFailureError,
-    PlacementInfeasibleError,
-    SchemaError,
-    TensorFormatError,
-)
+from .errors import DimensionMismatchError, GateFailureError, PlacementInfeasibleError
 from .featuremaps import STRIDE, compute_input_geometry
 from .fileio import (
     PoseDocument,
@@ -33,6 +29,24 @@ from .fileio import (
 )
 from .skeleton import DecoderConfig
 from .synth import RenderConfig, generate_scene
+
+# First match wins: a DimensionMismatchError is also a ValueError. Parse and
+# schema errors (TensorFormatError, SchemaError, InvalidArchitectureError)
+# are ValueErrors too.
+_EXIT_CODES = (
+    (DimensionMismatchError, 3),
+    (PlacementInfeasibleError, 4),
+    (GateFailureError, 5),
+    (ValueError, 2),
+    (OSError, 2),
+)
+
+# Each ``flops --arch`` choice and the networks it reports, at an input size.
+_ARCHS = {
+    "baseline": lambda h, w: [archcalc.builtin_baseline_openpose(h, w)],
+    "lightweight": lambda h, w: [archcalc.builtin_lightweight(h, w)],
+    "variants": archcalc.builtin_backbone_variants,
+}
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -80,14 +94,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_flops(args: argparse.Namespace) -> int:
-    h, w = args.input
-    if args.arch == "baseline":
-        archs = [archcalc.builtin_baseline_openpose(h, w)]
-    elif args.arch == "lightweight":
-        archs = [archcalc.builtin_lightweight(h, w)]
-    else:
-        archs = archcalc.builtin_backbone_variants(h, w)
-    reports = [archcalc.evaluate(a) for a in archs]
+    reports = [archcalc.evaluate(a) for a in _ARCHS[args.arch](*args.input)]
     if args.json:
         payload = [r.to_json_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload))
@@ -143,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", parents=[json_flag],
                        help="print a network complexity report")
-    p.add_argument("--arch", choices=("baseline", "lightweight", "variants"),
-                   required=True)
+    p.add_argument("--arch", choices=_ARCHS, required=True)
     p.add_argument("--input", type=_parse_size, default=(368, 368), metavar="HxW",
                    help="network input size (default 368x368)")
     p.set_defaults(func=cmd_flops)
@@ -164,18 +170,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DimensionMismatchError as exc:
+    except tuple(error for error, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PlacementInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GateFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (TensorFormatError, SchemaError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
 
 
 if __name__ == "__main__":

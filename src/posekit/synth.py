@@ -13,14 +13,18 @@ could only fail and the next strategy seeds its own generator; otherwise the
 remaining draws look their anchor up. Either way the draws, and so the scenes
 and errors, are those of the plain attempt loop.
 
-A strategy that cannot fit is skipped before its generator is seeded. Two
-integer anchors less than 12 apart on both axes are at most 11 * sqrt(2) ~
-15.56 px apart, so the separation test keeps a second instance of a template
-out of any 12x12 block of anchors that already holds one. A template used
-more often than its anchor range has such blocks can therefore only fail, and
-since every strategy seeds its own generator, skipping it changes no draw,
-scene or error. On 32x57 maps the full-body range has 8 blocks, so 20 persons
-go straight to the partial-body templates.
+A strategy that cannot fit is skipped before its generator is seeded. The
+anchor block side B is the largest with (B - 1) * sqrt(2) <
+MIN_SAME_KIND_SEPARATION, that is ceil(MIN_SAME_KIND_SEPARATION / sqrt(2)):
+two integer anchors less than B apart on both axes are at most
+(B - 1) * sqrt(2) px apart, so the separation test keeps a second instance of
+a template out of any BxB block of anchors that already holds one. A template
+used more often than its anchor range has such blocks can therefore only
+fail, and since every strategy seeds its own generator, skipping it changes
+no draw, scene or error. Template counts are computed, not listed, so this
+refusal costs the same for any number of persons. At separation 16 the block
+side is 12; on 32x57 maps the full-body range then has 8 blocks, so 20
+persons go straight to the partial-body templates.
 
 Affinity bands are rendered in one pass over every (person, limb) segment, and
 the band test runs only on each segment's box, grown by ``limb_width + 1``
@@ -58,9 +62,9 @@ _PLACEMENT_ATTEMPTS = 10000
 # scenes place every template well before this and never build a mask.
 _ATTEMPTS_BEFORE_MASK = 16
 
-# Side of the anchor blocks that hold at most one instance of a template:
-# (_ANCHOR_BLOCK - 1) * sqrt(2) < MIN_SAME_KIND_SEPARATION.
-_ANCHOR_BLOCK = 12
+# Side of the anchor blocks that hold at most one instance of a template: the
+# largest B with (B - 1) * sqrt(2) < MIN_SAME_KIND_SEPARATION.
+_ANCHOR_BLOCK = math.ceil(MIN_SAME_KIND_SEPARATION / math.sqrt(2))
 
 # Keypoints stay at least this far from the map border so that peak
 # refinement never sees clamped samples.
@@ -292,18 +296,21 @@ def _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
     return ~(d < MIN_SAME_KIND_SEPARATION).any(axis=(2, 3))
 
 
-def _may_fit(templates, cfg: RenderConfig) -> bool:
-    """False when a template recurs more often than its anchor range has
-    ``_ANCHOR_BLOCK``-square blocks, or has no anchor range: ``_try_place``
-    could then only return None."""
-    for template in {id(t): t for t in templates}.values():
+def _may_fit(uses, cfg: RenderConfig) -> bool:
+    """False when a template of the ``(template, count)`` pairs is used more
+    often than its anchor range has ``_ANCHOR_BLOCK``-square blocks, or has
+    no anchor range: ``_try_place`` could then only return None. A template
+    used 0 times is not checked."""
+    for template, count in uses:
+        if count == 0:
+            continue
         rng_range = _anchor_range(template, cfg)
         if rng_range is None:
             return False
         x_lo, x_hi, y_lo, y_hi = rng_range
         blocks = (math.ceil((x_hi - x_lo + 1) / _ANCHOR_BLOCK)
                   * math.ceil((y_hi - y_lo + 1) / _ANCHOR_BLOCK))
-        if sum(t is template for t in templates) > blocks:
+        if count > blocks:
             return False
     return True
 
@@ -358,14 +365,15 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
     num_persons = _require_integer(num_persons, "num_persons", 0)
     persons: list[GroundTruthPerson] = []
     if num_persons > 0:
-        strategies = (
-            [FULL_BODY_TEMPLATE] * num_persons,
-            [MINI_TEMPLATES[i % len(MINI_TEMPLATES)] for i in range(num_persons)],
-        )
+        # Person i of a strategy uses template i % len(cycle). The counts are
+        # arithmetic, so a request too large to fit is refused before any
+        # per-person list is built.
         placed = None
-        for strategy_idx, templates in enumerate(strategies):
-            if not _may_fit(templates, cfg):
+        for strategy_idx, cycle in enumerate(((FULL_BODY_TEMPLATE,), MINI_TEMPLATES)):
+            uses = [(t, len(range(k, num_persons, len(cycle)))) for k, t in enumerate(cycle)]
+            if not _may_fit(uses, cfg):
                 continue
+            templates = [cycle[i % len(cycle)] for i in range(num_persons)]
             rng = np.random.default_rng([cfg.seed, strategy_idx])
             placed = _try_place(templates, cfg, rng)
             if placed is not None:

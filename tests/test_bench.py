@@ -102,7 +102,7 @@ def test_run_benchmark_gate_passes_on_noisy_canonical_scene():
                   for m in (sc.heatmaps, sc.pafs))
     noisy = Scenario(label="noisy", heatmaps=heat, pafs=pafs, geometry=sc.geometry)
     report = run_benchmark(noisy, "optimized")
-    assert report.timings.frames == MIN_FRAMES
+    assert report.frames == MIN_FRAMES
 
 
 def test_run_benchmark_gate_failure_raises(monkeypatch):
@@ -135,23 +135,24 @@ def test_run_benchmark_digests_numpy_config_values():
     sc = _scenario(1, height=24, width=33)
     report = run_benchmark(sc, "optimized", cfg=DecoderConfig(peak_threshold=np.float32(0.2)))
     same = DecoderConfig(peak_threshold=float(np.float32(0.2)))
-    assert report.timings.config_digest == _config_digest(same, 24, 33)
+    assert report.config_digest == _config_digest(same, 24, 33)
 
 
 def test_report_invariants_and_fps_arithmetic():
     sc = _scenario(2, height=24, width=33)
     report = run_benchmark(sc, "optimized", frames=MIN_FRAMES)
-    t = report.timings
+    ns = report.median_ns
     assert report.mode in MODES
     assert report.scenario == sc.label
-    assert t.frames == MIN_FRAMES
-    assert min(t.resize_ns, t.extract_ns, t.group_ns, t.total_ns) >= 1
-    assert t.total_ns >= max(t.resize_ns, t.extract_ns, t.group_ns)
-    assert len(t.config_digest) == 16
-    int(t.config_digest, 16)  # hex
+    assert report.frames == MIN_FRAMES
+    assert tuple(ns) == STAGE_HEADERS
+    assert min(ns.values()) >= 1
+    assert ns["Total"] >= max(ns[name] for name in STAGE_HEADERS[:-1])
+    assert len(report.config_digest) == 16
+    int(report.config_digest, 16)  # hex
     fps = report.fps
     assert set(fps) == set(STAGE_HEADERS)
-    assert fps["Total"] == float(f"{1e9 / t.total_ns:.3g}")
+    assert fps["Total"] == float(f"{1e9 / ns['Total']:.3g}")
     assert report.pipeline_fps == fps["Total"]
 
 
@@ -174,15 +175,17 @@ def test_report_text_and_json_carry_the_same_numbers():
     assert lines[3].startswith("Fps  ")
     cells = lines[3][5:].split()
     assert [float(c) for c in cells] == [payload["fps"][h] for h in STAGE_HEADERS]
-    assert payload["median_ns"]["Total"] == report.timings.total_ns
-    assert payload["config_digest"] == report.timings.config_digest
+    assert list(payload) == ["scenario", "mode", "machine", "frames", "config_digest",
+                             "median_ns", "fps"]
+    assert payload["median_ns"] == report.median_ns
+    assert payload["config_digest"] == report.config_digest
 
 
 def test_config_digest_tracks_config_and_shape():
     sc_a = _scenario(1, height=24, width=33)
     rep_base = run_benchmark(sc_a, "optimized")
     rep_cfg = run_benchmark(sc_a, "optimized", cfg=DecoderConfig(peak_threshold=0.2))
-    assert rep_base.timings.config_digest != rep_cfg.timings.config_digest
+    assert rep_base.config_digest != rep_cfg.config_digest
     # Reports from different commits compare only while these bits hold.
     assert _config_digest(DecoderConfig(), 32, 57) == "10c32ddaf13d89b5"
     assert _config_digest(DecoderConfig(upsample_factor=8), 46, 82) == "4e037a8f70e750c7"
@@ -199,8 +202,9 @@ def test_resize_time_grows_with_upsample_factor():
     ratios = {4: [], 8: []}
     for _ in range(5):
         for factor, runs in ratios.items():
-            t = run_benchmark(sc, "optimized", cfg=DecoderConfig(upsample_factor=factor)).timings
-            runs.append(t.resize_ns / t.group_ns)
+            ns = run_benchmark(sc, "optimized",
+                               cfg=DecoderConfig(upsample_factor=factor)).median_ns
+            runs.append(ns["Resize feature maps"] / ns["Group keypoints"])
     assert statistics.median(ratios[8]) > statistics.median(ratios[4])
 
 

@@ -1314,19 +1314,19 @@ def test_mirror_tables_pair_the_sides():
     assert sum(limb is mirror for limb, mirror in zip(LIMBS, _MIRROR_LIMB)) == 1  # neck -> nose
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-       persons=st.integers(min_value=1, max_value=5),
-       factor=st.integers(min_value=1, max_value=8),
-       sigma=st.floats(min_value=0.005, max_value=0.05))
-def test_decode_commutes_with_a_left_right_mirror(seed, persons, factor, sigma):
-    # No truth and no second implementation: a mirrored input must decode
-    # to the mirrored skeletons. Persons sit at sub-pixel anchors, and
-    # continuous noise keeps exact ties, which a mirror may break the other
-    # way, out of the draw. One tie no noise removes: the upsample copies
-    # each edge column into the ring beside it, and the peak rule then keeps
-    # a maximum on the last column and drops one on the first. So the
-    # heatmaps' edge columns are zero, below the threshold.
+# Inputs of the metamorphic tests: 1-5 persons at sub-pixel anchors under
+# small noise, at every factor a decode is asked for.
+_METAMORPHIC_INPUTS = dict(seed=st.integers(min_value=0, max_value=2**31 - 1),
+                           persons=st.integers(min_value=1, max_value=5),
+                           factor=st.integers(min_value=1, max_value=8),
+                           sigma=st.floats(min_value=0.005, max_value=0.05))
+
+
+def _noisy_subpixel_scene(seed, persons, sigma):
+    """Heatmap and PAF arrays of a 32x57 scene whose persons are moved by up
+    to half a pixel each, with Gaussian noise of ``sigma`` on every value.
+    Continuous noise keeps exact ties, which a transform may break the
+    other way, out of the draw."""
     rng = np.random.default_rng(seed)
     cfg = RenderConfig(32, 57, seed=seed)
     placed, _, _ = generate_scene(persons, cfg)
@@ -1337,14 +1337,77 @@ def test_decode_commutes_with_a_left_right_mirror(seed, persons, factor, sigma):
             None if p is None else (p[0] + dx, p[1] + dy) for p in person.keypoints)))
     heat, paf = (m.data + rng.normal(0.0, sigma, m.data.shape)
                  for m in (render_heatmaps(shifted, cfg), render_pafs(shifted, cfg)))
+    return heat, paf
+
+
+def _decode_arrays(heat, paf, geometry, factor):
+    return decode(FeatureMaps.from_planes(heat), FeatureMaps.from_planes(paf), geometry,
+                  DecoderConfig(upsample_factor=factor))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_METAMORPHIC_INPUTS)
+def test_decode_commutes_with_a_left_right_mirror(seed, persons, factor, sigma):
+    # No truth and no second implementation: a mirrored input must decode
+    # to the mirrored skeletons. One tie no noise removes: the upsample
+    # copies each edge column into the ring beside it, and the peak rule
+    # then keeps a maximum on the last column and drops one on the first.
+    # So the heatmaps' edge columns are zero, below the threshold.
+    heat, paf = _noisy_subpixel_scene(seed, persons, sigma)
     heat[:, :, [0, -1]] = 0.0
-    geometry = identity_geometry(cfg.map_height, cfg.map_width)
-    decoder_cfg = DecoderConfig(upsample_factor=factor)
-    got = decode(*(FeatureMaps.from_planes(m) for m in _mirror_maps(heat, paf)),
-                 geometry, decoder_cfg)
+    geometry = identity_geometry(*heat.shape[1:])
+    got = _decode_arrays(*_mirror_maps(heat, paf), geometry, factor)
     want = [_mirror_skeleton(sk, geometry.original_width)
-            for sk in decode(FeatureMaps.from_planes(heat), FeatureMaps.from_planes(paf),
-                             geometry, decoder_cfg)]
+            for sk in _decode_arrays(heat, paf, geometry, factor)]
     assert want
     # Same count and slot patterns, and coordinates within bench.COORD_TOL.
+    assert compare_skeletons(want, got) is None
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: a vertical flip and a shift
+# ---------------------------------------------------------------------------
+
+def _move_skeleton(sk, x=lambda x: x, y=lambda y: y):
+    return PoseSkeleton(tuple(None if kp is None else replace(kp, x=x(kp.x), y=y(kp.y))
+                              for kp in sk.keypoints), sk.score, sk.num_keypoints)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_METAMORPHIC_INPUTS)
+def test_decode_commutes_with_a_vertical_flip(seed, persons, factor, sigma):
+    # The body model has no top-bottom pairs, so a flip swaps no kind: both
+    # stacks flip along y and every limb's y component is negated. The
+    # heatmaps' edge rows are zero for the edge tie the mirror test names.
+    heat, paf = _noisy_subpixel_scene(seed, persons, sigma)
+    heat[:, [0, -1], :] = 0.0
+    geometry = identity_geometry(*heat.shape[1:])
+    flipped_heat, flipped_paf = heat[:, ::-1], paf[:, ::-1].copy()
+    for limb in LIMBS:
+        flipped_paf[limb.paf_y_channel] *= -1.0
+    got = _decode_arrays(flipped_heat, flipped_paf, geometry, factor)
+    height = geometry.original_height
+    want = [_move_skeleton(sk, y=lambda y: height - 1 - y)
+            for sk in _decode_arrays(heat, paf, geometry, factor)]
+    assert want
+    assert compare_skeletons(want, got) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift=st.integers(min_value=1, max_value=5), **_METAMORPHIC_INPUTS)
+def test_decode_commutes_with_a_shift(shift, seed, persons, factor, sigma):
+    # ``shift`` zero rows and columns at the top left move every keypoint
+    # by ``shift`` strides on both axes. The padding turns the maps' first
+    # row and column from ring into interior, so they are zero: a noise
+    # peak there would be found only in the shifted maps.
+    heat, paf = _noisy_subpixel_scene(seed, persons, sigma)
+    heat[:, 0, :] = heat[:, :, 0] = 0.0
+    h, w = heat.shape[1:]
+    pad = ((0, 0), (shift, 0), (shift, 0))
+    got = _decode_arrays(np.pad(heat, pad), np.pad(paf, pad),
+                         identity_geometry(h + shift, w + shift), factor)
+    step = shift * identity_geometry(h, w).stride
+    want = [_move_skeleton(sk, x=lambda x: x + step, y=lambda y: y + step)
+            for sk in _decode_arrays(heat, paf, identity_geometry(h, w), factor)]
+    assert want
     assert compare_skeletons(want, got) is None

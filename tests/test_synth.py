@@ -558,6 +558,19 @@ def test_impossible_density_fails_without_spending_the_attempt_budget(counting_r
     assert counting_rng.draws < 1000
 
 
+def test_impossible_crowd_is_refused_before_listing_its_persons():
+    # A list of a million templates alone takes 8 MB; the refusal needs only
+    # each template's count.
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlacementInfeasibleError, match="cannot place 1000000 persons"):
+            generate_scene(10**6, RenderConfig(32, 57))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # Post-placement separation check
 # ---------------------------------------------------------------------------
