@@ -369,11 +369,11 @@ def conv7x7_replacement_block(prefix: str, cin: int, channels: int = 128):
     ]
 
 
-def _mobilenet_v1_backbone(cut: str, dilated: bool):
+def _mobilenet_v1_backbone(cut: str):
     """MobileNet v1 trunk cut after the named block.
 
-    ``dilated`` removes the conv4_2 stride and dilates conv5_1 so the output
-    stays at stride 8.
+    Past conv4_1 the trunk is dilated: conv4_2 keeps stride 1, and conv5_1
+    and conv5_6 take dilation 2, so the output stays at stride 8.
     """
     layers = [_conv("conv1", 3, 32, 3, stride=2)]
     layers += _dw_sep("conv2_1", 32, 64)
@@ -382,13 +382,12 @@ def _mobilenet_v1_backbone(cut: str, dilated: bool):
     layers += _dw_sep("conv3_2", 128, 256, stride=2)
     layers += _dw_sep("conv4_1", 256, 256)
     if cut != "conv4_1":
-        layers += _dw_sep("conv4_2", 256, 512, stride=1 if dilated else 2)
-        layers += _dw_sep("conv5_1", 512, 512, dilation=2 if dilated else 1)
+        layers += _dw_sep("conv4_2", 256, 512)
+        layers += _dw_sep("conv5_1", 512, 512, dilation=2)
         for i in range(2, 6):
             layers += _dw_sep(f"conv5_{i}", 512, 512)
         if cut == "conv5_6":
-            layers += _dw_sep("conv5_6", 512, 1024, stride=1 if dilated else 2,
-                              dilation=2 if dilated else 1)
+            layers += _dw_sep("conv5_6", 512, 1024, dilation=2)
     return LayerGroup("backbone", tuple(layers))
 
 
@@ -442,7 +441,7 @@ def builtin_lightweight(input_height: int = 368, input_width: int = 368) -> Arch
         + _dw_sep("conv4_3c", 128, 128)
     )
     groups = (
-        _mobilenet_v1_backbone(cut="conv5_5", dilated=True),
+        _mobilenet_v1_backbone("conv5_5"),
         LayerGroup("conv4_3", tuple(conv4_3)),
         LayerGroup("conv4_4", (_conv("conv4_4", 128, 128, 3),)),
         _initial_stage(branches=1),
@@ -455,10 +454,10 @@ def builtin_backbone_variants(input_height: int = 368, input_width: int = 368):
     """The four backbone candidates, each completed with identical stages so
     their totals are comparable."""
     candidates = (
-        ("mobilenet_v1_conv4_1", _mobilenet_v1_backbone("conv4_1", dilated=False)),
+        ("mobilenet_v1_conv4_1", _mobilenet_v1_backbone("conv4_1")),
         ("dilated_mobilenet_v2_conv6_3", _mobilenet_v2_backbone_conv6_3()),
-        ("dilated_mobilenet_v1_conv5_5", _mobilenet_v1_backbone("conv5_5", dilated=True)),
-        ("dilated_mobilenet_v1_conv5_6", _mobilenet_v1_backbone("conv5_6", dilated=True)),
+        ("dilated_mobilenet_v1_conv5_5", _mobilenet_v1_backbone("conv5_5")),
+        ("dilated_mobilenet_v1_conv5_6", _mobilenet_v1_backbone("conv5_6")),
     )
     return [_two_branch(name, backbone, 1, input_height, input_width)
             for name, backbone in candidates]

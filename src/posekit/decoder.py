@@ -88,17 +88,13 @@ def _deprecated_threads(threads) -> None:
 
 
 def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Quadratic sub-pixel offset along one axis, clamped to [-0.5, 0.5].
+    """Vertex offset of the parabola through ``(lo, values, hi)``, in (-0.5, 0.5].
 
-    ``lo``/``hi`` are the neighbor samples; fits a parabola through the three
-    points and returns its vertex offset. Degenerate (non-concave) triples
-    get offset 0.
+    ``_peaks`` refines only float32 samples strictly above ``lo`` and at least
+    equal to ``hi``, so in float64 ``lo - 2 * values + hi`` is finite and
+    strictly negative: every triple is concave. The clip only absorbs rounding.
     """
-    denom = lo - 2.0 * values + hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (lo - hi) / (2.0 * denom)
-    delta = np.clip(delta, -0.5, 0.5)
-    return np.where(denom < 0.0, delta, 0.0)
+    return np.clip((lo - hi) / (2.0 * (lo - 2.0 * values + hi)), -0.5, 0.5)
 
 
 def _row_maxima(center: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -510,14 +506,13 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[Li
 
 
 class _Builder:
-    __slots__ = ("slots", "kp_score", "affinity", "alive", "order")
+    __slots__ = ("slots", "kp_score", "affinity", "alive")
 
-    def __init__(self, order: int):
+    def __init__(self):
         self.slots = [-1] * NUM_KEYPOINTS
         self.kp_score = 0.0
         self.affinity = 0.0
         self.alive = True
-        self.order = order
 
 
 def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, float, int]]:
@@ -542,7 +537,7 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
         bf = owner.get(f)
         bt = owner.get(t)
         if bf is None and bt is None:
-            nb = _Builder(len(builders))
+            nb = _Builder()
             builders.append(nb)
             _attach(nb, f)
             _attach(nb, t)
@@ -568,7 +563,7 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
             bt.alive = False
 
     skeletons = []
-    for b in builders:
+    for order, b in enumerate(builders):
         if not b.alive:
             continue
         count = sum(1 for s in b.slots if s != -1)
@@ -577,7 +572,7 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
         total = (b.kp_score + b.affinity) / count
         if total < cfg.min_skeleton_score:
             continue
-        skeletons.append((total, b.order, b.slots, count))
+        skeletons.append((total, order, b.slots, count))
     # Descending score; creation order breaks exact ties deterministically.
     skeletons.sort(key=lambda item: (-item[0], item[1]))
     return [(slots, total, count) for total, _, slots, count in skeletons]

@@ -363,29 +363,26 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
     PlacementInfeasibleError rather than overlapping silently.
     """
     num_persons = _require_integer(num_persons, "num_persons", 0)
-    persons: list[GroundTruthPerson] = []
-    if num_persons > 0:
-        # Person i of a strategy uses template i % len(cycle). The counts are
-        # arithmetic, so a request too large to fit is refused before any
-        # per-person list is built.
-        placed = None
-        for strategy_idx, cycle in enumerate(((FULL_BODY_TEMPLATE,), MINI_TEMPLATES)):
-            uses = [(t, len(range(k, num_persons, len(cycle)))) for k, t in enumerate(cycle)]
-            if not _may_fit(uses, cfg):
-                continue
-            templates = [cycle[i % len(cycle)] for i in range(num_persons)]
-            rng = np.random.default_rng([cfg.seed, strategy_idx])
-            placed = _try_place(templates, cfg, rng)
-            if placed is not None:
-                break
-        if placed is None:
-            raise PlacementInfeasibleError(
-                f"cannot place {num_persons} persons on a "
-                f"{cfg.map_width}x{cfg.map_height} map at separation "
-                f"{MIN_SAME_KIND_SEPARATION:g}"
-            )
-        persons = placed
-        _check_separation(persons)
+    # Person i of a strategy uses template i % len(cycle). The counts are
+    # arithmetic, so a request too large to fit is refused before any
+    # per-person list is built. Zero persons fit at once and draw nothing.
+    persons = None
+    for strategy_idx, cycle in enumerate(((FULL_BODY_TEMPLATE,), MINI_TEMPLATES)):
+        uses = [(t, len(range(k, num_persons, len(cycle)))) for k, t in enumerate(cycle)]
+        if not _may_fit(uses, cfg):
+            continue
+        templates = [cycle[i % len(cycle)] for i in range(num_persons)]
+        rng = np.random.default_rng([cfg.seed, strategy_idx])
+        persons = _try_place(templates, cfg, rng)
+        if persons is not None:
+            break
+    if persons is None:
+        raise PlacementInfeasibleError(
+            f"cannot place {num_persons} persons on a "
+            f"{cfg.map_width}x{cfg.map_height} map at separation "
+            f"{MIN_SAME_KIND_SEPARATION:g}"
+        )
+    _check_separation(persons)
     return persons, render_heatmaps(persons, cfg), render_pafs(persons, cfg)
 
 

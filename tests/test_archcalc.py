@@ -100,6 +100,11 @@ def test_layer_validation_names_the_layer():
         LayerSpec(name="dw", kind="depthwise_conv", in_channels=8, out_channels=16, kernel=3)
     with pytest.raises(InvalidArchitectureError):
         LayerSpec(name="pw", kind="pointwise_conv", in_channels=8, out_channels=8, kernel=3)
+    # Pooling and residual adds keep their channels; only a concat may change them.
+    for kind in ("pool", "residual_add"):
+        with pytest.raises(InvalidArchitectureError, match=f"{kind} cannot change channels"):
+            LayerSpec(name=kind, kind=kind, in_channels=8, out_channels=16)
+    assert LayerSpec(name="cat", kind="concat", in_channels=8, out_channels=16).out_channels == 16
     with pytest.raises(InvalidArchitectureError):
         layer_flops(LayerSpec(name="unresolved", kind="conv", in_channels=1, out_channels=1))
     # Every size is an integer >= 1; a fractional, boolean or zero one names the layer.

@@ -75,6 +75,26 @@ def test_compare_skeletons_reports_coordinate_drift():
     assert diff is not None and "coordinates differ" in diff
 
 
+def test_compare_skeletons_reports_slot_pattern_difference():
+    sc = _scenario(2)
+    skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
+    sk = skeletons[0]
+    kps = list(sk.keypoints)
+    kps[next(i for i, kp in enumerate(kps) if kp is not None)] = None
+    fewer = [sk.__class__(tuple(kps), sk.score, sk.num_keypoints - 1), *skeletons[1:]]
+    diff = compare_skeletons(skeletons, fewer)
+    assert diff is not None and "slot pattern differs" in diff
+
+
+def test_naive_refine_keeps_its_flat_triple_guard():
+    # The naive planes are float64, where lo - 2c can round to -c: this
+    # concave triple rounds to a zero denominator. The guard gives 0.0
+    # instead of a ZeroDivisionError.
+    lo = 1.0 - 2.0 ** -53
+    assert lo - 2.0 * 1.0 + 1.0 == 0.0
+    assert posekit.bench._naive_refine(lo, 1.0, 1.0) == 0.0
+
+
 def test_compare_skeletons_ignores_ordering():
     sc = _scenario(3)
     skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())

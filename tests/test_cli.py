@@ -251,9 +251,13 @@ def test_bench_too_few_frames_exits_2(tmp_path, capsys):
 
 
 def test_bad_size_argument_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["synth", "--persons", "1", "--size", "banana", "--out-dir", "x"])
-    assert err.value.code == 2
+    for argv in (["synth", "--persons", "1", "--size", "banana", "--out-dir", "x"],
+                 ["synth", "--persons", "1", "--size", "0x57", "--out-dir", "x"],
+                 ["flops", "--input", "368x0"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    assert "sizes must be positive, got '368x0'" in capsys.readouterr().err
 
 
 def test_threads_env_is_ignored(tmp_path, capsys, monkeypatch):

@@ -124,6 +124,48 @@ def test_quadratic_refinement_recovers_fractional_apex():
     assert kp.y == pytest.approx(9.7, abs=1e-4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       h=st.integers(min_value=1, max_value=12),
+       w=st.integers(min_value=1, max_value=12),
+       steps=st.one_of(st.none(), st.integers(min_value=2, max_value=8)),
+       scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e30]),
+       threshold=st.floats(min_value=-0.5, max_value=0.3),
+       factor=st.integers(min_value=1, max_value=8))
+def test_every_refined_triple_is_strictly_concave(seed, h, w, steps, scale, threshold, factor):
+    # A peak is strictly above its earlier neighbor and at least equal to its
+    # later one, so both peak searches hand the refinement only finite,
+    # strictly concave triples, whose vertex lies in (-0.5, 0.5].
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-0.5, 1.0, size=(NUM_HEATMAP_CHANNELS, h, w))
+    if steps is not None:
+        # Steps of 1/steps: plateaus and ties with the later neighbor.
+        data = np.round(data * steps) / steps
+    heat = FeatureMaps((data * scale).astype(np.float32))
+    cfg = DecoderConfig(upsample_factor=factor, peak_threshold=threshold * scale)
+    refine = posekit.decoder._refine_axis
+    triples = []
+
+    def spy(values, lo, hi):
+        offset = refine(values, lo, hi)
+        triples.append((values, lo, hi, offset))
+        return offset
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(posekit.decoder, "_refine_axis", spy)
+        posekit.decoder._cell_peaks(heat, posekit.decoder._upsample_hot_cells(heat.data, cfg),
+                                    cfg)
+        extract_keypoints(resize_bilinear(heat, factor), cfg)
+    assert len(triples) == 4
+    for values, lo, hi, offset in triples:
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert (lo - 2.0 * values + hi < 0.0).all()
+        assert ((offset > -0.5) & (offset <= 0.5)).all()
+        if steps is not None:
+            # A tie with the later neighbor puts the vertex half a step back.
+            assert (offset[hi == values] == 0.5).all()
+
+
 def test_plateau_yields_single_keypoint():
     plane = np.zeros((10, 10))
     plane[4:6, 4:6] = 0.8
@@ -311,9 +353,13 @@ def test_antiparallel_field_scores_minus_one():
 def test_coincident_endpoints_score_zero():
     limb = LIMBS[0]
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
-    conn = score_connections(pafs, limb, [_kp(0, limb.from_kind, 8.0, 8.0)],
-                             [_kp(1, limb.to_kind, 8.0, 8.0)])[0]
-    assert (conn.affinity, conn.valid_ratio) == (0.0, 0.0)
+    # At a negative alignment threshold every zero sample would count as
+    # aligned: a zero-length pair still gets no valid ratio.
+    for cfg in (DecoderConfig(), DecoderConfig(paf_alignment_threshold=-0.1)):
+        conn = score_connections(pafs, limb, [_kp(0, limb.from_kind, 8.0, 8.0)],
+                                 [_kp(1, limb.to_kind, 8.0, 8.0)], cfg)[0]
+        assert (conn.affinity, conn.valid_ratio) == (0.0, 0.0)
+        assert conn.affinity.hex() == "0x0.0p+0"
 
 
 def test_rendered_limb_scores_high_after_upsampling():

@@ -244,6 +244,15 @@ def test_pose_parse_rejects_non_json():
         parse_poses(b"{not json")
 
 
+def test_pose_records_that_are_not_objects_are_rejected():
+    with pytest.raises(SchemaError, match="^document must be an object, got list"):
+        parse_poses(b"[]")
+    obj = _valid_pose_obj()
+    obj["skeletons"][1] = 7
+    with pytest.raises(SchemaError, match=r"^skeletons\[1\] must be an object, got int"):
+        parse_poses(json.dumps(obj).encode())
+
+
 @pytest.mark.parametrize("buf", [b"\xff\xfe{", b"[" * 100_000],
                          ids=["bad-encoding", "deep-nesting"])
 def test_malformed_json_is_a_schema_error_in_both_documents(tmp_path, buf):
@@ -291,6 +300,8 @@ def test_scene_truth_round_trip_of_numpy_config_values(tmp_path):
     lambda obj: obj.update(persons=[[None] * 5]),
     lambda obj: obj["persons"][0].__setitem__(1, [1.0]),
     lambda obj: obj.update(surplus=True),
+    lambda obj: obj.update(persons={"0": []}),
+    lambda obj: obj["persons"].append(3),
 ])
 def test_scene_truth_schema_violations_are_rejected(tmp_path, mutate):
     cfg = RenderConfig(map_height=32, map_width=57)

@@ -22,6 +22,7 @@ from posekit.skeleton import (
 )
 from posekit.synth import (
     _ANCHOR_BLOCK,
+    _ATTEMPTS_BEFORE_MASK,
     _PLACEMENT_ATTEMPTS,
     FULL_BODY_TEMPLATE,
     MIN_SAME_KIND_SEPARATION,
@@ -283,11 +284,14 @@ def test_generate_scene_seeds_differ():
     assert generate_scene(5, cfg_a)[0] != generate_scene(5, cfg_b)[0]
 
 
-def test_empty_scene():
-    persons, heatmaps, pafs = generate_scene(0, RenderConfig(16, 16))
-    assert persons == []
-    assert not pafs.data.any()
-    np.testing.assert_array_equal(heatmaps.data[BACKGROUND_CHANNEL], 1.0)
+def test_empty_scene(counting_rng):
+    # Zero persons draw nothing and need no room, even on a map no template fits.
+    for size in (16, 1):
+        persons, heatmaps, pafs = generate_scene(0, RenderConfig(size, size))
+        assert persons == []
+        assert not pafs.data.any()
+        np.testing.assert_array_equal(heatmaps.data[BACKGROUND_CHANNEL], 1.0)
+    assert counting_rng.draws == 0
 
 
 def test_generate_scene_rejects_negative_count():
@@ -556,6 +560,14 @@ def test_impossible_density_fails_without_spending_the_attempt_budget(counting_r
     with pytest.raises(PlacementInfeasibleError, match="cannot place 50 persons"):
         generate_scene(50, RenderConfig(map_height=20, map_width=20))
     assert counting_rng.draws < 1000
+
+
+def test_placement_fails_once_a_person_spends_every_attempt(monkeypatch):
+    # With fewer attempts than it takes to build a free-anchor mask, the
+    # canonical scene, which needs retries, runs out of attempts instead.
+    monkeypatch.setattr("posekit.synth._PLACEMENT_ATTEMPTS", _ATTEMPTS_BEFORE_MASK // 2)
+    with pytest.raises(PlacementInfeasibleError, match="cannot place 20 persons"):
+        generate_scene(20, RenderConfig(32, 57, seed=20))
 
 
 def test_impossible_crowd_is_refused_before_listing_its_persons():
