@@ -506,21 +506,21 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[Li
 
 
 class _Builder:
-    __slots__ = ("slots", "kp_score", "affinity", "alive")
+    __slots__ = ("slots", "kp_score", "affinity")
 
     def __init__(self):
         self.slots = [-1] * NUM_KEYPOINTS
         self.kp_score = 0.0
         self.affinity = 0.0
-        self.alive = True
 
 
 def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, float, int]]:
     """Skeletons from accepted ``(from, to, affinity)`` connections between
-    points, where ``kind[p]`` and ``score[p]`` describe point ``p``.
+    points, where ``kind[p]`` and ``score[p]`` describe point ``p``, by the
+    rules ``assemble_skeletons`` states.
 
-    Returns each skeleton as ``(slots, score, count)``, where ``slots[k]`` is
-    its point of kind ``k`` or -1; see ``assemble_skeletons``.
+    Returns each kept skeleton as ``(slots, score, count)``, where
+    ``slots[k]`` is its point of kind ``k`` or -1.
     """
     owner: dict = {}
     builders: list[_Builder] = []
@@ -537,20 +537,16 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
         bf = owner.get(f)
         bt = owner.get(t)
         if bf is None and bt is None:
-            nb = _Builder()
-            builders.append(nb)
-            _attach(nb, f)
-            _attach(nb, t)
-            nb.affinity += affinity
-        elif bf is not None and bt is None:
-            if _attach(bf, t):
-                bf.affinity += affinity
-        elif bf is None and bt is not None:
-            if _attach(bt, f):
-                bt.affinity += affinity
+            builder = _Builder()
+            builders.append(builder)
+            _attach(builder, f)
+            _attach(builder, t)  # fails only for two free points of one kind
+        elif bf is None or bt is None:
+            builder, free = (bt, f) if bf is None else (bf, t)
+            if not _attach(builder, free):
+                continue  # the slot is taken: drop the connection
         elif bf is bt:
-            # Redundant edge inside one skeleton still contributes its affinity.
-            bf.affinity += affinity
+            builder = bf  # a redundant edge inside one skeleton still counts
         else:
             if any(a != -1 and b != -1 for a, b in zip(bf.slots, bt.slots)):
                 continue  # conflicting slots: drop the connection
@@ -559,23 +555,20 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
                     bf.slots[k] = point
                     owner[point] = bf
             bf.kp_score += bt.kp_score
-            bf.affinity += bt.affinity + affinity
-            bt.alive = False
+            affinity = bt.affinity + affinity
+            builders.remove(bt)
+            builder = bf
+        builder.affinity += affinity
 
     skeletons = []
-    for order, b in enumerate(builders):
-        if not b.alive:
-            continue
-        count = sum(1 for s in b.slots if s != -1)
-        if count < cfg.min_keypoints:
-            continue
+    for b in builders:
+        count = NUM_KEYPOINTS - b.slots.count(-1)
         total = (b.kp_score + b.affinity) / count
-        if total < cfg.min_skeleton_score:
+        if count < cfg.min_keypoints or total < cfg.min_skeleton_score:
             continue
-        skeletons.append((total, order, b.slots, count))
-    # Descending score; creation order breaks exact ties deterministically.
-    skeletons.sort(key=lambda item: (-item[0], item[1]))
-    return [(slots, total, count) for total, _, slots, count in skeletons]
+        skeletons.append((total, b.slots, count))
+    skeletons.sort(key=lambda item: -item[0])  # stable: ties keep creation order
+    return [(slots, total, count) for total, slots, count in skeletons]
 
 
 def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
@@ -584,12 +577,14 @@ def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
 
     ``keypoints`` holds one list of ``Keypoint`` per kind, as
     ``extract_keypoints`` returns them. Connections are consumed in the order
-    produced by ``group_limbs`` (limb types in id order). For each
-    connection: start a new skeleton, attach the free endpoint, or merge two
-    skeletons when their filled slots are disjoint; a connection whose
-    placement would overwrite an occupied slot is dropped. Skeletons failing
-    the keypoint-count or score minimums are discarded, and the rest are
-    sorted by descending score.
+    produced by ``group_limbs`` (limb types in id order). A connection
+    starts a new skeleton, attaches its free endpoint to the other endpoint's
+    skeleton if the slot for that kind is empty, closes a redundant edge
+    inside one skeleton, or merges two skeletons whose filled slots are
+    disjoint; each of these adds its affinity. Any other connection is
+    dropped with its affinity. Skeletons failing the keypoint-count or score
+    minimums are discarded, and the rest are sorted by descending score,
+    exact ties in creation order.
     """
     cfg = cfg or DecoderConfig()
     by_id = {kp.id: kp for bucket in keypoints for kp in bucket}

@@ -284,9 +284,9 @@ def _anchor_range(template, cfg: RenderConfig):
 def _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
     """Which anchors of a template's range keep it clear of ``others``.
 
-    Returns a ``(y, x)`` mask, ``[0, 0]`` being ``(x_lo, y_lo)``. It applies
-    the per-attempt test of ``_try_place`` to every anchor at once: the same
-    float64 differences and the same ``< MIN_SAME_KIND_SEPARATION`` test.
+    Returns a ``(y, x)`` mask, ``[0, 0]`` being ``(x_lo, y_lo)``. This is
+    placement's one test, for a drawn anchor (a one-anchor range) or a whole
+    range: no keypoint ``< MIN_SAME_KIND_SEPARATION`` from one of its kind.
     ``offsets`` is ``(kinds, 2)``; ``others`` is ``(persons, kinds, 2)``,
     NaN where a person lacks a kind, which fails every ``<`` test.
     """
@@ -317,7 +317,9 @@ def _may_fit(uses, cfg: RenderConfig) -> bool:
 
 def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | None:
     """Place ``templates`` in order, or None once one of them cannot be placed.
-    Every template has an anchor range: ``_may_fit`` passed them."""
+    Every template has an anchor range: ``_may_fit`` passed them. Each drawn
+    anchor is tested with ``_free_anchors``, alone for the first
+    ``_ATTEMPTS_BEFORE_MASK`` attempts and then through one mask of the range."""
     # Placed keypoints as (person, kind, xy), NaN where a person lacks a kind,
     # so each attempt is one array comparison instead of a loop over persons.
     placed = np.full((len(templates), NUM_KEYPOINTS, 2), np.nan)
@@ -325,12 +327,10 @@ def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | N
         x_lo, x_hi, y_lo, y_hi = _anchor_range(template, cfg)
         kinds = list(template)
         offsets = np.array([template[k] for k in kinds], dtype=np.float64)
-        ox, oy = offsets.T
         # A person with none of the kinds is all NaN here, and NaN fails every
         # ``<`` test, so dropping it changes no decision.
         others = placed[:n, kinds]
         others = others[~np.isnan(others[..., 0]).all(axis=1)]
-        px, py = others[..., 0], others[..., 1]
         free = None
         for attempt in range(_PLACEMENT_ATTEMPTS):
             if attempt == _ATTEMPTS_BEFORE_MASK:
@@ -340,13 +340,11 @@ def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | N
                     return None
             ax, ay = int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1))
             if free is None:
-                d = np.hypot(px - (ox + ax), py - (oy + ay))
-                fits = not (d < MIN_SAME_KIND_SEPARATION).any()
+                fits = _free_anchors(offsets, others, ax, ax, ay, ay)[0, 0]
             else:
                 fits = free[ay - y_lo, ax - x_lo]
             if fits:
-                placed[n, kinds, 0] = ox + ax
-                placed[n, kinds, 1] = oy + ay
+                placed[n, kinds] = offsets + (ax, ay)
                 break
         else:
             return None
@@ -387,6 +385,7 @@ def generate_scene(num_persons: int, cfg: RenderConfig):
 
 
 def _check_separation(persons) -> None:
+    # Restates _free_anchors' rule on purpose: calling it could not catch its faults.
     xy = _keypoint_array(persons)
     i, j = np.triu_indices(len(persons), k=1)
     d = np.hypot(xy[i, :, 0] - xy[j, :, 0], xy[i, :, 1] - xy[j, :, 1])  # (pair, kind)

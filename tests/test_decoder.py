@@ -578,9 +578,13 @@ def _skeleton_bits(skeletons):
 # sha256 of decode's skeletons as _skeleton_bits, computed with the
 # object-based grouping, assembly and map-back that the column code replaced.
 # decode and the public stages share that code now, so comparing the two
-# cannot catch a change in it.
+# cannot catch a change in it. Factors 2 and 3 (odd factors put a cell's
+# first row on a shared source sample) were computed on the assembly that kept
+# a liveness flag and an order key, not on the code they now check.
 DECODE_DIGESTS = {
     1: "5d5305c61e57ec1d14e77cad4329c208f3e7a90925465997b4962417619e4ae3",
+    2: "0cde577f8a8b49eebe6de8069c3130b78547fc3e12e80ec3e4ba31aaa815091b",
+    3: "412feb45374061b319d9268850155ffccbe5328b1ed0ae71f97b6eccc70bf1e6",
     4: "f3a574e566fc8b3e5969993e90148c0c3da3787f9f437e2fbde394c6746d07e7",
     8: "f6a56af2565c55e730b2bd02b64f7d9e8f6a473d840e49e04a65cad61a339ce7",
 }
@@ -594,6 +598,25 @@ def test_decode_bits_are_pinned(factor):
         skeletons = decode(heat, paf, sc.geometry, DecoderConfig(upsample_factor=factor))
         digest.update(repr(_skeleton_bits(skeletons)).encode())
     assert digest.hexdigest() == DECODE_DIGESTS[factor]
+
+
+# sha256 of decode's skeletons as _skeleton_bits on three 3-person 46x82
+# scenes from a 720x1280 image at 368: the one padded, non-identity map-back
+# that perfbench's `wide` workload decodes through. Pinned with the factor 2
+# and 3 digests above.
+PADDED_GEOMETRY_DIGEST = "15e8824f038f20f02221d46856aac2e43e0077c140a8860362142c3bf11e2335"
+
+
+def test_padded_geometry_decode_bits_are_pinned():
+    geometry = compute_input_geometry(720, 1280, 368)
+    size = (geometry.net_input_height // geometry.stride,
+            geometry.net_input_width // geometry.stride)
+    assert size == (46, 82)
+    digest = hashlib.sha256()
+    for seed in range(3):
+        _, heat, paf = generate_scene(3, RenderConfig(*size, seed=seed))
+        digest.update(repr(_skeleton_bits(decode(heat, paf, geometry))).encode())
+    assert digest.hexdigest() == PADDED_GEOMETRY_DIGEST
 
 
 # sha256 of decode's skeletons as _skeleton_bits on noisy scenes whose
@@ -714,18 +737,22 @@ def _limb_for(from_kind, to_kind):
 
 
 def test_assembly_chains_connections_into_one_skeleton():
+    # Forward, each connection's free point is its `to` end; reversed, each
+    # later connection's free point is its `from` end, which joins the
+    # skeleton that owns the `to` end.
     kps = [_kp(0, 1, 10, 10), _kp(1, 2, 8, 10), _kp(2, 3, 8, 14), _kp(3, 4, 8, 18)]
     conns = [_conn(_limb_for(1, 2), 0, 1, 0.9),
              _conn(_limb_for(2, 3), 1, 2, 0.8),
              _conn(_limb_for(3, 4), 2, 3, 0.7)]
     cfg = DecoderConfig(min_keypoints=3, min_skeleton_score=0.0)
-    skeletons = assemble_skeletons(conns, [kps], cfg)
-    assert len(skeletons) == 1
-    sk = skeletons[0]
-    assert sk.num_keypoints == 4
-    assert sk.keypoint(3) is kps[2]
-    assert sk.slot_pattern() == tuple(k in (1, 2, 3, 4) for k in range(NUM_KEYPOINTS))
-    assert sk.score == pytest.approx((4 * 1.0 + 0.9 + 0.8 + 0.7) / 4)
+    for order in (conns, conns[::-1]):
+        skeletons = assemble_skeletons(order, [kps], cfg)
+        assert len(skeletons) == 1
+        sk = skeletons[0]
+        assert sk.num_keypoints == 4
+        assert sk.keypoint(3) is kps[2]
+        assert sk.slot_pattern() == tuple(k in (1, 2, 3, 4) for k in range(NUM_KEYPOINTS))
+        assert sk.score == pytest.approx((4 * 1.0 + 0.9 + 0.8 + 0.7) / 4)
 
 
 def test_assembly_merges_disjoint_fragments():
@@ -768,6 +795,46 @@ def test_assembly_drops_conflicting_merge():
     assert {sk.num_keypoints for sk in skeletons} == {2}
 
 
+@pytest.mark.parametrize("free_end", ["to", "from"])
+def test_assembly_drops_an_attach_to_a_taken_slot(free_end):
+    # The skeleton {0, 1} holds kinds 1 and 2, so the free point 2, of kind 2
+    # (free `to` end) or kind 1 (free `from` end), cannot join it: the
+    # connection and its affinity are dropped.
+    kps = [_kp(0, 1, 10, 10), _kp(1, 2, 8, 10), _kp(2, 2 if free_end == "to" else 1, 30, 10)]
+    extra = _conn(_limb_for(1, 2), 0, 2, 0.5) if free_end == "to" else \
+        _conn(_limb_for(1, 2), 2, 1, 0.5)
+    conns = [_conn(_limb_for(1, 2), 0, 1, 0.75), extra]
+    cfg = DecoderConfig(min_keypoints=1, min_skeleton_score=0.0)
+    (skeleton,) = assemble_skeletons(conns, [kps], cfg)
+    assert [kp.id for kp in skeleton.keypoints if kp is not None] == [0, 1]
+    assert skeleton.score == (2 * 1.0 + 0.75) / 2
+
+
+def test_assembly_counts_a_redundant_edge_inside_one_skeleton():
+    # The shoulder-to-ear link closes the cycle neck-shoulder-ear-eye-nose.
+    kinds = (1, 2, 0, 14, 16)
+    kps = [_kp(i, k, 10 + i, 10) for i, k in enumerate(kinds)]
+    conns = [_conn(_limb_for(1, 2), 0, 1, 0.5), _conn(_limb_for(1, 0), 0, 2, 0.25),
+             _conn(_limb_for(0, 14), 2, 3, 0.125), _conn(_limb_for(14, 16), 3, 4, 0.0625),
+             _conn(_limb_for(2, 16), 1, 4, 0.5)]  # both ends already in the skeleton
+    cfg = DecoderConfig(min_keypoints=1, min_skeleton_score=0.0)
+    (skeleton,) = assemble_skeletons(conns, [kps], cfg)
+    assert skeleton.num_keypoints == 5
+    assert skeleton.score == (5 * 1.0 + 0.5 + 0.25 + 0.125 + 0.0625 + 0.5) / 5
+
+
+def test_assembly_joins_two_free_points_of_one_kind_into_one_point():
+    # Only a caller-built limb joins two points of one kind: the second
+    # cannot take the slot, and the skeleton keeps the first and the affinity.
+    limb = LimbType(id=0, from_kind=3, to_kind=3, paf_x_channel=0, paf_y_channel=1)
+    kps = [_kp(0, 3, 10, 10), _kp(1, 3, 20, 10)]
+    cfg = DecoderConfig(min_keypoints=1, min_skeleton_score=0.0)
+    (skeleton,) = assemble_skeletons([_conn(limb, 0, 1, 0.5)], [kps], cfg)
+    assert skeleton.keypoint(3) is kps[0]
+    assert skeleton.num_keypoints == 1
+    assert skeleton.score == 1.0 + 0.5
+
+
 def test_assembly_filters_small_and_low_score():
     kps = [_kp(0, 1, 10, 10), _kp(1, 2, 8, 10)]
     conns = [_conn(_limb_for(1, 2), 0, 1, 0.9)]
@@ -782,6 +849,21 @@ def test_assembly_orders_by_score():
     cfg = DecoderConfig(min_keypoints=2, min_skeleton_score=0.0)
     scores = [sk.score for sk in assemble_skeletons(conns, [kps], cfg)]
     assert scores == sorted(scores, reverse=True)
+    # Exact ties keep creation order, also after a merge removed an earlier
+    # fragment: A {3, 4} is created first, B, C and D {1, 2} after it; the
+    # bridge from B's kind 2 to A's kind 3 folds A into B. B, C and D then
+    # all score 1.25 and come out in creation order.
+    kps = [_kp(0, 3, 8, 14), _kp(1, 4, 8, 18)] + \
+        [_kp(2 + i, 1 + i % 2, 20 * (i // 2), 10) for i in range(6)]
+    conns = [_conn(_limb_for(3, 4), 0, 1, 0.25),
+             _conn(_limb_for(1, 2), 2, 3, 0.25),
+             _conn(_limb_for(1, 2), 4, 5, 0.5),
+             _conn(_limb_for(1, 2), 6, 7, 0.5),
+             _conn(_limb_for(2, 3), 3, 0, 0.5)]
+    skeletons = assemble_skeletons(conns, [kps], cfg)
+    assert [sk.score for sk in skeletons] == [1.25] * 3
+    assert [[kp.id for kp in sk.keypoints if kp is not None] for sk in skeletons] == \
+        [[2, 3, 0, 1], [4, 5], [6, 7]]
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,12 @@ def test_free_anchor_mask_matches_the_per_attempt_test(seed, map_h, map_w, templ
     for y in range(y_lo, y_hi + 1):
         for x in range(x_lo, x_hi + 1):
             assert free[y - y_lo, x - x_lo] == (not _blocked(offsets, others, (x, y)))
+    # The one-anchor range that _try_place tests each early attempt's draw on.
+    for _ in range(4):
+        x, y = int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1))
+        one = _free_anchors(offsets, others, x, x, y, y)
+        assert one.shape == (1, 1)
+        assert one[0, 0] == (not _blocked(offsets, others, (x, y)))
 
 
 _REAL_DEFAULT_RNG = np.random.default_rng
