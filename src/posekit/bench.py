@@ -19,7 +19,7 @@ Before any timing, ``naive_decode`` and ``decoder.decode`` decode the
 scenario once at the configured upsample factor and their skeletons are
 compared (counts, slot patterns, coordinates); a mismatch aborts with a
 diff. Scores are excluded from the comparison since the two paths
-accumulate in different float widths.
+accumulate in different float widths. Both take one ``DecoderConfig``.
 
 A run's result is one ``BenchReport``. ``STAGE_HEADERS`` is the one stage
 list: the report's ``median_ns`` and ``fps`` are keyed by it, in its order,
@@ -264,9 +264,8 @@ def _naive_map_back(skeletons: list, geometry: InputGeometry, factor: int) -> li
 
 
 def naive_decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-                 cfg: DecoderConfig | None = None) -> list:
-    """Naive decode upsampling by ``cfg.upsample_factor``."""
-    cfg = cfg or DecoderConfig()
+                 cfg: DecoderConfig = DecoderConfig()) -> list:
+    """Naive decode upsampling by ``cfg.upsample_factor``, as ``decode`` would."""
     factor = cfg.upsample_factor
     up_heat, up_paf = _naive_resize(heatmaps, pafs, factor)
     keypoints = _naive_extract(up_heat, cfg.peak_threshold)
@@ -359,7 +358,7 @@ def _machine_descriptor() -> str:
             f"{os.cpu_count()} cores")
 
 
-def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = None,
+def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig = DecoderConfig(),
                   frames: int = MIN_FRAMES) -> BenchReport:
     """Time one mode on a scenario, gating on naive/optimized agreement first.
 
@@ -370,7 +369,6 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig | None = Non
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if frames < MIN_FRAMES:
         raise ValueError(f"frames must be >= {MIN_FRAMES}, got {frames}")
-    cfg = cfg or DecoderConfig()
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
 
     # Off-lattice peaks refine to other positions at another upsample factor.

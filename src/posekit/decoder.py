@@ -12,8 +12,9 @@ ratio). Matching and assembly work on ids, and each output ``Keypoint`` and
 functions convert their object arguments to these columns, run the same
 code and convert back. All stages are deterministic and run on the calling
 thread, with scratch buffers kept per thread, so concurrent decodes are
-safe. ``decode`` and ``extract_keypoints`` still accept a ``threads``
-keyword for compatibility; it is deprecated and changes nothing.
+safe. Each entry point takes one ``DecoderConfig``, ``DecoderConfig()``
+unless given. ``decode`` and ``extract_keypoints`` still accept a
+``threads`` keyword for compatibility; it is deprecated and changes nothing.
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ def _dense_peaks(data: np.ndarray, threshold: float):
     return _sort_peaks(kind, xs + dx, ys + dy, score)
 
 
-def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
+def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig = DecoderConfig(),
                       threads: int | None = None) -> list[list[Keypoint]]:
     """Extract per-kind keypoints from already-upsampled heatmaps.
 
@@ -340,10 +341,9 @@ def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig | None = None,
     that order, unique across the whole call. The outermost ring is never a
     peak: on upsampled maps the edge-clamped interpolation replicates the
     adjacent interior values there, producing ridges that would duplicate
-    every peak sitting near a border. ``threads`` is deprecated, as in
-    ``decode``.
+    every peak sitting near a border. ``cfg.peak_threshold`` is the one
+    setting read. ``threads`` is deprecated, as in ``decode``.
     """
-    cfg = cfg or DecoderConfig()
     _require_channels(heatmaps, NUM_HEATMAP_CHANNELS, "heatmap")
     _deprecated_threads(threads)
     result: list[list[Keypoint]] = [[] for _ in range(NUM_KEYPOINTS)]
@@ -444,20 +444,19 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
 
 
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
-                      cfg: DecoderConfig | None = None) -> list[LimbConnection]:
+                      cfg: DecoderConfig = DecoderConfig()) -> list[LimbConnection]:
     """Score every (a, b) pair, in row-major order, against the limb's PAF channels."""
-    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg or DecoderConfig(),
-                        keep_all=True)[0]
+    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg, keep_all=True)[0]
 
 
 def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
-                            cfg: DecoderConfig | None = None) -> list[LimbConnection]:
+                            cfg: DecoderConfig = DecoderConfig()) -> list[LimbConnection]:
     """Like ``score_connections`` but returns only the candidates that pass
-    the grouping filter (valid ratio and positive affinity), in the same
-    order. ``group_limbs`` applies that filter itself, so it accepts the
-    same connections from these as from the unfiltered list.
+    the grouping filter (``cfg.min_valid_ratio`` and positive affinity), in
+    the same order. ``group_limbs`` applies that filter itself, so it
+    accepts the same connections from these as from the unfiltered list.
     """
-    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg or DecoderConfig())[0]
+    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg)[0]
 
 
 def _match(limb, frm, to, affinity) -> list[int]:
@@ -483,16 +482,15 @@ def _match(limb, frm, to, affinity) -> list[int]:
     return accepted
 
 
-def group_limbs(candidates_by_type, cfg: DecoderConfig | None = None) -> list[LimbConnection]:
+def group_limbs(candidates_by_type, cfg: DecoderConfig = DecoderConfig()) -> list[LimbConnection]:
     """Greedy per-limb-type matching of the caller's candidate lists.
 
-    Candidates with valid_ratio below the minimum or non-positive affinity
-    are dropped; the rest are taken in order of descending affinity (ties by
-    smaller from-id, then to-id), accepting a candidate only when neither
-    endpoint is already used within its limb type. Returns the caller's own
-    objects, by limb type, in acceptance order.
+    Candidates with valid_ratio below ``cfg.min_valid_ratio`` or non-positive
+    affinity are dropped; the rest are taken in order of descending affinity
+    (ties by smaller from-id, then to-id), accepting a candidate only when
+    neither endpoint is already used within its limb type. Returns the
+    caller's own objects, by limb type, in acceptance order.
     """
-    cfg = cfg or DecoderConfig()
     blocks = [list(cands) for cands in candidates_by_type]
     flat = [c for cands in blocks for c in cands]
     limb = np.repeat(np.arange(len(blocks)), [len(cands) for cands in blocks])
@@ -571,27 +569,38 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
     return [(slots, total, count) for total, slots, count in skeletons]
 
 
-def assemble_skeletons(connections, keypoints, cfg: DecoderConfig | None = None
-                       ) -> list[PoseSkeleton]:
+def assemble_skeletons(connections, keypoints,
+                       cfg: DecoderConfig = DecoderConfig()) -> list[PoseSkeleton]:
     """Assemble accepted connections into skeletons.
 
-    ``keypoints`` holds one list of ``Keypoint`` per kind, as
-    ``extract_keypoints`` returns them. Connections are consumed in the order
-    produced by ``group_limbs`` (limb types in id order). A connection
+    ``keypoints`` holds lists of ``Keypoint`` in any grouping, such as the
+    per-kind lists of ``extract_keypoints``. Connections are consumed in the
+    order produced by ``group_limbs`` (limb types in id order). A connection
     starts a new skeleton, attaches its free endpoint to the other endpoint's
     skeleton if the slot for that kind is empty, closes a redundant edge
     inside one skeleton, or merges two skeletons whose filled slots are
     disjoint; each of these adds its affinity. Any other connection is
     dropped with its affinity. Skeletons failing the keypoint-count or score
     minimums are discarded, and the rest are sorted by descending score,
-    exact ties in creation order.
+    exact ties in creation order. Input it cannot assemble raises
+    ``ValueError`` naming the id: an id given twice, a kind not in 0..17,
+    a non-finite x, y or score, or a connection end that is no given id.
     """
-    cfg = cfg or DecoderConfig()
-    by_id = {kp.id: kp for bucket in keypoints for kp in bucket}
+    by_id: dict = {}
+    for kp in (k for bucket in keypoints for k in bucket):
+        if kp.id in by_id:
+            raise ValueError(f"keypoint id {kp.id} is given twice")
+        if kp.kind not in range(NUM_KEYPOINTS):
+            raise ValueError(f"keypoint {kp.id} has kind {kp.kind}, not in 0..{NUM_KEYPOINTS - 1}")
+        if not all(map(math.isfinite, (kp.x, kp.y, kp.score))):
+            raise ValueError(f"keypoint {kp.id} has a non-finite x, y or score")
+        by_id[kp.id] = kp
+    edges = [(c.from_kp, c.to_kp, c.affinity) for c in connections]
+    for end in (e for f, t, _ in edges for e in (f, t) if e not in by_id):
+        raise ValueError(f"connection end {end} is not a given keypoint id")
     kind = {kp_id: kp.kind for kp_id, kp in by_id.items()}
     score = {kp_id: kp.score for kp_id, kp in by_id.items()}
-    skeletons = _assemble(((c.from_kp, c.to_kp, c.affinity) for c in connections),
-                          kind, score, cfg)
+    skeletons = _assemble(edges, kind, score, cfg)
     return [PoseSkeleton(tuple(by_id[s] if s != -1 else None for s in slots), total, count)
             for slots, total, count in skeletons]
 
@@ -634,7 +643,8 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
 
 
 def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
-           cfg: DecoderConfig | None = None, threads: int | None = None) -> list[PoseSkeleton]:
+           cfg: DecoderConfig = DecoderConfig(),
+           threads: int | None = None) -> list[PoseSkeleton]:
     """Full pipeline from stride-level maps to skeletons in original-image pixels.
 
     Extracts keypoints from the heatmaps upsampled by
@@ -648,7 +658,6 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     ``threads`` is deprecated and changes nothing: a negative value raises
     ``ValueError``, any other passed value a ``DeprecationWarning``.
     """
-    cfg = cfg or DecoderConfig()
     _require_channels(heatmaps, NUM_HEATMAP_CHANNELS, "heatmap")
     _require_channels(pafs, NUM_PAF_CHANNELS, "PAF")
     if (heatmaps.height, heatmaps.width) != (pafs.height, pafs.width):

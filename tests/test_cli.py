@@ -230,6 +230,16 @@ def test_negative_synth_seed_exits_2(tmp_path, capsys):
     assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factor", ["0", "-3"])
+def test_upsample_below_one_exits_2(tmp_path, capsys, factor):
+    fixture = _synth(tmp_path, "scene", persons=1)
+    code = main(["decode", "--heatmaps", str(fixture / "heatmaps.ptns"),
+                 "--pafs", str(fixture / "pafs.ptns"), "--orig-size", "256x456",
+                 "--upsample", factor])
+    assert code == 2
+    assert "upsample_factor must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_infeasible_scene_exits_4(tmp_path, capsys):
     code = main(["synth", "--persons", "100", "--size", "20x20",
                  "--out-dir", str(tmp_path / "dense")])

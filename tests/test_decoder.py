@@ -1,6 +1,7 @@
 """Peak extraction, limb scoring, greedy grouping, and skeleton assembly."""
 
 import hashlib
+import inspect
 import math
 import sys
 import threading
@@ -866,6 +867,40 @@ def test_assembly_orders_by_score():
         [[2, 3, 0, 1], [4, 5], [6, 7]]
 
 
+def test_assembly_rejects_a_non_finite_keypoint():
+    # A NaN score would pass min_skeleton_score (nan < x is False) and give a
+    # skeleton of score NaN, which no pose document can hold.
+    kps = [Keypoint(0, 0, 1.0, 1.0, math.nan), Keypoint(1, 1, 2.0, 2.0, 1.0)]
+    conns = [_conn(_limb_for(1, 0), 1, 0, 0.5)]
+    with pytest.raises(ValueError, match="keypoint 0 has a non-finite x, y or score"):
+        assemble_skeletons(conns, [kps], DecoderConfig(min_keypoints=1))
+    for field in ("x", "y"):
+        kps = [_kp(0, 1, 10, 10), replace(_kp(1, 2, 8, 10), **{field: math.inf})]
+        with pytest.raises(ValueError, match="keypoint 1 has a non-finite"):
+            assemble_skeletons([_conn(_limb_for(1, 2), 0, 1, 0.5)], [kps])
+
+
+def test_assembly_rejects_a_connection_to_an_unknown_id():
+    kps = [_kp(0, 1, 10, 10), _kp(1, 2, 8, 10)]
+    with pytest.raises(ValueError, match="connection end 7 is not a given keypoint id"):
+        assemble_skeletons([_conn(_limb_for(1, 2), 0, 7, 0.5)], [kps])
+
+
+def test_assembly_rejects_an_id_given_twice():
+    # Across two lists, too: the second would silently replace the first.
+    kps = [_kp(0, 1, 10, 10), _kp(1, 2, 8, 10)]
+    with pytest.raises(ValueError, match="keypoint id 1 is given twice"):
+        assemble_skeletons([_conn(_limb_for(1, 2), 0, 1, 0.5)], [kps, [_kp(1, 2, 30, 10)]])
+
+
+@pytest.mark.parametrize("kind", [-1, NUM_KEYPOINTS])
+def test_assembly_rejects_a_kind_out_of_range(kind):
+    # Kind -1 would land in the last slot, l_ear.
+    kps = [_kp(0, 1, 10, 10), _kp(1, kind, 8, 10)]
+    with pytest.raises(ValueError, match=f"keypoint 1 has kind {kind}, not in 0..17"):
+        assemble_skeletons([_conn(_limb_for(1, 2), 0, 1, 0.5)], [kps])
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------
@@ -1384,6 +1419,14 @@ def test_decode_agrees_with_the_scalar_naive_decode(factor):
     assert found > 0
 
 
+@pytest.mark.parametrize("entry_point", [
+    decode, extract_keypoints, score_connections, collect_limb_candidates, group_limbs,
+    assemble_skeletons, naive_decode, posekit.bench.run_benchmark,
+], ids=lambda f: f.__name__)
+def test_every_entry_point_defaults_to_the_default_config(entry_point):
+    assert inspect.signature(entry_point).parameters["cfg"].default == DecoderConfig()
+
+
 def test_decode_builds_each_output_object_once(monkeypatch):
     sc = make_canonical_scenario()
     built = {"Keypoint": 0, "PoseSkeleton": 0, "LimbConnection": 0}
@@ -1395,6 +1438,9 @@ def test_decode_builds_each_output_object_once(monkeypatch):
     skeletons = decode(sc.heatmaps, sc.pafs, sc.geometry)
     monkeypatch.undo()
     assert skeletons == _dense_decode(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
+    # Leaving cfg out is the same decode as passing the default config.
+    assert pose_document_bytes(PoseDocument(sc.geometry, tuple(skeletons))) == \
+        _decode_bytes(sc.heatmaps, sc.pafs, sc.geometry, DecoderConfig())
     assert len(skeletons) == 20
     assert built == {"Keypoint": sum(sk.num_keypoints for sk in skeletons),
                      "PoseSkeleton": len(skeletons), "LimbConnection": 0}
