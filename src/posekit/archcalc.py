@@ -5,8 +5,10 @@ output pixel. A layer's weights are ``out_channels * fan_in * kernel**2``,
 where ``fan_in`` is 1 for a depthwise convolution and ``in_channels``
 otherwise; biases add ``out_channels`` to the parameters and nothing to the
 FLOPs. Pooling, concatenation and residual additions have no weights, so they
-cost nothing. Spatial dims propagate through strides with ceil division (same
-padding); dilation changes receptive field only, never cost.
+cost nothing. A layer's output size is its input size divided by its stride,
+rounded up (same padding); dilation changes receptive field only, never cost.
+A ``LayerSpec`` does not hold its input size: ``evaluate`` carries it from the
+network's input through the layers, and ``layer_flops`` takes it as arguments.
 
 The records are valid by construction: every size is an integer >= 1, stored
 as an ``int``, or the constructor raises ``InvalidArchitectureError`` naming
@@ -16,7 +18,7 @@ in ``skeleton``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidArchitectureError
 from .featuremaps import _require_integer
@@ -39,7 +41,7 @@ def _require_sizes(record, fields) -> None:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer. Spatial input dims are resolved during evaluation."""
+    """One layer, not where it sits: its input size comes from the caller."""
 
     name: str
     kind: str
@@ -48,15 +50,11 @@ class LayerSpec:
     kernel: int = 1
     stride: int = 1
     dilation: int = 1
-    input_h: int | None = None
-    input_w: int | None = None
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise InvalidArchitectureError(self.name, f"unknown kind '{self.kind}'")
         _require_sizes(self, ("in_channels", "out_channels", "kernel", "stride", "dilation"))
-        _require_sizes(self, [field for field in ("input_h", "input_w")
-                              if getattr(self, field) is not None])
         if self.kind == "depthwise_conv" and self.in_channels != self.out_channels:
             raise InvalidArchitectureError(
                 self.name, "depthwise convolution requires in_channels == out_channels"
@@ -67,19 +65,10 @@ class LayerSpec:
                 and self.in_channels != self.out_channels:
             raise InvalidArchitectureError(self.name, f"{self.kind} cannot change channels")
 
-    @property
-    def out_h(self) -> int:
-        self._require_resolved()
-        return -(-self.input_h // self.stride)
 
-    @property
-    def out_w(self) -> int:
-        self._require_resolved()
-        return -(-self.input_w // self.stride)
-
-    def _require_resolved(self):
-        if self.input_h is None or self.input_w is None:
-            raise InvalidArchitectureError(self.name, "spatial dims not resolved yet")
+def _out_size(size: int, stride: int) -> int:
+    """Output size of a same-padded layer: ``size / stride`` rounded up."""
+    return -(-size // stride)
 
 
 def _weights(layer: LayerSpec) -> int:
@@ -90,9 +79,16 @@ def _weights(layer: LayerSpec) -> int:
     return layer.out_channels * fan_in * layer.kernel ** 2
 
 
-def layer_flops(layer: LayerSpec) -> int:
-    """Multiply-accumulate count for one resolved layer."""
-    return layer.out_h * layer.out_w * _weights(layer)
+def layer_flops(layer: LayerSpec, input_h: int, input_w: int) -> int:
+    """Multiply-accumulate count for ``layer`` on an ``input_h`` x ``input_w``
+    input. Each size must be an integer >= 1, or ``InvalidArchitectureError``
+    names the layer."""
+    try:
+        out_h, out_w = (_out_size(_require_integer(size, what), layer.stride)
+                        for size, what in ((input_h, "input_h"), (input_w, "input_w")))
+    except ValueError as exc:
+        raise InvalidArchitectureError(layer.name, str(exc)) from None
+    return out_h * out_w * _weights(layer)
 
 
 def layer_params(layer: LayerSpec) -> int:
@@ -217,14 +213,13 @@ def _cost(group: str, layer: LayerSpec, h: int, w: int, channels: int | None,
         raise InvalidArchitectureError(
             layer.name, f"expects {layer.in_channels} input channels but receives {channels}"
         )
-    resolved = replace(layer, input_h=h, input_w=w)
-    return LayerCost(group, layer.name, layer.kind, resolved.out_h, resolved.out_w,
-                     layer.out_channels, multiplier, layer_flops(resolved) * multiplier,
-                     layer_params(resolved) * multiplier)
+    return LayerCost(group, layer.name, layer.kind, _out_size(h, layer.stride),
+                     _out_size(w, layer.stride), layer.out_channels, multiplier,
+                     layer_flops(layer, h, w) * multiplier, layer_params(layer) * multiplier)
 
 
 def evaluate(arch: ArchSpec) -> ComplexityReport:
-    """Resolve spatial dims through the network and total up cost per group.
+    """Carry the input size through the network and total up cost per group.
 
     Channel chaining is validated across layers and into each head; branch
     multiplicity doubles trunk cost; heads are added once each at the trunk's

@@ -430,6 +430,9 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
     flat = [kp for ends in pairs for kps in ends for kp in kps]
     x = np.array([kp.x for kp in flat], dtype=np.float64)
     y = np.array([kp.y for kp in flat], dtype=np.float64)
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"keypoint {flat[np.argmin(finite)].id} has a non-finite x or y")
     na, nb, x_channel, y_channel = np.array(
         [(len(kps_a), len(kps_b), limb.paf_x_channel, limb.paf_y_channel)
          for limb, (kps_a, kps_b) in zip(limbs, pairs)], dtype=np.intp).reshape(-1, 4).T
@@ -445,7 +448,9 @@ def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfi
 
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
                       cfg: DecoderConfig = DecoderConfig()) -> list[LimbConnection]:
-    """Score every (a, b) pair, in row-major order, against the limb's PAF channels."""
+    """Score every (a, b) pair, in row-major order, against the limb's PAF
+    channels. A keypoint with a non-finite x or y raises ``ValueError``
+    naming its id."""
     return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg, keep_all=True)[0]
 
 
@@ -455,6 +460,7 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
     the grouping filter (``cfg.min_valid_ratio`` and positive affinity), in
     the same order. ``group_limbs`` applies that filter itself, so it
     accepts the same connections from these as from the unfiltered list.
+    A keypoint with a non-finite x or y raises ``ValueError`` naming its id.
     """
     return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg)[0]
 
@@ -489,9 +495,22 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig = DecoderConfig()) -> lis
     affinity are dropped; the rest are taken in order of descending affinity
     (ties by smaller from-id, then to-id), accepting a candidate only when
     neither endpoint is already used within its limb type. Returns the
-    caller's own objects, by limb type, in acceptance order.
+    caller's own objects, by limb type, in acceptance order. A candidate
+    it cannot match raises ``ValueError`` naming its limb-type list and
+    position: an id that is not an integer, a non-finite affinity, or a
+    valid ratio outside [0, 1].
     """
     blocks = [list(cands) for cands in candidates_by_type]
+    for k, cands in enumerate(blocks):
+        for i, c in enumerate(cands):
+            if (not isinstance(c.from_kp, (int, np.integer))
+                    or not isinstance(c.to_kp, (int, np.integer))
+                    or bool in (type(c.from_kp), type(c.to_kp))
+                    or not math.isfinite(c.affinity) or not 0.0 <= c.valid_ratio <= 1.0):
+                raise ValueError(
+                    f"candidate {i} of limb type list {k} has ids {c.from_kp!r} and "
+                    f"{c.to_kp!r}, affinity {c.affinity} and valid ratio {c.valid_ratio}; "
+                    "ids must be integers, the affinity finite and the ratio in [0, 1]")
     flat = [c for cands in blocks for c in cands]
     limb = np.repeat(np.arange(len(blocks)), [len(cands) for cands in blocks])
     frm, to = (np.array([getattr(c, name) for c in flat], dtype=np.intp)

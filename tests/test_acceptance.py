@@ -97,11 +97,10 @@ def test_criterion_02_lightweight_flops(capsys):
 
 def test_criterion_03_block_ratio():
     from posekit import ArchSpec, LayerGroup, LayerSpec, conv7x7_replacement_block, evaluate, layer_flops
-    conv = LayerSpec(name="conv7", kind="conv", in_channels=128, out_channels=128,
-                     kernel=7, input_h=46, input_w=46)
+    conv = LayerSpec(name="conv7", kind="conv", in_channels=128, out_channels=128, kernel=7)
     block = ArchSpec(name="block", input_height=46, input_width=46, groups=(
         LayerGroup(name="b", layers=conv7x7_replacement_block("b", 128)),))
-    ratio = layer_flops(conv) / (evaluate(block).total_gflops * 1e9)
+    ratio = layer_flops(conv, 46, 46) / (evaluate(block).total_gflops * 1e9)
     ok = 2.3 <= ratio <= 2.7
     _verdict(3, "7x7 conv to replacement block cost ratio in [2.3, 2.7]",
              ok, f"ratio {ratio:.4f}")

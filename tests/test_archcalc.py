@@ -48,9 +48,9 @@ VARIANT_TOTALS = {
 }
 
 
-def _resolved(kind, in_ch, out_ch, kernel=1, h=46, w=46, **kw):
+def _probe(kind, in_ch, out_ch, kernel=1, **kw):
     return LayerSpec(name="probe", kind=kind, in_channels=in_ch, out_channels=out_ch,
-                     kernel=kernel, input_h=h, input_w=w, **kw)
+                     kernel=kernel, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -59,36 +59,37 @@ def _resolved(kind, in_ch, out_ch, kernel=1, h=46, w=46, **kw):
 
 def test_conv_flops_hand_value():
     # 46*46 positions, 512 -> 512 channels, 3x3 kernel.
-    layer = _resolved("conv", 512, 512, kernel=3)
-    assert layer_flops(layer) == 46 * 46 * 512 * 512 * 9 == 4_992_270_336
+    layer = _probe("conv", 512, 512, kernel=3)
+    assert layer_flops(layer, 46, 46) == 46 * 46 * 512 * 512 * 9 == 4_992_270_336
     assert layer_params(layer) == 512 * 512 * 9 + 512 == 2_359_808
 
 
 def test_depthwise_and_pointwise_flops():
-    assert layer_flops(_resolved("depthwise_conv", 512, 512, kernel=3)) == 46 * 46 * 512 * 9
-    assert layer_flops(_resolved("pointwise_conv", 512, 256)) == 46 * 46 * 512 * 256
-    assert layer_params(_resolved("depthwise_conv", 512, 512, kernel=3)) == 512 * 9 + 512
-    assert layer_params(_resolved("pointwise_conv", 512, 256)) == 512 * 256 + 256
+    assert (layer_flops(_probe("depthwise_conv", 512, 512, kernel=3), 46, 46)
+            == 46 * 46 * 512 * 9)
+    assert layer_flops(_probe("pointwise_conv", 512, 256), 46, 46) == 46 * 46 * 512 * 256
+    assert layer_params(_probe("depthwise_conv", 512, 512, kernel=3)) == 512 * 9 + 512
+    assert layer_params(_probe("pointwise_conv", 512, 256)) == 512 * 256 + 256
 
 
 def test_zero_cost_kinds():
     for kind in ("pool", "concat", "residual_add"):
         out_ch = 64 if kind != "concat" else 185
-        layer = _resolved(kind, 64, out_ch, kernel=2 if kind == "pool" else 1)
-        assert layer_flops(layer) == 0
+        layer = _probe(kind, 64, out_ch, kernel=2 if kind == "pool" else 1)
+        assert layer_flops(layer, 46, 46) == 0
         assert layer_params(layer) == 0
 
 
 def test_stride_uses_ceil_division():
     layer = LayerSpec(name="s", kind="conv", in_channels=8, out_channels=8,
-                      kernel=3, stride=2, input_h=23, input_w=23)
-    assert (layer.out_h, layer.out_w) == (12, 12)
+                      kernel=3, stride=2)
+    assert layer_flops(layer, 23, 23) == 12 * 12 * 8 * 8 * 9
 
 
 def test_dilation_does_not_change_cost():
-    plain = _resolved("conv", 64, 64, kernel=3)
-    dilated = _resolved("conv", 64, 64, kernel=3, dilation=2)
-    assert layer_flops(plain) == layer_flops(dilated)
+    plain = _probe("conv", 64, 64, kernel=3)
+    dilated = _probe("conv", 64, 64, kernel=3, dilation=2)
+    assert layer_flops(plain, 46, 46) == layer_flops(dilated, 46, 46)
     assert layer_params(plain) == layer_params(dilated)
 
 
@@ -105,20 +106,21 @@ def test_layer_validation_names_the_layer():
         with pytest.raises(InvalidArchitectureError, match=f"{kind} cannot change channels"):
             LayerSpec(name=kind, kind=kind, in_channels=8, out_channels=16)
     assert LayerSpec(name="cat", kind="concat", in_channels=8, out_channels=16).out_channels == 16
-    with pytest.raises(InvalidArchitectureError):
-        layer_flops(LayerSpec(name="unresolved", kind="conv", in_channels=1, out_channels=1))
     # Every size is an integer >= 1; a fractional, boolean or zero one names the layer.
     for bad in ({"kernel": 3.5}, {"stride": 1.5}, {"dilation": 2.0}, {"in_channels": True},
-                {"out_channels": 0}, {"input_h": 10.5}, {"input_w": 0}):
-        fields = {"kernel": 3, "input_h": 10, "input_w": 10, **bad}
+                {"out_channels": 0}):
+        fields = {"kernel": 3, **bad}
         with pytest.raises(InvalidArchitectureError) as err:
             LayerSpec("sized", "conv", fields.pop("in_channels", 3),
                       fields.pop("out_channels", 8), **fields)
         assert err.value.layer == "sized"
-    numpy_sized = LayerSpec("np", "conv", np.int64(3), np.int32(8), kernel=np.int64(3),
-                            input_h=np.int64(10), input_w=10)
-    assert type(numpy_sized.in_channels) is type(numpy_sized.input_h) is int
-    assert type(layer_flops(numpy_sized)) is int
+    numpy_sized = LayerSpec("np", "conv", np.int64(3), np.int32(8), kernel=np.int64(3))
+    for input_h, input_w in ((10.5, 10), (10, 0), (True, 10)):
+        with pytest.raises(InvalidArchitectureError) as err:
+            layer_flops(numpy_sized, input_h, input_w)
+        assert err.value.layer == "np"
+    assert type(numpy_sized.in_channels) is int
+    assert type(layer_flops(numpy_sized, np.int64(10), 10)) is int
 
 
 def test_group_validation():
@@ -183,8 +185,8 @@ def test_replacement_block_ratio():
     spec = ArchSpec(name="probe", input_height=46, input_width=46,
                     groups=(LayerGroup(name="block", layers=block),))
     block_flops = evaluate(spec).total_gflops
-    conv = _resolved("conv", 128, 128, kernel=7, h=46, w=46)
-    ratio = layer_flops(conv) / (block_flops * 1e9)
+    conv = _probe("conv", 128, 128, kernel=7)
+    ratio = layer_flops(conv, 46, 46) / (block_flops * 1e9)
     assert ratio == pytest.approx(49 / 19, rel=1e-9)
     assert 2.3 <= ratio <= 2.7
 
@@ -204,6 +206,22 @@ def test_builtin_networks_per_layer_digest():
             texts.append(json.dumps([asdict(row) for row in report.layers])
                          + json.dumps(report.to_json_dict()) + report.format_text())
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == BUILTIN_LAYERS_SHA256
+
+
+def test_layer_flops_matches_the_report_rows():
+    # A stride-1 layer's input size is its output size, so each such row of the
+    # report can be recomputed from the public function alone.
+    checked = 0
+    for arch in (builtin_baseline_openpose(369, 371), builtin_lightweight(369, 371),
+                 *builtin_backbone_variants(369, 371)):
+        specs = {(grp.name, layer.name): layer
+                 for grp in arch.groups for layer in grp.layers + grp.heads}
+        for row in evaluate(arch).layers:
+            spec = specs[row.group, row.layer]
+            if spec.stride == 1:
+                assert layer_flops(spec, row.out_h, row.out_w) * row.multiplier == row.flops
+                checked += 1
+    assert checked > 250
 
 
 def test_quarter_resolution_scales_flops_not_params():

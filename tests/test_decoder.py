@@ -405,6 +405,23 @@ def test_scorers_reject_wrong_paf_channel_count(scorer, channels):
         scorer(pafs, limb, kps_a, kps_b)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize("scorer", [
+    score_connections,
+    collect_limb_candidates,
+], ids=["score_connections", "collect_limb_candidates"])
+def test_scorers_reject_a_non_finite_keypoint(scorer, field, value):
+    # Unchecked, such a point reaches the PAF index with a wild value: a bare IndexError.
+    limb = LIMBS[0]
+    pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
+    kps_a = [_kp(0, limb.from_kind, 2.0, 8.0)]
+    kps_b = [_kp(2, limb.to_kind, 10.0, 8.0),
+             replace(_kp(3, limb.to_kind, 12.0, 8.0), **{field: value})]
+    with pytest.raises(ValueError, match="keypoint 3 has a non-finite x or y"):
+        scorer(pafs, limb, kps_a, kps_b)
+
+
 def test_score_connections_covers_every_pair():
     limb = LIMBS[0]
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 0.5})
@@ -673,6 +690,18 @@ def test_grouping_tie_break_is_by_endpoint_ids():
              _conn(limb, 0, 3, 0.5), _conn(limb, 1, 2, 0.5)]
     accepted = group_limbs([cands])
     assert [(c.from_kp, c.to_kp) for c in accepted] == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("affinity", math.inf), ("affinity", math.nan),
+    ("valid_ratio", 1.5), ("valid_ratio", -0.2), ("valid_ratio", math.nan),
+    ("from_kp", 1.7), ("to_kp", True),
+])
+def test_group_limbs_rejects_a_candidate_it_cannot_match(field, value):
+    # Unchecked, each would be matched, dropped without a word or truncated to an id.
+    bad = replace(_conn(LIMBS[1], 1, 3, 0.5), **{field: value})
+    with pytest.raises(ValueError, match="candidate 1 of limb type list 1 has"):
+        group_limbs([[_conn(LIMBS[0], 0, 2, 0.5)], [_conn(LIMBS[1], 0, 4, 0.5), bad]])
 
 
 def _greedy_oracle(cands, cfg):
