@@ -126,9 +126,13 @@ class ArchSpec:
     input_height: int
     input_width: int
     groups: tuple
+    footnotes: tuple = ()  # notes on a published table's figures for this network
 
     def __post_init__(self):
         _require_sizes(self, ("input_height", "input_width"))
+        if isinstance(self.footnotes, str):
+            raise InvalidArchitectureError(self.name, "footnotes must be a sequence of notes")
+        object.__setattr__(self, "footnotes", tuple(self.footnotes))
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise InvalidArchitectureError(self.name, "group names must be unique")
@@ -251,16 +255,8 @@ def evaluate(arch: ArchSpec) -> ComplexityReport:
         groups=tuple(group_rows),
         total_gflops=cumulative / 1e9,
         total_params=total_params,
-        footnotes=_FOOTNOTES.get(arch.name, ()),
+        footnotes=arch.footnotes,
     )
-
-
-_FOOTNOTES = {
-    "lightweight": (
-        "conv4_3 as three separable convolutions computes to ~0.22 GFLOPs; "
-        "the reference table rounds this row to 0.3.",
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +438,9 @@ def builtin_lightweight(input_height: int = 368, input_width: int = 368) -> Arch
         _initial_stage(branches=1),
         _refinement_stage(1, "block", conv7x7_replacement_block),
     )
-    return ArchSpec("lightweight", input_height, input_width, groups)
+    note = ("conv4_3 as three separable convolutions computes to ~0.22 GFLOPs; "
+            "the reference table rounds this row to 0.3.")
+    return ArchSpec("lightweight", input_height, input_width, groups, (note,))
 
 
 def builtin_backbone_variants(input_height: int = 368, input_width: int = 368):

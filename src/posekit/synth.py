@@ -281,19 +281,17 @@ def _anchor_range(template, cfg: RenderConfig):
     return x_lo, x_hi, y_lo, y_hi
 
 
-def _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
-    """Which anchors of a template's range keep it clear of ``others``.
+def _free_anchors(others_x, others_y, spots_x, spots_y) -> np.ndarray:
+    """Placement's one test: which of a template's anchors keep every keypoint
+    ``>= MIN_SAME_KIND_SEPARATION`` from those of its kind already placed.
 
-    Returns a ``(y, x)`` mask, ``[0, 0]`` being ``(x_lo, y_lo)``. This is
-    placement's one test, for a drawn anchor (a one-anchor range) or a whole
-    range: no keypoint ``< MIN_SAME_KIND_SEPARATION`` from one of its kind.
-    ``offsets`` is ``(kinds, 2)``; ``others`` is ``(persons, kinds, 2)``,
-    NaN where a person lacks a kind, which fails every ``<`` test.
-    """
-    dx = others[..., 0] - (offsets[:, 0] + np.arange(x_lo, x_hi + 1)[:, None, None])
-    dy = others[..., 1] - (offsets[:, 1] + np.arange(y_lo, y_hi + 1)[:, None, None])
-    d = np.hypot(dx[None], dy[:, None])  # (y, x, persons, kinds)
-    return ~(d < MIN_SAME_KIND_SEPARATION).any(axis=(2, 3))
+    ``others_x``/``others_y`` are the placed ``(persons, kinds)`` coordinates,
+    NaN where a person lacks a kind, which fails every ``<`` test;
+    ``spots_x``/``spots_y`` are the template's, ``offsets + anchor``, kinds
+    last. The result drops the kinds from their broadcast shape: ``()`` for
+    one anchor, ``(y, x)`` for a range."""
+    d = np.hypot(others_x - spots_x, others_y - spots_y)
+    return ~(d < MIN_SAME_KIND_SEPARATION).any(axis=(-2, -1))
 
 
 def _may_fit(uses, cfg: RenderConfig) -> bool:
@@ -327,20 +325,23 @@ def _try_place(templates, cfg: RenderConfig, rng) -> list[GroundTruthPerson] | N
         x_lo, x_hi, y_lo, y_hi = _anchor_range(template, cfg)
         kinds = list(template)
         offsets = np.array([template[k] for k in kinds], dtype=np.float64)
+        off_x, off_y = offsets.T
         # A person with none of the kinds is all NaN here, and NaN fails every
         # ``<`` test, so dropping it changes no decision.
         others = placed[:n, kinds]
-        others = others[~np.isnan(others[..., 0]).all(axis=1)]
+        others_x, others_y = others[~np.isnan(others[..., 0]).all(axis=1)].transpose(2, 0, 1)
         free = None
         for attempt in range(_PLACEMENT_ATTEMPTS):
             if attempt == _ATTEMPTS_BEFORE_MASK:
                 # With no free anchor every remaining attempt would fail.
-                free = _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi)
+                xs, ys = np.arange(x_lo, x_hi + 1), np.arange(y_lo, y_hi + 1)
+                free = _free_anchors(others_x, others_y, off_x + xs[:, None, None],
+                                     off_y + ys[:, None, None, None])
                 if not free.any():
                     return None
             ax, ay = int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1))
             if free is None:
-                fits = _free_anchors(offsets, others, ax, ax, ay, ay)[0, 0]
+                fits = _free_anchors(others_x, others_y, off_x + ax, off_y + ay)
             else:
                 fits = free[ay - y_lo, ax - x_lo]
             if fits:

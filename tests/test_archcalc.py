@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -166,6 +166,23 @@ def test_lightweight_group_values():
     assert report.total_gflops == pytest.approx(LIGHTWEIGHT_TOTAL, rel=1e-9)
     assert report.total_params == LIGHTWEIGHT_PARAMS
     assert report.footnotes  # the conv4_3 rounding note
+
+
+def test_another_network_named_lightweight_gets_no_note():
+    impostor = ArchSpec("lightweight", 368, 368, builtin_baseline_openpose().groups)
+    assert evaluate(impostor).footnotes == ()
+
+
+def test_a_renamed_lightweight_keeps_its_note():
+    renamed = evaluate(replace(builtin_lightweight(), name="renamed"))
+    assert renamed.footnotes == evaluate(builtin_lightweight()).footnotes
+    assert len(renamed.footnotes) == 1 and "conv4_3" in renamed.footnotes[0]
+    # Notes are stored as a tuple; one bare string is not taken for a list of notes.
+    group = builtin_lightweight().groups[:1]
+    assert ArchSpec("listed", 64, 64, group, ["a", "b"]).footnotes == ("a", "b")
+    with pytest.raises(InvalidArchitectureError) as err:
+        ArchSpec("one_string", 64, 64, group, "a note")
+    assert err.value.layer == "one_string"
 
 
 def test_backbone_variant_totals_and_order():

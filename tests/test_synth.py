@@ -495,17 +495,20 @@ def test_free_anchor_mask_matches_the_per_attempt_test(seed, map_h, map_w, templ
     placed[on_grid] = np.round(placed[on_grid])
     placed[rng.random((num_placed, NUM_KEYPOINTS)) < missing] = np.nan
     others = placed[:, kinds]
-    free = _free_anchors(offsets, others, x_lo, x_hi, y_lo, y_hi)
+    # The mask and the one-anchor test, called as _try_place calls them.
+    others_x, others_y = others.transpose(2, 0, 1)
+    free = _free_anchors(others_x, others_y,
+                         offsets[:, 0] + np.arange(x_lo, x_hi + 1)[:, None, None],
+                         offsets[:, 1] + np.arange(y_lo, y_hi + 1)[:, None, None, None])
     assert free.shape == (y_hi - y_lo + 1, x_hi - x_lo + 1)
     for y in range(y_lo, y_hi + 1):
         for x in range(x_lo, x_hi + 1):
             assert free[y - y_lo, x - x_lo] == (not _blocked(offsets, others, (x, y)))
-    # The one-anchor range that _try_place tests each early attempt's draw on.
     for _ in range(4):
         x, y = int(rng.integers(x_lo, x_hi + 1)), int(rng.integers(y_lo, y_hi + 1))
-        one = _free_anchors(offsets, others, x, x, y, y)
-        assert one.shape == (1, 1)
-        assert one[0, 0] == (not _blocked(offsets, others, (x, y)))
+        one = _free_anchors(others_x, others_y, offsets[:, 0] + x, offsets[:, 1] + y)
+        assert one.shape == ()
+        assert one == (not _blocked(offsets, others, (x, y)))
 
 
 _REAL_DEFAULT_RNG = np.random.default_rng
