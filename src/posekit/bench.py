@@ -47,7 +47,13 @@ import numpy as np
 from . import decoder
 from .decoder import assemble_skeletons, group_limbs
 from .errors import DimensionMismatchError, GateFailureError
-from .featuremaps import STRIDE, FeatureMaps, InputGeometry, compute_input_geometry
+from .featuremaps import (
+    STRIDE,
+    FeatureMaps,
+    InputGeometry,
+    _require_integer,
+    compute_input_geometry,
+)
 from .fileio import read_scene_truth, read_tensor
 from .skeleton import (
     LIMBS,
@@ -367,8 +373,7 @@ def run_benchmark(scenario: Scenario, mode: str, cfg: DecoderConfig = DecoderCon
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if frames < MIN_FRAMES:
-        raise ValueError(f"frames must be >= {MIN_FRAMES}, got {frames}")
+    frames = _require_integer(frames, "frames", MIN_FRAMES)
     heat, pafs, geometry = scenario.heatmaps, scenario.pafs, scenario.geometry
 
     # Off-lattice peaks refine to other positions at another upsample factor.

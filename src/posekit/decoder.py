@@ -7,7 +7,8 @@ neighbors. One batch scores every limb's pairs on the stride-level PAFs.
 Both read values bit-equal to the dense upsample. From the peaks to the
 output, ``decode`` passes NumPy columns, not objects: peaks as (kind, x, y,
 score) with id = row, candidates as (limb, from id, to id, affinity, valid
-ratio). Matching and assembly work on ids, and each output ``Keypoint`` and
+ratio) for every scored pair. Matching drops the unusable candidates, and
+it and assembly work on ids. Each output ``Keypoint`` and
 ``PoseSkeleton`` is built once, in original-image pixels. The public stage
 functions convert their object arguments to these columns, run the same
 code and convert back. All stages are deterministic and run on the calling
@@ -367,13 +368,13 @@ def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
     return coords.astype(np.intp)
 
 
-def _grouping_filter(affinity: np.ndarray, valid: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
-    """Which scored candidates may become connections: valid ratio and positive affinity."""
+def _grouping_filter(affinity, valid, cfg: DecoderConfig):
+    """Which scored candidates may become connections: valid ratio and
+    positive affinity. Takes arrays or single floats."""
     return (valid >= cfg.min_valid_ratio) & (affinity > 0.0)
 
 
-def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
-                 keep_all: bool = False):
+def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig):
     """Candidate columns ``(limb, from, to, affinity, valid_ratio)`` for the
     pairs of every limb, scored in one batch.
 
@@ -384,9 +385,8 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
     evenly spaced points from a to b (endpoints included, nearest upsampled
     pixel) and dots each sample with the unit direction. Affinity is the
     mean; valid ratio is the fraction of samples whose alignment exceeds the
-    threshold. Zero-length pairs score (0, 0). Candidates are by limb, then
-    in row-major (a, b) order, and hold all pairs with ``keep_all``, else
-    those passing the grouping filter.
+    threshold. Zero-length pairs score (0, 0). Every pair comes back, by
+    limb, then in row-major (a, b) order.
     """
     a_start, na, b_start, nb, x_channel, y_channel = ends
     counts = na * nb
@@ -418,32 +418,7 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig,
         (aligned > cfg.paf_alignment_threshold).sum(axis=-1) / cfg.paf_sample_count,
         0.0,
     )
-    keep = keep_all | _grouping_filter(affinity, valid, cfg)
-    return owner[keep], ia[keep], ib[keep], affinity[keep], valid[keep]
-
-
-def _score_limbs(pafs: FeatureMaps, factor: int, limbs, pairs, cfg: DecoderConfig,
-                 keep_all: bool = False) -> list[list[LimbConnection]]:
-    """``_score_pairs`` as one candidate list per limb, where ``pairs[k]`` is
-    the ``(kps_a, kps_b)`` lists of ``limbs[k]``'s from and to keypoints."""
-    _require_channels(pafs, NUM_PAF_CHANNELS, "PAF")
-    flat = [kp for ends in pairs for kps in ends for kp in kps]
-    x = np.array([kp.x for kp in flat], dtype=np.float64)
-    y = np.array([kp.y for kp in flat], dtype=np.float64)
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not finite.all():
-        raise ValueError(f"keypoint {flat[np.argmin(finite)].id} has a non-finite x or y")
-    na, nb, x_channel, y_channel = np.array(
-        [(len(kps_a), len(kps_b), limb.paf_x_channel, limb.paf_y_channel)
-         for limb, (kps_a, kps_b) in zip(limbs, pairs)], dtype=np.intp).reshape(-1, 4).T
-    a_start = np.cumsum(na + nb) - (na + nb)
-    columns = _score_pairs(pafs, factor, x, y,
-                           (a_start, na, a_start + na, nb, x_channel, y_channel), cfg, keep_all)
-    result: list[list[LimbConnection]] = [[] for _ in limbs]
-    for p, a, b, aff, ratio in zip(*(c.tolist() for c in columns)):
-        result[p].append(LimbConnection(limb=limbs[p], from_kp=flat[a].id, to_kp=flat[b].id,
-                                        affinity=aff, valid_ratio=ratio))
-    return result
+    return owner, ia, ib, affinity, valid
 
 
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
@@ -451,7 +426,19 @@ def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
     """Score every (a, b) pair, in row-major order, against the limb's PAF
     channels. A keypoint with a non-finite x or y raises ``ValueError``
     naming its id."""
-    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg, keep_all=True)[0]
+    _require_channels(pafs, NUM_PAF_CHANNELS, "PAF")
+    flat = [*kps_a, *kps_b]
+    x = np.array([kp.x for kp in flat], dtype=np.float64)
+    y = np.array([kp.y for kp in flat], dtype=np.float64)
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"keypoint {flat[np.argmin(finite)].id} has a non-finite x or y")
+    na, nb = len(kps_a), len(kps_b)
+    ends = np.array([[0], [na], [na], [nb], [limb.paf_x_channel], [limb.paf_y_channel]],
+                    dtype=np.intp)
+    columns = (c.tolist() for c in _score_pairs(pafs, 1, x, y, ends, cfg)[1:])
+    return [LimbConnection(limb=limb, from_kp=flat[a].id, to_kp=flat[b].id, affinity=aff,
+                           valid_ratio=ratio) for a, b, aff, ratio in zip(*columns)]
 
 
 def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
@@ -462,21 +449,24 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
     accepts the same connections from these as from the unfiltered list.
     A keypoint with a non-finite x or y raises ``ValueError`` naming its id.
     """
-    return _score_limbs(pafs, 1, (limb,), ((kps_a, kps_b),), cfg)[0]
+    return [c for c in score_connections(pafs, limb, kps_a, kps_b, cfg)
+            if _grouping_filter(c.affinity, c.valid_ratio, cfg)]
 
 
-def _match(limb, frm, to, affinity) -> list[int]:
+def _match(limb, frm, to, affinity, valid, cfg: DecoderConfig) -> list[int]:
     """Greedy matching of candidate columns: the rows it accepts, in order.
 
-    Limbs are matched in ascending ``limb`` order, each on its own. Its
-    candidates are taken by descending affinity (ties by smaller from, then
-    to) and accepted when neither endpoint is already used within the limb.
-    The caller passes only usable candidates (see ``_grouping_filter``).
+    Candidates that fail ``_grouping_filter`` are dropped. Limbs are matched
+    in ascending ``limb`` order, each on its own. Its candidates are taken
+    by descending affinity (ties by smaller from, then to) and accepted when
+    neither endpoint is already used within the limb.
     """
+    rows = np.flatnonzero(_grouping_filter(affinity, valid, cfg))
+    limb, frm, to, affinity = limb[rows], frm[rows], to[rows], affinity[rows]
     order = np.lexsort((to, frm, -affinity, limb))
     accepted: list[int] = []
     current, used_from, used_to = None, set(), set()
-    for row, p, a, b in zip(order.tolist(), limb[order].tolist(), frm[order].tolist(),
+    for row, p, a, b in zip(rows[order].tolist(), limb[order].tolist(), frm[order].tolist(),
                             to[order].tolist()):
         if p != current:
             current, used_from, used_to = p, set(), set()
@@ -517,9 +507,7 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig = DecoderConfig()) -> lis
                for name in ("from_kp", "to_kp"))
     affinity, valid = (np.array([getattr(c, name) for c in flat], dtype=np.float64)
                        for name in ("affinity", "valid_ratio"))
-    keep = np.flatnonzero(_grouping_filter(affinity, valid, cfg))
-    accepted = _match(limb[keep], frm[keep], to[keep], affinity[keep])
-    return [flat[row] for row in keep[accepted].tolist()]
+    return [flat[row] for row in _match(limb, frm, to, affinity, valid, cfg)]
 
 
 class _Builder:
@@ -644,11 +632,11 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
     counts = np.bincount(kind, minlength=NUM_KEYPOINTS)
     starts = np.cumsum(counts) - counts
     from_kind, to_kind, x_channel, y_channel = _LIMB_COLUMNS
-    limb, frm, to, affinity, _ = _score_pairs(
+    limb, frm, to, affinity, valid = _score_pairs(
         pafs, factor, x, y,
         (starts[from_kind], counts[from_kind], starts[to_kind], counts[to_kind],
          x_channel, y_channel), cfg)
-    accepted = _match(limb, frm, to, affinity)
+    accepted = _match(limb, frm, to, affinity, valid, cfg)
     kinds, scores = kind.tolist(), score.tolist()
     skeletons = _assemble(zip(frm[accepted].tolist(), to[accepted].tolist(),
                               affinity[accepted].tolist()), kinds, scores, cfg)

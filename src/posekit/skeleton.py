@@ -25,9 +25,30 @@ BACKGROUND_CHANNEL = NUM_KEYPOINTS
 NUM_HEATMAP_CHANNELS = NUM_KEYPOINTS + 1
 
 
+# Each limb's from and to kinds, in limb id order.
+_LIMB_KINDS = (
+    (1, 2), (1, 5),            # neck to shoulders
+    (2, 3), (3, 4),            # right arm
+    (5, 6), (6, 7),            # left arm
+    (1, 8), (8, 9), (9, 10),   # right leg
+    (1, 11), (11, 12), (12, 13),  # left leg
+    (1, 0),                    # neck to nose
+    (0, 14), (14, 16),         # right eye, ear
+    (0, 15), (15, 17),         # left eye, ear
+    (2, 16), (5, 17),          # shoulder-to-ear cross links
+)
+NUM_LIMBS = len(_LIMB_KINDS)
+NUM_PAF_CHANNELS = 2 * NUM_LIMBS
+
+
 @dataclass(frozen=True)
 class LimbType:
-    """A directed connection between two keypoint kinds and its PAF channels."""
+    """A directed connection between two keypoint kinds and its PAF channels.
+
+    Valid by construction, else ``ValueError`` naming the limb id: the kinds
+    are integers in 0..17 and the channels integers in 0..37, stored as
+    ``int``. Both ends may be one kind.
+    """
 
     id: int
     from_kind: int
@@ -35,27 +56,18 @@ class LimbType:
     paf_x_channel: int
     paf_y_channel: int
 
-
-def _build_limbs() -> tuple[LimbType, ...]:
-    pairs = (
-        (1, 2), (1, 5),            # neck to shoulders
-        (2, 3), (3, 4),            # right arm
-        (5, 6), (6, 7),            # left arm
-        (1, 8), (8, 9), (9, 10),   # right leg
-        (1, 11), (11, 12), (12, 13),  # left leg
-        (1, 0),                    # neck to nose
-        (0, 14), (14, 16),         # right eye, ear
-        (0, 15), (15, 17),         # left eye, ear
-        (2, 16), (5, 17),          # shoulder-to-ear cross links
-    )
-    return tuple(
-        LimbType(i, a, b, 2 * i, 2 * i + 1) for i, (a, b) in enumerate(pairs)
-    )
+    def __post_init__(self):
+        for name, count in (("from_kind", NUM_KEYPOINTS), ("to_kind", NUM_KEYPOINTS),
+                            ("paf_x_channel", NUM_PAF_CHANNELS),
+                            ("paf_y_channel", NUM_PAF_CHANNELS)):
+            what = f"limb {self.id!r} {name}"
+            value = _require_integer(getattr(self, name), what, 0)
+            if value >= count:
+                raise ValueError(f"{what} must be in 0..{count - 1}, got {value}")
+            object.__setattr__(self, name, value)
 
 
-LIMBS = _build_limbs()
-NUM_LIMBS = len(LIMBS)
-NUM_PAF_CHANNELS = 2 * NUM_LIMBS
+LIMBS = tuple(LimbType(i, a, b, 2 * i, 2 * i + 1) for i, (a, b) in enumerate(_LIMB_KINDS))
 
 
 @dataclass(frozen=True)

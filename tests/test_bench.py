@@ -113,6 +113,15 @@ def test_run_benchmark_rejects_bad_arguments():
         run_benchmark(sc, "optimized", frames=1)
 
 
+@pytest.mark.parametrize("frames", [40.0, "40", True])
+def test_run_benchmark_rejects_non_integer_frames_before_the_gate(monkeypatch, frames):
+    gated = []
+    monkeypatch.setattr(posekit.bench, "naive_decode", lambda *args: gated.append(args))
+    with pytest.raises(ValueError, match="^frames must be an integer >= 30"):
+        run_benchmark(_scenario(1, height=24, width=33), "optimized", frames=frames)
+    assert gated == []
+
+
 def test_run_benchmark_gate_passes_on_noisy_canonical_scene():
     # Noise moves peaks off the lattice, where positions refined at the
     # stride and at the upsample factor differ by up to ~0.1 px.

@@ -460,8 +460,38 @@ def test_scoring_wrappers_score_a_against_b_on_a_same_kind_limb():
     assert collect_limb_candidates(pafs, limb, kps_a, kps_b) == conns
 
 
-def _limb_pairs(keypoints):
-    return [(keypoints[limb.from_kind], keypoints[limb.to_kind]) for limb in LIMBS]
+@pytest.mark.parametrize("field, value", [
+    ("paf_x_channel", -1), ("paf_y_channel", 38), ("paf_x_channel", 1.5),
+    ("paf_y_channel", True), ("from_kind", -1), ("to_kind", 18),
+])
+def test_limb_type_rejects_values_outside_its_rule(field, value):
+    # A scorer would read such a channel as another one, or fail far from the cause.
+    with pytest.raises(ValueError, match=f"^limb 7 {field} must be"):
+        replace(LIMBS[7], **{field: value})
+
+
+def test_limb_type_stores_python_ints():
+    limb = LimbType(3, np.int64(1), np.int16(1), np.intp(0), np.int32(37))
+    assert [type(v) for v in (limb.from_kind, limb.to_kind, limb.paf_x_channel,
+                              limb.paf_y_channel)] == [int] * 4
+
+
+def _score_every_limb(pafs, factor, keypoints, cfg):
+    """Every limb's candidates from ``_score_pairs`` on the columns
+    ``_group_peaks`` builds: the points by kind, their per-kind starts and
+    counts, and ``_LIMB_COLUMNS``."""
+    flat = [kp for bucket in keypoints for kp in bucket]
+    x, y = (np.array([getattr(kp, name) for kp in flat], dtype=np.float64) for name in "xy")
+    counts = np.array([len(bucket) for bucket in keypoints], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    from_kind, to_kind, x_channel, y_channel = posekit.decoder._LIMB_COLUMNS
+    columns = posekit.decoder._score_pairs(
+        pafs, factor, x, y, (starts[from_kind], counts[from_kind], starts[to_kind],
+                             counts[to_kind], x_channel, y_channel), cfg)
+    every = [[] for _ in LIMBS]
+    for p, a, b, affinity, valid in zip(*(c.tolist() for c in columns)):
+        every[p].append(LimbConnection(LIMBS[p], flat[a].id, flat[b].id, affinity, valid))
+    return every
 
 
 @pytest.mark.parametrize("factor", [1, 3, 4])
@@ -480,9 +510,7 @@ def test_batched_scorer_on_mixed_limbs(monkeypatch, factor):
             next_id += 1
     keypoints[2][1] = _kp(keypoints[2][1].id, 2, keypoints[1][0].x, keypoints[1][0].y)
     cfg = DecoderConfig(upsample_factor=factor, min_valid_ratio=0.3)
-    pairs = _limb_pairs(keypoints)
-    every = posekit.decoder._score_limbs(pafs, factor, LIMBS, pairs, cfg, keep_all=True)
-    kept = posekit.decoder._score_limbs(pafs, factor, LIMBS, pairs, cfg)
+    every = _score_every_limb(pafs, factor, keypoints, cfg)
     up_paf = resize_bilinear(pafs, factor)
     # The scalar reference: the naive path's per-pair loop, captured on its
     # way into group_limbs.
@@ -490,8 +518,9 @@ def test_batched_scorer_on_mixed_limbs(monkeypatch, factor):
     monkeypatch.setattr(posekit.bench, "group_limbs",
                         lambda cands, cfg: scalar.extend(cands) or group_limbs(cands, cfg))
     posekit.bench._naive_group(up_paf.data, keypoints, cfg)
-    for limb, conns, filtered, reference in zip(LIMBS, every, kept, scalar):
+    for limb, conns, reference in zip(LIMBS, every, scalar):
         kps_a, kps_b = keypoints[limb.from_kind], keypoints[limb.to_kind]
+        filtered = collect_limb_candidates(up_paf, limb, kps_a, kps_b, cfg)
         # Row-major (a, b) order, every pair, and the limb's own type.
         assert [(c.from_kp, c.to_kp) for c in conns] == \
             [(a.id, b.id) for a in kps_a for b in kps_b]
@@ -515,15 +544,12 @@ def test_batched_scorer_single_pair_per_limb_and_no_peaks():
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
     keypoints = [[_kp(kind, kind, 2.0 + kind % 3, 8.0)] for kind in range(NUM_KEYPOINTS)]
     cfg = DecoderConfig(upsample_factor=1)
-    every = posekit.decoder._score_limbs(pafs, 1, LIMBS, _limb_pairs(keypoints), cfg,
-                                         keep_all=True)
+    every = _score_every_limb(pafs, 1, keypoints, cfg)
     assert [[(c.from_kp, c.to_kp) for c in conns] for conns in every] == \
         [[(limb.from_kind, limb.to_kind)] for limb in LIMBS]
     assert every[0][0].affinity == pytest.approx(1.0)
-    empty = _limb_pairs([[] for _ in range(NUM_KEYPOINTS)])
-    for keep_all in (False, True):
-        assert posekit.decoder._score_limbs(pafs, 4, LIMBS, empty, cfg, keep_all) == \
-            [[] for _ in LIMBS]
+    empty = [[] for _ in range(NUM_KEYPOINTS)]
+    assert _score_every_limb(pafs, 4, empty, cfg) == [[] for _ in LIMBS]
     # A frame without peaks decodes to nothing.
     heat = FeatureMaps.zeros(NUM_HEATMAP_CHANNELS, 16, 16)
     assert decode(heat, pafs, identity_geometry(16, 16)) == []
@@ -565,11 +591,12 @@ def test_scorer_bits_are_pinned(monkeypatch, factor):
     seen, score_pairs = [], posekit.decoder._score_pairs
 
     def spy(*args):
-        # The kept candidate columns decode hands to greedy matching, as the
+        # The candidate columns that pass greedy matching's filter, as the
         # rows _candidate_rows makes of LimbConnection lists.
         columns = score_pairs(*args)
-        limb, frm, to, affinity, valid = (c.tolist() for c in columns)
-        seen.append(list(zip(limb, frm, to, map(float.hex, affinity), map(float.hex, valid))))
+        seen.append([(p, a, b, aff.hex(), ratio.hex())
+                     for p, a, b, aff, ratio in zip(*(c.tolist() for c in columns))
+                     if ratio >= cfg.min_valid_ratio and aff > 0.0])
         return columns
 
     monkeypatch.setattr(posekit.decoder, "_score_pairs", spy)
