@@ -69,7 +69,7 @@ from .synth import (
     render_pafs,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "ArchSpec", "ComplexityReport", "LayerGroup", "LayerSpec",

@@ -5,8 +5,9 @@ keypoints (scoring, greedy matching, assembly, coordinate mapping). The
 naive mode mirrors a first straightforward implementation: heatmaps and PAFs
 are resized all the way to network input size channel by channel in float64
 with fresh allocations, extraction walks every pixel in Python
-single-threaded, and pair scoring loops over samples one candidate at a
-time. The optimized mode runs ``decoder.decode``'s stages one by one: its
+single-threaded, pair scoring loops over samples one candidate at a
+time, and greedy matching picks one candidate at a time in its own code.
+The optimized mode runs ``decoder.decode``'s stages one by one: its
 resize stage evaluates the heatmap upsample only in the hot cells that can
 hold a peak, its extract stage applies the peak rule there and sorts the
 peak columns, and its group stage scores every limb's candidates in one
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decoder
-from .decoder import assemble_skeletons, group_limbs
+from .decoder import assemble_skeletons
 from .errors import DimensionMismatchError, GateFailureError
 from .featuremaps import (
     STRIDE,
@@ -207,12 +208,39 @@ def _naive_extract(up_heat: list, threshold: float) -> list:
     return result
 
 
+def _naive_match(candidates_by_type, cfg: DecoderConfig) -> list:
+    """Greedy matching by selection, written from the grouping rule, not
+    from ``group_limbs``.
+
+    Drops the candidates whose valid ratio is below ``cfg.min_valid_ratio``
+    or whose affinity is not positive. Then, one limb-type list at a time,
+    it takes the remaining candidate with the smallest ``(-affinity, from
+    id, to id)`` and accepts it unless one of its ends is already used in
+    that list. Returns the accepted candidates by limb type, in acceptance
+    order.
+    """
+    accepted = []
+    for cands in candidates_by_type:
+        remaining = [c for c in cands
+                     if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0]
+        used_from, used_to = set(), set()
+        while remaining:
+            best = min(remaining, key=lambda c: (-c.affinity, c.from_kp, c.to_kp))
+            remaining.remove(best)
+            if best.from_kp in used_from or best.to_kp in used_to:
+                continue
+            used_from.add(best.from_kp)
+            used_to.add(best.to_kp)
+            accepted.append(best)
+    return accepted
+
+
 def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
     """Per-pair Python-loop scoring followed by the greedy matching.
 
     Scores the full cross-product of keypoints for every limb type and hands
-    all of it to ``group_limbs``, which filters. Coincident endpoints have no
-    direction to project on and score (0, 0).
+    all of it to ``_naive_match``, which filters. Coincident endpoints have
+    no direction to project on and score (0, 0).
     """
     ts = [float(t) for t in np.linspace(0.0, 1.0, cfg.paf_sample_count)]
     candidates_by_type = []
@@ -249,8 +277,7 @@ def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
                                    valid_ratio=valid / cfg.paf_sample_count)
                 )
         candidates_by_type.append(cands)
-    accepted = group_limbs(candidates_by_type, cfg)
-    return assemble_skeletons(accepted, keypoints, cfg)
+    return assemble_skeletons(_naive_match(candidates_by_type, cfg), keypoints, cfg)
 
 
 def _naive_map_back(skeletons: list, geometry: InputGeometry, factor: int) -> list:

@@ -31,7 +31,7 @@ from .errors import DimensionMismatchError
 from .featuremaps import (
     FeatureMaps,
     InputGeometry,
-    _axis_tables,
+    _phase_weights,
     _sample_upsampled,
 )
 from .skeleton import (
@@ -181,34 +181,21 @@ def _hot_margin(max_abs: float) -> float:
     return 32.0 * 2.0 ** -24 * max(1.0, max_abs)
 
 
-@lru_cache(maxsize=64)
-def _cell_weights(size: int, factor: int) -> np.ndarray:
-    """Resize weights of the ``factor`` samples of every cell along one
-    axis, shape ``(factor, size + 1)``.
-
-    Cell ``a`` holds the upsampled samples that interpolate between source
-    samples ``a - 1`` and ``a``, clamped, so cells 0 and ``size`` hold the
-    clamped edge samples. It starts at sample ``a * factor - ceil(factor / 2)``
-    and may stick out of the map; samples outside it get an edge weight that
-    nothing reads. The weights are ``_axis_tables``', so the clamped edge
-    samples copy their source sample, -0.0 included.
-    """
-    weights = _axis_tables(size, factor)[2]
-    first = np.arange(size + 1) * factor - (factor + 1) // 2
-    table = weights[np.clip(first + np.arange(factor)[:, None], 0, size * factor - 1)]
-    table.flags.writeable = False
-    return table
-
-
 def _upsample_hot_cells(heat: np.ndarray, cfg: DecoderConfig):
     """Decode's resize stage: the keypoint channels of ``heat`` upsampled by
     ``cfg.upsample_factor`` in their hot cells only.
 
-    A cell (see ``_cell_weights``) is hot when one of its four source corners
+    Cell ``(a, b)`` holds the ``f x f`` samples between source rows
+    ``a - 1`` and ``a`` and columns ``b - 1`` and ``b``, clamped; along an
+    axis cell ``a`` starts at sample ``a * f - ceil(f / 2)`` and may stick
+    out of the map, where nothing reads it. Inner cells sit on the resize
+    body's phases and take ``_phase_weights``; edge cells (row or column 0,
+    ``h`` or ``w``) copy their edge sample, -0.0 included, as
+    ``_resize_axis`` does. A cell is hot when one of its four source corners
     exceeds ``cfg.peak_threshold - _hot_margin``: no sample of a cold cell
-    can exceed the threshold. Each hot cell's own ``f x f`` samples are
-    interpolated from its corners, columns first, then rows, with the
-    resize's float32 operations, so they are bit-equal to ``_resize_planes``.
+    can exceed the threshold. Each hot cell's own samples are interpolated
+    from its corners, columns first, then rows, with the resize's float32
+    operations, so they are bit-equal to ``_resize_planes``.
     They sit in a ``(f, f + 2, cells + 1)`` block ``V[i, j, cell]`` (cells
     last, so every operation runs along a long axis) between two edge
     columns: the adjacent columns of the cells to the left and right, or
@@ -253,16 +240,21 @@ def _upsample_hot_cells(heat: np.ndarray, cfg: DecoderConfig):
     for k in range(2):
         for j in range(2):
             np.take(flat[k * (w + 2) + j:], corner, out=near[k, j])
-    # Columns, then rows, each as the resize's (b - a) * w + a in float32.
+    # Columns, then rows, as the resize's (b - a) * w + a in float32 or its edge copy.
     np.subtract(near[:, 1], near[:, 0], out=near[:, 1])
     cols = _buffer("cols", (2, factor, m))
-    np.multiply(near[:, 1, None], np.take(_cell_weights(w, factor), b, axis=1), out=cols)
+    np.multiply(near[:, 1, None], _phase_weights(factor)[:, None], out=cols)
     np.add(cols, near[:, :1], out=cols)
+    # Edge cells by index: assigning through a boolean mask costs several times more.
+    edge = np.flatnonzero((b == 0) | (b == w))
+    cols[:, :, edge] = near[:, :1, edge]
     v = _buffer("cells", (factor, factor + 2, m + 1))
     own = v[:, 1:-1, :m]
     np.subtract(cols[1], cols[0], out=cols[1])
-    np.multiply(cols[1], np.take(_cell_weights(h, factor), a, axis=1)[:, None], out=own)
+    np.multiply(cols[1], _phase_weights(factor)[:, None, None], out=own)
     np.add(own, cols[0], out=own)
+    edge = np.flatnonzero((a == 0) | (a == h))
+    own[:, :, edge] = cols[0][:, edge]
     # Each edge column is the adjacent column of the next or previous cell,
     # capped to -inf unless that cell is its neighbor. Rows of cells end
     # outside the map, so the wrap from one row to the next is never read.
@@ -424,9 +416,15 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig)
 def score_connections(pafs: FeatureMaps, limb, kps_a, kps_b,
                       cfg: DecoderConfig = DecoderConfig()) -> list[LimbConnection]:
     """Score every (a, b) pair, in row-major order, against the limb's PAF
-    channels. A keypoint with a non-finite x or y raises ``ValueError``
-    naming its id."""
+    channels. ``ValueError`` names the first keypoint that does not fit the
+    limb: one of ``kps_a`` not of ``limb.from_kind``, one of ``kps_b`` not
+    of ``limb.to_kind``, or one with a non-finite x or y."""
     _require_channels(pafs, NUM_PAF_CHANNELS, "PAF")
+    for kps, kind, end in ((kps_a, limb.from_kind, "from"), (kps_b, limb.to_kind, "to")):
+        for kp in kps:
+            if kp.kind != kind:
+                raise ValueError(f"keypoint {kp.id} has kind {kp.kind}, but limb {limb.id} "
+                                 f"takes kind {kind} at its {end} end")
     flat = [*kps_a, *kps_b]
     x = np.array([kp.x for kp in flat], dtype=np.float64)
     y = np.array([kp.y for kp in flat], dtype=np.float64)
@@ -447,7 +445,7 @@ def collect_limb_candidates(pafs: FeatureMaps, limb, kps_a, kps_b,
     the grouping filter (``cfg.min_valid_ratio`` and positive affinity), in
     the same order. ``group_limbs`` applies that filter itself, so it
     accepts the same connections from these as from the unfiltered list.
-    A keypoint with a non-finite x or y raises ``ValueError`` naming its id.
+    Raises ``ValueError`` for the same keypoints as ``score_connections``.
     """
     return [c for c in score_connections(pafs, limb, kps_a, kps_b, cfg)
             if _grouping_filter(c.affinity, c.valid_ratio, cfg)]

@@ -9,7 +9,8 @@ reads source coordinate ``(i + 0.5) / factor - 0.5``, with edge clamping.
 A sample between source samples ``a`` and ``b`` is ``(b - a) * w + a`` in
 float32. A clamped edge sample, whose coordinate lies before the first or
 after the last source sample, copies that source sample bit for bit, -0.0
-included. ``_axis_tables`` holds this rule for every reader.
+included. ``_axis_tables`` holds this rule for every reader;
+``_phase_weights`` holds the weights of the samples between two sources.
 """
 
 from __future__ import annotations
@@ -124,6 +125,12 @@ def _axis_tables(size: int, factor: int):
     return lo, hi, w
 
 
+def _phase_weights(factor: int) -> np.ndarray:
+    """The resize body's ``factor`` phase weights, read from a 2-pixel axis:
+    on any axis, sample ``q * factor + factor // 2 + k`` takes weight ``k``."""
+    return _axis_tables(2, factor)[2][factor // 2:factor // 2 + factor]
+
+
 def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
                       ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """``up[channels, ys, xs]`` (index arrays that broadcast together), where
@@ -164,7 +171,7 @@ def _resize_axis(src: np.ndarray, out: np.ndarray, factor: int) -> None:
     diff = src[..., 1:] - src[..., :-1]
     base = src[..., :-1]
     # A 1-pixel axis has no body: its phases are empty slices.
-    for k, weight in enumerate(_axis_tables(size, factor)[2][head:head + factor]):
+    for k, weight in enumerate(_phase_weights(factor)):
         phase = out[..., head + k:head + k + span:factor]
         np.multiply(diff, weight, out=phase)
         np.add(phase, base, out=phase)

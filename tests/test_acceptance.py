@@ -23,7 +23,13 @@ from posekit import (
     decode,
     group_limbs,
 )
-from posekit.bench import identity_geometry, make_canonical_scenario, naive_decode, run_benchmark
+from posekit.bench import (
+    _naive_match,
+    identity_geometry,
+    make_canonical_scenario,
+    naive_decode,
+    run_benchmark,
+)
 from posekit.cli import main
 from posekit.fileio import TENSOR_HEADER_SIZE, parse_tensor, pose_document_bytes, tensor_bytes
 from posekit.synth import RenderConfig, generate_scene
@@ -166,23 +172,6 @@ def test_criterion_06_upsample_factor_equivalence(fifty_scenes):
              mismatches == 0, f"{SCENE_COUNT - mismatches}/{SCENE_COUNT} scenes identical")
 
 
-def _greedy_oracle(cands, cfg):
-    remaining = [c for c in cands
-                 if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0]
-    used_from, used_to, accepted = set(), set(), []
-    while remaining:
-        best = remaining[0]
-        for c in remaining[1:]:
-            if (-c.affinity, c.from_kp, c.to_kp) < (-best.affinity, best.from_kp, best.to_kp):
-                best = c
-        remaining.remove(best)
-        if best.from_kp not in used_from and best.to_kp not in used_to:
-            used_from.add(best.from_kp)
-            used_to.add(best.to_kp)
-            accepted.append(best)
-    return accepted
-
-
 def test_criterion_07_grouping_oracle():
     rng = np.random.default_rng(2024)
     cfg = DecoderConfig()
@@ -197,7 +186,7 @@ def test_criterion_07_grouping_oracle():
                            valid_ratio=float(rng.choice([0.0, 0.6, 0.8, 1.0])))
             for a in range(n_a) for b in range(n_b)
         ]
-        if group_limbs([cands], cfg) == _greedy_oracle(cands, cfg):
+        if group_limbs([cands], cfg) == _naive_match([cands], cfg):
             agreements += 1
     _verdict(7, "group_limbs matches the brute-force greedy oracle on 200 instances",
              agreements == instances, f"{agreements}/{instances} agree")

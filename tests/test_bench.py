@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import posekit.bench
+import posekit.decoder
 from posekit import (
     DecoderConfig,
     FeatureMaps,
@@ -50,6 +51,21 @@ def test_naive_and_optimized_pipelines_agree():
     cfg = DecoderConfig()
     naive = naive_decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
     optimized = decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
+    assert len(naive) == 4
+    assert compare_skeletons(naive, optimized) is None
+
+
+def test_naive_decode_matches_without_the_decoders_matcher(monkeypatch):
+    # The naive path matches with its own scalar rule, so the gate checks
+    # decode's _match against a second implementation, not against itself.
+    sc = _scenario(4)
+    optimized = decode(sc.heatmaps, sc.pafs, sc.geometry)
+
+    def refuse(*args):
+        raise AssertionError("naive_decode reached decoder._match")
+
+    monkeypatch.setattr(posekit.decoder, "_match", refuse)
+    naive = naive_decode(sc.heatmaps, sc.pafs, sc.geometry)
     assert len(naive) == 4
     assert compare_skeletons(naive, optimized) is None
 

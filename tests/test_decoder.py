@@ -38,6 +38,7 @@ from posekit import (
 )
 from posekit.bench import (
     _naive_extract,
+    _naive_match,
     compare_skeletons,
     identity_geometry,
     make_canonical_scenario,
@@ -422,6 +423,29 @@ def test_scorers_reject_a_non_finite_keypoint(scorer, field, value):
         scorer(pafs, limb, kps_a, kps_b)
 
 
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("scorer", [
+    score_connections,
+    collect_limb_candidates,
+], ids=["score_connections", "collect_limb_candidates"])
+def test_scorers_reject_a_keypoint_not_of_the_limbs_kind(scorer, end):
+    # Unchecked, such a pair is scored on this limb's field as if it fit.
+    limb = LIMBS[0]
+    pafs = _paf_stack(16, 16, {limb.paf_x_channel: 1.0})
+    kps_a = [_kp(0, limb.from_kind, 2.0, 8.0), _kp(1, limb.from_kind, 3.0, 8.0)]
+    kps_b = [_kp(2, limb.to_kind, 10.0, 8.0), _kp(3, limb.to_kind, 12.0, 8.0)]
+    # Both points of one end get the other end's kind; the first is named.
+    if end == "from":
+        kps_a = [replace(kp, kind=limb.to_kind) for kp in kps_a]
+        named, kind, wanted = 0, limb.to_kind, limb.from_kind
+    else:
+        kps_b = [replace(kp, kind=limb.from_kind) for kp in kps_b]
+        named, kind, wanted = 2, limb.from_kind, limb.to_kind
+    with pytest.raises(ValueError, match=f"^keypoint {named} has kind {kind}, but limb "
+                                         f"{limb.id} takes kind {wanted} at its {end} end$"):
+        scorer(pafs, limb, kps_a, kps_b)
+
+
 def test_score_connections_covers_every_pair():
     limb = LIMBS[0]
     pafs = _paf_stack(16, 16, {limb.paf_x_channel: 0.5})
@@ -513,10 +537,10 @@ def test_batched_scorer_on_mixed_limbs(monkeypatch, factor):
     every = _score_every_limb(pafs, factor, keypoints, cfg)
     up_paf = resize_bilinear(pafs, factor)
     # The scalar reference: the naive path's per-pair loop, captured on its
-    # way into group_limbs.
+    # way into _naive_match.
     scalar = []
-    monkeypatch.setattr(posekit.bench, "group_limbs",
-                        lambda cands, cfg: scalar.extend(cands) or group_limbs(cands, cfg))
+    monkeypatch.setattr(posekit.bench, "_naive_match",
+                        lambda cands, cfg: scalar.extend(cands) or _naive_match(cands, cfg))
     posekit.bench._naive_group(up_paf.data, keypoints, cfg)
     for limb, conns, reference in zip(LIMBS, every, scalar):
         kps_a, kps_b = keypoints[limb.from_kind], keypoints[limb.to_kind]
@@ -731,31 +755,11 @@ def test_group_limbs_rejects_a_candidate_it_cannot_match(field, value):
         group_limbs([[_conn(LIMBS[0], 0, 2, 0.5)], [_conn(LIMBS[1], 0, 4, 0.5), bad]])
 
 
-def _greedy_oracle(cands, cfg):
-    """Selection-sort greedy matcher, written independently of group_limbs."""
-    remaining = [c for c in cands
-                 if c.valid_ratio >= cfg.min_valid_ratio and c.affinity > 0.0]
-    used_from, used_to, out = set(), set(), []
-    while remaining:
-        best = remaining[0]
-        for c in remaining[1:]:
-            if (-c.affinity, c.from_kp, c.to_kp) < (-best.affinity, best.from_kp, best.to_kp):
-                best = c
-        remaining.remove(best)
-        if best.from_kp in used_from or best.to_kp in used_to:
-            continue
-        used_from.add(best.from_kp)
-        used_to.add(best.to_kp)
-        out.append(best)
-    return out
-
-
 @settings(max_examples=60)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_group_limbs_matches_independent_oracle(seed):
     rng = np.random.default_rng(seed)
     candidates_by_type = []
-    expected = []
     cfg = DecoderConfig()
     for limb in LIMBS[:4]:
         n_a, n_b = int(rng.integers(0, 6)), int(rng.integers(0, 6))
@@ -765,8 +769,7 @@ def test_group_limbs_matches_independent_oracle(seed):
             for a in range(n_a) for b in range(n_b)
         ]
         candidates_by_type.append(cands)
-        expected.extend(_greedy_oracle(cands, cfg))
-    assert group_limbs(candidates_by_type, cfg) == expected
+    assert group_limbs(candidates_by_type, cfg) == _naive_match(candidates_by_type, cfg)
 
 
 @settings(max_examples=30)
@@ -1272,6 +1275,30 @@ def test_hot_cell_peaks_under_a_cold_cell_with_a_hot_one_above_left(factor):
     assert hot[:, y, x].all() and not hot[:, y - 1, x].any() and hot[:, y - 1, x - 1].all()
     up = resize_bilinear(FeatureMaps(heat), factor).data
     assert (up[:, y - 1, x - 1] > np.float32(-0.999)).all()
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (7, 1), (2, 2), (2, 5), (6, 2), (5, 8)])
+def test_hot_cell_samples_are_the_dense_resize_bits(h, w, factor):
+    # Every cell is hot. Inner cells take the resize body's phase weights;
+    # edge cells copy their edge sample, whose -0.0 a weighted sum with a
+    # positive weight would turn into +0.0.
+    rng = np.random.default_rng([h, w, factor])
+    heat = rng.uniform(-1.0, 1.0, (NUM_HEATMAP_CHANNELS, h, w)).astype(np.float32)
+    edge = np.zeros((h, w), dtype=bool)
+    edge[[0, -1], :] = edge[:, [0, -1]] = True
+    heat[edge & (rng.random(heat.shape) < 0.5)] = -0.0
+    cfg = DecoderConfig(upsample_factor=factor, peak_threshold=-2.0)
+    cell, top, left, v = posekit.decoder._upsample_hot_cells(heat, cfg)
+    assert cell.size == BACKGROUND_CHANNEL * (h + 1) * (w + 1)
+    own = v[:, 1:-1, :-1]
+    i, j, n = np.indices(own.shape)
+    kind, y, x = cell[n] // ((h + 1) * (w + 1)), top[n] + i, left[n] + 1 + j
+    inside = (y >= 0) & (y < h * factor) & (x >= 0) & (x < w * factor)
+    dense = posekit.featuremaps._resize_planes(heat, factor)
+    assert (dense[:BACKGROUND_CHANNEL].view(np.uint32) == np.float32(-0.0).view(np.uint32)).any()
+    np.testing.assert_array_equal(own[inside].view(np.uint32),
+                                  dense[kind[inside], y[inside], x[inside]].view(np.uint32))
 
 
 @settings(max_examples=300)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from posekit import FeatureMaps, InputGeometry, STRIDE, compute_input_geometry, resize_bilinear
 from posekit.errors import DimensionMismatchError
-from posekit.featuremaps import _axis_tables, _sample_upsampled
+from posekit.featuremaps import _axis_tables, _phase_weights, _sample_upsampled
 from posekit.fileio import parse_tensor, tensor_bytes
 from posekit.synth import RenderConfig, render_pafs
 
@@ -123,15 +123,19 @@ def test_axis_tables_are_block_regular():
     # head samples that copy src[0], a body whose sample q * factor + k
     # interpolates src[q] and src[q + 1] with a weight that depends only on
     # k, and a tail that copies src[-1]. Clamped samples carry -0.0.
+    # ``_phase_weights`` gives those ``factor`` weights for every size; a
+    # 1-pixel axis has no body and is all head and tail.
     for factor in range(2, 17):
         head = factor // 2
-        for size in range(2, 1200):
+        phases = _phase_weights(factor).view(np.uint32)
+        assert phases.shape == (factor,)
+        for size in range(1, 1200):
             lo, hi, w = _axis_tables.__wrapped__(size, factor)
             stop = head + (size - 1) * factor
             q = np.arange(size - 1)[:, None]
             assert (lo[head:stop].reshape(-1, factor) == q).all()
             assert (hi[head:stop].reshape(-1, factor) == q + 1).all()
-            assert (w[head:stop].reshape(-1, factor) == w[head:head + factor]).all()
+            assert (w[head:stop].reshape(-1, factor).view(np.uint32) == phases).all()
             assert (lo[:head] == 0).all() and (lo[stop:] == size - 1).all()
             assert (hi[:head] == 0).all() and (hi[stop:] == size - 1).all()
             clamped = np.concatenate([w[:head], w[stop:]])
