@@ -1,10 +1,12 @@
 """Decoding pipeline: peaks -> scored limb candidates -> greedy grouping -> skeletons.
 
 ``decode`` upsamples no map stack. It finds heatmap peaks by evaluating the
-upsample only in the cells that can hold one: each interpolates its own
-samples, and the peak search reads the samples around a cell from its
-neighbors. One batch scores every limb's pairs on the stride-level PAFs.
-Both read values bit-equal to the dense upsample. From the peaks to the
+upsample only in the cells that can hold one: a cell is kept when a source
+corner comes near the threshold and its corners do not rise or fall
+steeply through it. Each kept cell interpolates one block, its own samples
+and a one-sample ring around them, and the peak search runs inside the
+blocks. One batch scores every limb's pairs on the stride-level PAFs. Both
+read values bit-equal to the dense upsample. From the peaks to the
 output, ``decode`` passes NumPy columns, not objects: peaks as (kind, x, y,
 score) with id = row, candidates as (limb, from id, to id, affinity, valid
 ratio) for every scored pair. Matching drops the unusable candidates, and
@@ -31,7 +33,7 @@ from .errors import DimensionMismatchError
 from .featuremaps import (
     FeatureMaps,
     InputGeometry,
-    _phase_weights,
+    _axis_tables,
     _sample_upsampled,
 )
 from .skeleton import (
@@ -154,153 +156,182 @@ def _hot_margin(max_abs: float) -> float:
     one pass rounds three times: ``|b - a| <= 2M`` picks up ``2Mu`` in the
     subtraction and ``2Mu`` more in the product, and the sum, below
     ``M(1 + 5u)``, adds ``Mu``; so a pass lands within ``5Mu(1 + 2u)`` of its
-    exact convex value, and two passes within ``10Mu(1 + 6u)`` of the range
-    of the corners. ``32u * max(1, M)`` covers that with a safety factor of
-    about 3, and the 1 keeps subnormal rounding (``2**-150`` per operation)
-    far inside it. Corners must stay below half the float32 range, else the
-    resize's own ``b - a`` overflows; ``FeatureMaps`` refuses any value of
-    2**127 or more in magnitude, so every map that reaches here complies.
-
-    Decode's peak search reads -inf for every sample of a cold cell. With
-    ``T = float32(threshold)`` and ``e`` the rounding bound above, that
-    changes no output bit:
-
-    - A cold cell's corners are at most ``T - margin``, so its samples stay
-      below ``T`` and lose every comparison with a candidate, as -inf does.
-    - A peak has no 4-neighbor in a cold cell, so refinement reads no
-      stand-in. Say the cell right of it is cold. Along the row the exact
-      interpolant is linear in the peak's cell and at most ``T - margin`` on
-      the shared source column, half a sample step from the peak (a whole
-      one at odd factors). The peak exceeds ``T - e`` exactly, so its left
-      neighbor exceeds it by more than ``margin - e`` exactly and by more
-      than ``margin - 3e > 0`` in float32. The other sides are alike.
-    - So a top-row candidate under a cold cell loses to its neighbor below,
-      and the -inf diagonals taken from that cell decide nothing; the same
-      holds for a bottom-row candidate over a cold cell.
+    exact convex value, and two passes within ``10Mu(1 + 6u)`` of the exact
+    bilinear value of the corners, which lies in their range. ``32u *
+    max(1, M)`` covers that with a safety factor of about 3, and the 1 keeps
+    subnormal rounding (``2**-150`` per operation) far inside it. Corners
+    must stay below half the float32 range, else the resize's own ``b - a``
+    overflows; ``FeatureMaps`` refuses any value of 2**127 or more in
+    magnitude, so every map that reaches here complies.
     """
     return 32.0 * 2.0 ** -24 * max(1.0, max_abs)
 
 
-def _upsample_hot_cells(heat: np.ndarray, cfg: DecoderConfig):
-    """Decode's resize stage: the keypoint channels of ``heat`` upsampled by
-    ``cfg.upsample_factor`` in their hot cells only.
+@lru_cache(maxsize=8)
+def _grid_mask(channels: int, height: int, width: int) -> np.ndarray:
+    """Which flat positions of a ``(channels, height + 4, width + 4)`` stack,
+    up to the last one ``_peak_cells`` tests, are cells: ``[kind, a, b]``
+    with ``a <= height`` and ``b <= width``."""
+    mask = np.zeros((channels, height + 4, width + 4), dtype=bool)
+    mask[:, :height + 1, :width + 1] = True
+    mask = mask.reshape(-1)[:mask.size - 3 * (width + 4) - 3]
+    mask.flags.writeable = False
+    return mask
+
+
+def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
+    """Decode's cell filter: the cells of the keypoint channels of ``heat``,
+    upsampled by ``cfg.upsample_factor``, that can hold a peak.
 
     Cell ``(a, b)`` holds the ``f x f`` samples between source rows
-    ``a - 1`` and ``a`` and columns ``b - 1`` and ``b``, clamped; along an
-    axis cell ``a`` starts at sample ``a * f - ceil(f / 2)`` and may stick
-    out of the map, where nothing reads it. Inner cells sit on the resize
-    body's phases and take ``_phase_weights``; edge cells (row or column 0,
-    ``h`` or ``w``) copy their edge sample, -0.0 included, as
-    ``_resize_axis`` does. A cell is hot when one of its four source corners
-    exceeds ``cfg.peak_threshold - _hot_margin``: no sample of a cold cell
-    can exceed the threshold. Each hot cell's own samples are interpolated
-    from its corners, columns first, then rows, with the resize's float32
-    operations, so they are bit-equal to ``_resize_planes``.
-    They sit in a ``(f, f + 2, cells + 1)`` block ``V[i, j, cell]`` (cells
-    last, so every operation runs along a long axis) between two edge
-    columns: the adjacent columns of the cells to the left and right, or
-    -inf where that cell is cold. The extra cell, all -inf, stands in for
-    every cold cell (see ``_hot_margin``). Returns the hot cells' sorted
-    flat ids in the ``(kinds, h + 1, w + 1)`` grid, the upsampled row of
-    each cell's first sample and column of its first edge column, and
-    ``V``; or None at factor 1, where the maps are their own upsample and
-    the dense peak search is three times faster.
+    ``a - 1`` and ``a`` and columns ``b - 1`` and ``b``, clamped, for
+    ``0 <= a <= h`` and ``0 <= b <= w``. The maps are padded by repeating
+    their edge samples twice on every side, so the cell's 4x4 source
+    neighbourhood, rows ``a - 2 .. a + 1`` and columns ``b - 2 .. b + 1``,
+    clamped, starts at ``padded[kind, a, b]``: that flat position is the
+    cell's id. Two tests drop a cell, and neither drops one that holds a
+    peak of the dense upsample:
+
+    - Cold. A cell is hot when one of its four corners exceeds
+      ``T - margin``, with ``T = float32(cfg.peak_threshold)`` and
+      ``margin = _hot_margin(M)`` for ``M`` the largest magnitude in the
+      maps, that limit rounded down to float32. A cold cell's samples stay
+      within the range of its corners up to ``e < margin / 3``, so none
+      exceeds ``T``.
+    - Sloped. With ``delta = 8 * f * margin``, a hot cell is dropped when
+      both of its corner rows rise by more than ``delta`` across it and
+      across the next cell, or both fall by more than ``delta`` across it
+      and across the previous cell; the same test runs on its corner
+      columns. Take rows that rise. Each row of the cell's samples blends
+      its two corner rows with one pair of weights, so its exact values
+      climb by more than ``delta`` per source step through the cell and the
+      next one. A sample's right neighbour, in the cell or in the next one,
+      lies ``1 / f`` source steps further on (the float32 weights sit
+      within ``2**-25`` of their positions), so its exact value is larger
+      by more than ``8 * margin * (1 - f * 2**-24)``. Each float32 sample
+      lies within ``e`` of its exact value and ``2e < margin``, so the
+      neighbour beats every sample of the cell in float32 too, and none
+      is a peak. Falling rows mirror this, and columns are alike.
+      The differences are float32, whose rounding is monotone, so
+      ``fl(d) > float32(delta)`` holds only for an exact ``d > delta``. The
+      padding repeats the edge samples, so an edge cell has a zero
+      difference across it: no edge cell is dropped, and no cell is
+      dropped toward one, so every neighbour the argument reads is an
+      interpolated sample inside the map.
+
+    Both tests run on shifted slices of the flat padded stack; positions
+    that are no cell are masked off. Returns the padded stack and the kept
+    cells' sorted ids, or None at factor 1, where the maps are their own
+    upsample and the dense peak search is faster.
     """
     factor = cfg.upsample_factor
     if factor == 1:
         return None
     src = heat[:BACKGROUND_CHANNEL]
     c, h, w = src.shape
-    # The maps with their edge samples repeated on every side: cell (a, b)
-    # has its corners at rows a, a + 1 and columns b, b + 1 here.
-    padded = _buffer("padded", (c, h + 2, w + 2))
-    padded[:, 1:-1, 1:-1] = src
-    padded[:, :1, 1:-1] = src[:, :1]
-    padded[:, -1:, 1:-1] = src[:, -1:]
-    padded[:, :, :1] = padded[:, :, 1:2]
-    padded[:, :, -1:] = padded[:, :, -2:-1]
+    padded = _buffer("padded", (c, h + 4, w + 4))
+    padded[:, 2:-2, 2:-2] = src
+    padded[:, :2, 2:-2] = src[:, :1]
+    padded[:, -2:, 2:-2] = src[:, -1:]
+    padded[:, :, :2] = padded[:, :, 2:3]
+    padded[:, :, -2:] = padded[:, :, -3:-2]
+    flat = padded.reshape(-1)
+    row = w + 4
+    mask = _grid_mask(c, h, w)
+    # Cell n has its corners at n + corner, + 1, + row and + row + 1.
+    corner, size = row + 1, mask.size
     # Peaks must beat the float32 threshold; the corner limit rounds down.
     bound = max(float(src.max()), -float(src.min()))
-    limit = float(np.float32(cfg.peak_threshold)) - _hot_margin(bound)
+    margin = _hot_margin(bound)
+    limit = float(np.float32(cfg.peak_threshold)) - margin
     lim32 = np.float32(limit)
     if float(lim32) > limit:
         lim32 = np.nextafter(lim32, np.float32(-np.inf))
-    above = padded > lim32
-    hot = above[:, :-1, :-1] | above[:, 1:, :-1]
-    hot |= above[:, :-1, 1:]
-    hot |= above[:, 1:, 1:]
-    cell = np.flatnonzero(hot)
-    kind, rest = _divmod(cell, (h + 1) * (w + 1))
-    a, b = _divmod(rest, w + 1)
-    m = cell.size
-
-    corner = (kind * (h + 2) + a) * (w + 2) + b
-    flat = padded.reshape(-1)
-    near = _buffer("near", (2, 2, m))
-    for k in range(2):
-        for j in range(2):
-            np.take(flat[k * (w + 2) + j:], corner, out=near[k, j])
-    # Columns, then rows, as the resize's (b - a) * w + a in float32 or its edge copy.
-    np.subtract(near[:, 1], near[:, 0], out=near[:, 1])
-    cols = _buffer("cols", (2, factor, m))
-    np.multiply(near[:, 1, None], _phase_weights(factor)[:, None], out=cols)
-    np.add(cols, near[:, :1], out=cols)
-    # Edge cells by index: assigning through a boolean mask costs several times more.
-    edge = np.flatnonzero((b == 0) | (b == w))
-    cols[:, :, edge] = near[:, :1, edge]
-    v = _buffer("cells", (factor, factor + 2, m + 1))
-    own = v[:, 1:-1, :m]
-    np.subtract(cols[1], cols[0], out=cols[1])
-    np.multiply(cols[1], _phase_weights(factor)[:, None, None], out=own)
-    np.add(own, cols[0], out=own)
-    edge = np.flatnonzero((a == 0) | (a == h))
-    own[:, :, edge] = cols[0][:, edge]
-    # Each edge column is the adjacent column of the next or previous cell,
-    # capped to -inf unless that cell is its neighbor. Rows of cells end
-    # outside the map, so the wrap from one row to the next is never read.
-    v[:, :, m] = v[:, -1, m - 1] = v[:, 0, 0] = -np.inf
-    cap = np.where(cell[1:] == cell[:-1] + 1, np.float32(np.inf), np.float32(-np.inf))
-    np.minimum(v[:, 1, 1:m], cap, out=v[:, -1, :m - 1])
-    np.minimum(v[:, -2, :m - 1], cap, out=v[:, 0, 1:m])
-    lead = (factor + 1) // 2
-    return cell, a * factor - lead, b * factor - lead - 1, v
+    above = flat > lim32
+    hot = above[corner:corner + size] | above[corner + 1:corner + 1 + size]
+    hot |= above[corner + row:corner + row + size]
+    hot |= above[corner + row + 1:corner + row + 1 + size]
+    hot &= mask
+    delta = np.float32(8 * factor * margin)
+    # Along rows (step 1), then columns (step row); ``across`` is the step
+    # to the cell's other corner line.
+    for step, across in ((1, row), (row, 1)):
+        slope = _buffer("slope", (flat.size - step,))
+        np.subtract(flat[step:], flat[:-step], out=slope)
+        for gentle, side in ((slope <= delta, step), (slope >= -delta, -step)):
+            # Not both corner lines steep: across this interval, or the next one on ``side``.
+            either = gentle[:-across] | gentle[across:]
+            hot &= either[corner:corner + size] | either[corner + side:corner + side + size]
+    return padded, np.flatnonzero(hot)
 
 
-def _cell_rows(cell: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Where the ``wanted`` cell ids sit in the sorted hot ``cell`` ids;
-    ``cell.size``, the -inf cell, for a cold one."""
-    row = np.searchsorted(cell, wanted)
-    return np.where(np.take(cell, row, mode="clip") == wanted, row, cell.size)
+def _cell_blocks(cells, factor: int):
+    """Decode's resize stage: each kept cell's ``(f + 2) x (f + 2)`` block of
+    the dense upsample, its own ``f x f`` samples and a one-sample ring.
 
-
-def _cell_peaks(heatmaps: FeatureMaps, cells, cfg: DecoderConfig):
-    """Decode's extract stage: the peak columns of the dense upsample of
-    ``heatmaps``, from their ``_upsample_hot_cells``."""
+    Along an axis, cell ``a``'s block starts at sample
+    ``a * f - ceil(f / 2) - 1`` and may stick out of the map, where nothing
+    reads it. Its samples lie in the intervals ``[0, 1 x f, 2]`` of the
+    cell's 4x4 source neighbourhood, each sample takes the ``_axis_tables``
+    weight of its position, clamped to the map, and the pass is the
+    resize's ``(b - a) * w + a`` in float32: columns first, then rows. So
+    every block sample inside the map is bit-equal to ``_resize_planes``,
+    and a clamped one, whose weight is -0.0, copies its edge sample, -0.0
+    included. Samples of cold or dropped cells in the ring hold their real
+    values. Returns each cell's kind and the upsampled row and column of
+    its block's first sample, and the blocks as ``V[i, j, cell]`` (cells
+    last, so every operation runs along a long axis); None for None.
+    """
     if cells is None:
+        return None
+    padded, cell = cells
+    _, height, width = padded.shape
+    kind, rest = _divmod(cell, height * width)
+    a, b = _divmod(rest, width)
+    offsets = np.arange(4)[:, None] * width + np.arange(4)
+    near = np.take(padded.reshape(-1), offsets[:, :, None] + cell)
+    step = np.arange(factor + 2)[:, None]
+    lead = (factor + 1) // 2 + 1
+    top, left = a * factor - lead, b * factor - lead
+    # The padding adds two samples on every side.
+    wx = np.take(_axis_tables(width - 4, factor)[2], left + step, mode="clip")
+    wy = np.take(_axis_tables(height - 4, factor)[2], top + step, mode="clip")
+    # The source interval of each block sample along an axis: [0, 1 x f, 2].
+    pattern = np.repeat(np.arange(3), (1, factor, 1))
+    cols = np.take(near[:, 1:] - near[:, :-1], pattern, axis=1)
+    cols *= wx
+    cols += np.take(near, pattern, axis=1)
+    v = np.take(cols[1:] - cols[:-1], pattern, axis=0)
+    v *= wy[:, None]
+    v += np.take(cols, pattern, axis=0)
+    return kind, top, left, v
+
+
+def _block_peaks(heatmaps: FeatureMaps, blocks, cfg: DecoderConfig):
+    """Decode's extract stage: the peak columns of the dense upsample of
+    ``heatmaps``, from the ``_cell_blocks`` of its kept cells, or from the
+    maps themselves when ``blocks`` is None."""
+    if blocks is None:
         return _dense_peaks(heatmaps.data, cfg.peak_threshold)
-    cell, top, left, v = cells
-    f, f2, m1 = v.shape
-    h, w = heatmaps.height, heatmaps.width
-    p = np.flatnonzero(_row_maxima(v[:, 1:-1], v[:, :-2], v[:, 2:], cfg.peak_threshold))
-    i, rest = _divmod(p, (f2 - 2) * m1)
-    j, n = _divmod(rest, m1)
+    kind, top, left, v = blocks
+    f2, _, m = v.shape
+    f = f2 - 2
+    p = np.flatnonzero(_row_maxima(v[1:-1, 1:-1], v[1:-1, :-2], v[1:-1, 2:],
+                                   cfg.peak_threshold))
+    i, rest = _divmod(p, f * m)
+    j, n = _divmod(rest, m)
+    i += 1
     j += 1
-    # Cells may stick out of the map, whose outermost ring is never a peak.
+    # Blocks may stick out of the map, whose outermost ring is never a peak.
     y, x = top[n] + i, left[n] + j
-    inside = (y > 0) & (y < h * f - 1) & (x > 0) & (x < w * f - 1)
+    inside = (y > 0) & (y < heatmaps.height * f - 1) & (x > 0) & (x < heatmaps.width * f - 1)
     i, j, n = i[inside], j[inside], n[inside]
-    row = f2 * m1
-    idx = (i * f2 + j) * m1 + n
-    up, down = idx - row, idx + row
-    # Top rows read the cell above's bottom row; bottom rows the cell below's top row.
-    edge = i == 0
-    up[edge] = ((f - 1) * f2 + j[edge]) * m1 + _cell_rows(cell, cell[n[edge]] - (w + 1))
-    edge = i == f - 1
-    down[edge] = j[edge] * m1 + _cell_rows(cell, cell[n[edge]] + (w + 1))
-    idx, score, dy, dx = _peaks(v.reshape(-1), idx, m1, up, down)
+    row = f2 * m
+    idx = (i * f2 + j) * m + n
+    idx, score, dy, dx = _peaks(v.reshape(-1), idx, m, idx - row, idx + row)
     i, rest = _divmod(idx, row)
-    j, n = _divmod(rest, m1)
-    return _sort_peaks(cell[n] // ((h + 1) * (w + 1)), left[n] + j + dx, top[n] + i + dy, score)
+    j, n = _divmod(rest, m)
+    return _sort_peaks(kind[n], left[n] + j + dx, top[n] + i + dy, score)
 
 
 def _sort_peaks(kind, x, y, score):
@@ -627,6 +658,8 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
     """
     factor = cfg.upsample_factor
     kind, x, y, score = peaks
+    if not kind.size:
+        return []
     counts = np.bincount(kind, minlength=NUM_KEYPOINTS)
     starts = np.cumsum(counts) - counts
     from_kind, to_kind, x_channel, y_channel = _LIMB_COLUMNS
@@ -653,8 +686,8 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
     """Full pipeline from stride-level maps to skeletons in original-image pixels.
 
     Extracts keypoints from the heatmaps upsampled by
-    ``cfg.upsample_factor`` (evaluated in hot cells only, see
-    ``_upsample_hot_cells``), scores limb candidates on the stride-level PAFs,
+    ``cfg.upsample_factor`` (evaluated only in the cells that can hold a
+    peak, see ``_peak_cells``), scores limb candidates on the stride-level PAFs,
     groups and assembles them, then maps coordinates back through stride,
     upsample factor, scale, and padding. The result is what the public stages
     give on densely upsampled maps, and each output ``Keypoint`` and
@@ -677,5 +710,6 @@ def decode(heatmaps: FeatureMaps, pafs: FeatureMaps, geometry: InputGeometry,
             f"does not match maps {heatmaps.height}x{heatmaps.width} at stride {geometry.stride}"
         )
     _deprecated_threads(threads)
-    peaks = _cell_peaks(heatmaps, _upsample_hot_cells(heatmaps.data, cfg), cfg)
+    cells = _peak_cells(heatmaps.data, cfg)
+    peaks = _block_peaks(heatmaps, _cell_blocks(cells, cfg.upsample_factor), cfg)
     return _group_peaks(pafs, peaks, cfg, geometry)

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,8 +156,8 @@ def test_every_refined_triple_is_strictly_concave(seed, h, w, steps, scale, thre
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(posekit.decoder, "_refine_axis", spy)
-        posekit.decoder._cell_peaks(heat, posekit.decoder._upsample_hot_cells(heat.data, cfg),
-                                    cfg)
+        cells = posekit.decoder._peak_cells(heat.data, cfg)
+        posekit.decoder._block_peaks(heat, posekit.decoder._cell_blocks(cells, factor), cfg)
         extract_keypoints(resize_bilinear(heat, factor), cfg)
     assert len(triples) == 4
     for values, lo, hi, offset in triples:
@@ -1149,46 +1150,58 @@ def _peak_bits(keypoints):
             for bucket in keypoints for kp in bucket]
 
 
+def _dense_peak_pixels(up, threshold):
+    """Where the peaks of a dense upsample's keypoint planes sit, as (kind,
+    y, x): the peak rule written out on shifted views of the whole planes."""
+    planes = up[:BACKGROUND_CHANNEL]
+    _, height, width = planes.shape
+    center = planes[:, 1:-1, 1:-1]
+    mask = center > np.float32(threshold)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy or dx:
+                other = planes[:, 1 + dy:height - 1 + dy, 1 + dx:width - 1 + dx]
+                # Earlier neighbors in scan order must be strictly smaller.
+                mask &= (center > other) if (dy, dx) < (0, 0) else (center >= other)
+    kind, y, x = np.nonzero(mask)
+    return kind, y + 1, x + 1
+
+
 def _hot_cell_peaks(heat, cfg):
-    """``decode``'s resize and extract stages, checked sample by sample
-    against the dense upsample; returns the peaks as bits, and which pixels
-    of the upsample are hot cells' own samples (None at factor 1)."""
+    """``decode``'s cell filter, resize and extract stages, checked sample by
+    sample against the dense upsample; returns the peaks as bits, and which
+    pixels of the upsample are kept cells' own samples (None at factor 1)."""
     up = resize_bilinear(FeatureMaps(heat), cfg.upsample_factor).data
-    cells = posekit.decoder._upsample_hot_cells(heat, cfg)
-    hot = None
-    if cells is not None:
-        cell, top, left, v = cells
-        _, h, w = heat.shape
+    dense_peaks = _dense_peak_pixels(up, cfg.peak_threshold)
+    cells = posekit.decoder._peak_cells(heat, cfg)
+    blocks = posekit.decoder._cell_blocks(cells, cfg.upsample_factor)
+    own = None
+    if blocks is not None:
+        kind, top, left, v = blocks
+        assert (np.diff(cells[1]) > 0).all()
         height, width = up.shape[1:]
-        t32 = np.float32(cfg.peak_threshold)
-        assert (np.diff(cell) > 0).all()
-        # The last cell is the -inf stand-in for every cold cell. The others
-        # hold their f x f own samples between two edge columns.
-        assert (v[:, :, -1] == -np.inf).all()
-        v = v[:, :, :-1]
-        assert np.isfinite(v[:, 1:-1]).all()
         i, j, n = np.indices(v.shape)
-        kind, y, x = cell[n] // ((h + 1) * (w + 1)), top[n] + i, left[n] + j
+        kind, y, x = kind[n], top[n] + i, left[n] + j
         inside = (y >= 0) & (y < height) & (x >= 0) & (x < width)
-        dense = up[kind, y.clip(0, height - 1), x.clip(0, width - 1)]
-        finite = np.isfinite(v)
-        np.testing.assert_array_equal(v[inside & finite].view(np.uint32),
-                                      dense[inside & finite].view(np.uint32))
-        # -inf stands in only where the dense upsample cannot hold a peak.
-        assert (v[~finite] == -np.inf).all()
-        assert (dense[inside & ~finite] < t32).all()
-        # Every keypoint sample above the threshold is a hot cell's own.
-        own = inside & (j > 0) & (j < v.shape[1] - 1)
-        hot = np.zeros(up.shape, dtype=bool)
-        hot[kind[own], y[own], x[own]] = True
-        assert not (up > t32)[:BACKGROUND_CHANNEL][~hot[:BACKGROUND_CHANNEL]].any()
-    kind, x, y, score = (c.tolist() for c in posekit.decoder._cell_peaks(FeatureMaps(heat),
-                                                                         cells, cfg))
+        # Every block sample inside the map, ring included, is the dense
+        # upsample's, whether its cell is kept, dropped or cold.
+        np.testing.assert_array_equal(v[inside].view(np.uint32),
+                                      up[kind[inside], y[inside], x[inside]].view(np.uint32))
+        # No two kept cells share an own sample, and every peak of the dense
+        # upsample is one.
+        mine = inside & (i > 0) & (i < v.shape[0] - 1) & (j > 0) & (j < v.shape[1] - 1)
+        own = np.zeros(up.shape, dtype=bool)
+        own[kind[mine], y[mine], x[mine]] = True
+        assert own.sum() == mine.sum()
+        assert own[dense_peaks].all()
+    kind, x, y, score = (c.tolist() for c in posekit.decoder._block_peaks(FeatureMaps(heat),
+                                                                          blocks, cfg))
     # A peak's id is its row.
     got = [(row, k, px.hex(), py.hex(), s.hex())
            for row, (k, px, py, s) in enumerate(zip(kind, x, y, score))]
     assert got == _peak_bits(extract_keypoints(FeatureMaps(up), cfg))
-    return got, hot
+    assert len(got) == dense_peaks[0].size
+    return got, own
 
 
 @settings(max_examples=150, deadline=None)
@@ -1280,24 +1293,29 @@ def test_hot_cell_peaks_under_a_cold_cell_with_a_hot_one_above_left(factor):
 @pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (7, 1), (2, 2), (2, 5), (6, 2), (5, 8)])
 def test_hot_cell_samples_are_the_dense_resize_bits(h, w, factor):
-    # Every cell is hot. Inner cells take the resize body's phase weights;
-    # edge cells copy their edge sample, whose -0.0 a weighted sum with a
-    # positive weight would turn into +0.0.
+    # Every cell is hot, and the resize stage gets every cell, kept or not.
+    # Inner cells take the resize body's phase weights; edge cells copy
+    # their edge sample, whose -0.0 a weighted sum with a positive weight
+    # would turn into +0.0.
     rng = np.random.default_rng([h, w, factor])
     heat = rng.uniform(-1.0, 1.0, (NUM_HEATMAP_CHANNELS, h, w)).astype(np.float32)
     edge = np.zeros((h, w), dtype=bool)
     edge[[0, -1], :] = edge[:, [0, -1]] = True
     heat[edge & (rng.random(heat.shape) < 0.5)] = -0.0
     cfg = DecoderConfig(upsample_factor=factor, peak_threshold=-2.0)
-    cell, top, left, v = posekit.decoder._upsample_hot_cells(heat, cfg)
-    assert cell.size == BACKGROUND_CHANNEL * (h + 1) * (w + 1)
-    own = v[:, 1:-1, :-1]
-    i, j, n = np.indices(own.shape)
-    kind, y, x = cell[n] // ((h + 1) * (w + 1)), top[n] + i, left[n] + 1 + j
+    padded, kept = posekit.decoder._peak_cells(heat, cfg)
+    # Cell (kind, a, b) is the position of its 4x4 source neighbourhood's
+    # first sample in the padded stack.
+    cell = np.ravel_multi_index(np.indices((BACKGROUND_CHANNEL, h + 1, w + 1)),
+                                padded.shape).reshape(-1)
+    assert np.isin(kept, cell).all()
+    kind, top, left, v = posekit.decoder._cell_blocks((padded, cell), factor)
+    i, j, n = np.indices(v.shape)
+    kind, y, x = kind[n], top[n] + i, left[n] + j
     inside = (y >= 0) & (y < h * factor) & (x >= 0) & (x < w * factor)
     dense = posekit.featuremaps._resize_planes(heat, factor)
     assert (dense[:BACKGROUND_CHANNEL].view(np.uint32) == np.float32(-0.0).view(np.uint32)).any()
-    np.testing.assert_array_equal(own[inside].view(np.uint32),
+    np.testing.assert_array_equal(v[inside].view(np.uint32),
                                   dense[kind[inside], y[inside], x[inside]].view(np.uint32))
 
 
@@ -1322,6 +1340,67 @@ def test_hot_margin_bounds_the_resize_rounding(corners, scale, wx, wy):
     slack = 10.0 * big * u * (1.0 + 6.0 * u) + 2.0 ** -149 * 8
     assert min(exact) - slack <= value <= max(exact) + slack
     assert posekit.decoder._hot_margin(big) >= 3.0 * slack
+
+
+def _just_over(base: np.float32, delta: float) -> np.float32:
+    """The smallest float32 that exceeds ``base`` by more than ``delta``, exactly."""
+    def rises(value):
+        return Fraction(float(value)) - Fraction(float(base)) > Fraction(delta)
+
+    value = np.float32(float(base) + delta)
+    while not rises(value):
+        value = np.nextafter(value, np.float32(np.inf))
+    while rises(np.nextafter(value, np.float32(-np.inf))):
+        value = np.nextafter(value, np.float32(-np.inf))
+    return value
+
+
+@settings(max_examples=300)
+@given(starts=st.lists(st.floats(min_value=-1.0, max_value=1.0, width=32),
+                       min_size=2, max_size=2),
+       scale=st.sampled_from([2.0 ** e for e in (-140, -126, -20, 0, 20, 126)]),
+       factor=st.integers(min_value=2, max_value=8),
+       columns=st.booleans())
+def test_slope_prune_bound_leaves_no_peak_in_a_dropped_cell(starts, scale, factor, columns):
+    # Two corner rows (or, transposed, columns) that each rise by just over
+    # delta = 8 * f * _hot_margin(M) through two adjacent source intervals,
+    # for a bound M on every value: the float32 samples rise strictly
+    # through the cell between the first two sources and into the next
+    # cell, on every row, so the cell holds no peak. Negation is exact in
+    # float32, so falling rows are the same case mirrored.
+    u = 2.0 ** -24
+    first = [np.float32(v * scale) for v in starts]
+    grow = 2 * 8 * factor * 32 * u
+    # Rounding each rise up to float32 adds at most an ulp twice.
+    bound = (max(abs(float(v)) for v in first) * (1.0 + 2.0 ** -20) + grow) / (1.0 - grow)
+    delta = 8 * factor * posekit.decoder._hot_margin(bound)
+    rows = []
+    for value in first:
+        line = [value]
+        for _ in range(2):
+            line.append(_just_over(line[-1], delta))
+        rows.append(line)
+    src = np.array(rows, dtype=np.float32)
+    assert np.abs(src).max() <= bound
+    up = posekit.featuremaps._resize_planes((src.T if columns else src)[None], factor)[0]
+    up = up.T if columns else up
+    # Cell 1 starts at sample f // 2; the next cell's first sample closes the run.
+    run = up[:, factor // 2:factor // 2 + factor + 1]
+    assert (np.diff(run.astype(np.float64), axis=1) > 0).all()
+
+
+def test_slope_prune_keeps_few_of_the_hot_cells_on_a_crowded_frame():
+    # The canonical frame's 20 persons make thousands of hot cells at factor
+    # 4, but only the cells near a crest or a flat top can hold a peak.
+    sc = make_canonical_scenario()
+    cfg = DecoderConfig()
+    src = sc.heatmaps.data[:BACKGROUND_CHANNEL]
+    corners = np.pad(src, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    above = corners > (np.float32(cfg.peak_threshold)
+                       - posekit.decoder._hot_margin(float(np.abs(src).max())))
+    hot = above[:, :-1, :-1] | above[:, 1:, :-1] | above[:, :-1, 1:] | above[:, 1:, 1:]
+    _, kept = posekit.decoder._peak_cells(sc.heatmaps.data, cfg)
+    assert kept.size * 10 < hot.sum()
 
 
 def test_decode_from_concurrent_threads_matches_serial():
