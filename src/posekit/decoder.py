@@ -98,7 +98,7 @@ def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     equal to ``hi``, so in float64 ``lo - 2 * values + hi`` is finite and
     strictly negative: every triple is concave. The clip only absorbs rounding.
     """
-    return np.clip((lo - hi) / (2.0 * (lo - 2.0 * values + hi)), -0.5, 0.5)
+    return ((lo - hi) / (2.0 * (lo - 2.0 * values + hi))).clip(-0.5, 0.5)
 
 
 def _row_maxima(center: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -128,9 +128,9 @@ def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, up: np.ndarray, down: np
     the map. A peak is a local maximum over its 8-neighborhood: it wins
     against earlier neighbors (row-major order) only when strictly greater,
     and against later neighbors when greater or equal, so plateaus of equal
-    values yield exactly one peak, the first in scan order. Returns the
-    peaks' flat indices, float64 scores and the quadratic ``dy``/``dx``
-    refinements.
+    values yield exactly one peak, the first in scan order. Returns which
+    candidates are peaks, and the peaks' float64 scores and quadratic
+    ``dy``/``dx`` refinements.
     """
     v = flat[idx]
     # Neighbors that precede the center in row-major order: must be strictly smaller.
@@ -145,7 +145,7 @@ def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, up: np.ndarray, down: np
     v = flat[idx].astype(np.float64)
     dx = _refine_axis(v, flat[idx - col].astype(np.float64), flat[idx + col].astype(np.float64))
     dy = _refine_axis(v, flat[up].astype(np.float64), flat[down].astype(np.float64))
-    return idx, v, dy, dx
+    return keep, v, dy, dx
 
 
 def _hot_margin(max_abs: float) -> float:
@@ -265,6 +265,19 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
     return padded, np.flatnonzero(hot)
 
 
+@lru_cache(maxsize=8)
+def _block_layout(width: int, factor: int):
+    """``_cell_blocks``' per-shape constants for a padded row of ``width``:
+    the flat offsets of a 4x4 source neighbourhood, the ``f + 2`` steps
+    from a block's first sample, and the source interval of each of them."""
+    offsets = np.arange(4)[:, None] * width + np.arange(4)
+    step = np.arange(factor + 2)[:, None]
+    pattern = np.repeat(np.arange(3), (1, factor, 1))
+    for arr in (offsets, step, pattern):
+        arr.flags.writeable = False
+    return offsets[:, :, None], step, pattern
+
+
 def _cell_blocks(cells, factor: int):
     """Decode's resize stage: each kept cell's ``(f + 2) x (f + 2)`` block of
     the dense upsample, its own ``f x f`` samples and a one-sample ring.
@@ -288,22 +301,19 @@ def _cell_blocks(cells, factor: int):
     _, height, width = padded.shape
     kind, rest = _divmod(cell, height * width)
     a, b = _divmod(rest, width)
-    offsets = np.arange(4)[:, None] * width + np.arange(4)
-    near = np.take(padded.reshape(-1), offsets[:, :, None] + cell)
-    step = np.arange(factor + 2)[:, None]
+    offsets, step, pattern = _block_layout(width, factor)
+    near = padded.reshape(-1).take(offsets + cell)
     lead = (factor + 1) // 2 + 1
     top, left = a * factor - lead, b * factor - lead
     # The padding adds two samples on every side.
-    wx = np.take(_axis_tables(width - 4, factor)[2], left + step, mode="clip")
-    wy = np.take(_axis_tables(height - 4, factor)[2], top + step, mode="clip")
-    # The source interval of each block sample along an axis: [0, 1 x f, 2].
-    pattern = np.repeat(np.arange(3), (1, factor, 1))
-    cols = np.take(near[:, 1:] - near[:, :-1], pattern, axis=1)
+    wx = _axis_tables(width - 4, factor)[2].take(left + step, mode="clip")
+    wy = _axis_tables(height - 4, factor)[2].take(top + step, mode="clip")
+    cols = (near[:, 1:] - near[:, :-1]).take(pattern, axis=1)
     cols *= wx
-    cols += np.take(near, pattern, axis=1)
-    v = np.take(cols[1:] - cols[:-1], pattern, axis=0)
+    cols += near.take(pattern, axis=1)
+    v = (cols[1:] - cols[:-1]).take(pattern, axis=0)
     v *= wy[:, None]
-    v += np.take(cols, pattern, axis=0)
+    v += cols.take(pattern, axis=0)
     return kind, top, left, v
 
 
@@ -316,8 +326,8 @@ def _block_peaks(heatmaps: FeatureMaps, blocks, cfg: DecoderConfig):
     kind, top, left, v = blocks
     f2, _, m = v.shape
     f = f2 - 2
-    p = np.flatnonzero(_row_maxima(v[1:-1, 1:-1], v[1:-1, :-2], v[1:-1, 2:],
-                                   cfg.peak_threshold))
+    p = _row_maxima(v[1:-1, 1:-1], v[1:-1, :-2], v[1:-1, 2:],
+                    cfg.peak_threshold).reshape(-1).nonzero()[0]
     i, rest = _divmod(p, f * m)
     j, n = _divmod(rest, m)
     i += 1
@@ -328,10 +338,9 @@ def _block_peaks(heatmaps: FeatureMaps, blocks, cfg: DecoderConfig):
     i, j, n = i[inside], j[inside], n[inside]
     row = f2 * m
     idx = (i * f2 + j) * m + n
-    idx, score, dy, dx = _peaks(v.reshape(-1), idx, m, idx - row, idx + row)
-    i, rest = _divmod(idx, row)
-    j, n = _divmod(rest, m)
-    return _sort_peaks(kind[n], left[n] + j + dx, top[n] + i + dy, score)
+    keep, score, dy, dx = _peaks(v.reshape(-1), idx, m, idx - row, idx + row)
+    n = n[keep]
+    return _sort_peaks(kind[n], left[n] + j[keep] + dx, top[n] + i[keep] + dy, score)
 
 
 def _sort_peaks(kind, x, y, score):
@@ -347,13 +356,14 @@ def _dense_peaks(data: np.ndarray, threshold: float):
     flat = data[:BACKGROUND_CHANNEL].reshape(-1)
     # The row test runs on the flattened stack; the ring goes before the
     # other six neighbors are read.
-    idx = np.flatnonzero(_row_maxima(flat[1:-1], flat[:-2], flat[2:], threshold)) + 1
-    ys, xs = _divmod(_divmod(idx, h * w)[1], w)
-    idx = idx[(ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)]
-    idx, score, dy, dx = _peaks(flat, idx, 1, idx - w, idx + w)
+    idx = _row_maxima(flat[1:-1], flat[:-2], flat[2:], threshold).nonzero()[0] + 1
     kind, pos = _divmod(idx, h * w)
     ys, xs = _divmod(pos, w)
-    return _sort_peaks(kind, xs + dx, ys + dy, score)
+    inside = (ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)
+    idx = idx[inside]
+    keep, score, dy, dx = _peaks(flat, idx, 1, idx - w, idx + w)
+    inside[inside] = keep  # now marks the peaks among all candidates
+    return _sort_peaks(kind[inside], xs[inside] + dx, ys[inside] + dy, score)
 
 
 def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig = DecoderConfig(),
@@ -384,13 +394,6 @@ def _sample_offsets(count: int) -> np.ndarray:
     return t
 
 
-def _nearest_index(coords: np.ndarray, limit: int) -> np.ndarray:
-    # In-place round-half-up; truncation equals floor once values are >= 0.
-    coords += 0.5
-    np.clip(coords, 0, limit, out=coords)
-    return coords.astype(np.intp)
-
-
 def _grouping_filter(affinity, valid, cfg: DecoderConfig):
     """Which scored candidates may become connections: valid ratio and
     positive affinity. Takes arrays or single floats."""
@@ -418,29 +421,33 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig)
         return rows, rows, rows, np.empty(0), np.empty(0)
     # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
     # na x nb block gives the row-major (i, j).
-    owner = np.repeat(np.arange(len(counts)), counts)
-    i, j = _divmod(np.arange(counts.sum()) - (np.cumsum(counts) - counts)[owner], nb[owner])
+    owner = np.arange(len(counts)).repeat(counts)
+    i, j = _divmod(np.arange(counts.sum()) - (counts.cumsum() - counts)[owner], nb[owner])
     ia = a_start[owner] + i
     ib = b_start[owner] + j
 
-    h, w = pafs.height * factor, pafs.width * factor
-    dx, dy = x[ib] - x[ia], y[ib] - y[ia]
-    length = np.hypot(dx, dy)
+    count = cfg.paf_sample_count
+    xy = np.array((x, y))
+    start = xy.take(ia, axis=1)
+    step = xy.take(ib, axis=1) - start
+    length = np.hypot(step[0], step[1])
     nonzero = length > 0.0
-    ux = np.divide(dx, length, out=np.zeros_like(dx), where=nonzero)
-    uy = np.divide(dy, length, out=np.zeros_like(dy), where=nonzero)
-    t = _sample_offsets(cfg.paf_sample_count)
-    ix = _nearest_index(x[ia, None] + dx[:, None] * t, w - 1)
-    iy = _nearest_index(y[ia, None] + dy[:, None] * t, h - 1)
-    channels = np.stack((x_channel[owner], y_channel[owner]))[:, :, None]
-    field_x, field_y = _sample_upsampled(pafs.data, channels, factor, iy, ix)
-    aligned = field_x * ux[:, None] + field_y * uy[:, None]
-    affinity = np.where(nonzero, aligned.mean(axis=-1), 0.0)
-    valid = np.where(
-        nonzero,
-        (aligned > cfg.paf_alignment_threshold).sum(axis=-1) / cfg.paf_sample_count,
-        0.0,
-    )
+    unit = np.divide(step, length, out=np.zeros_like(step), where=nonzero)
+    # Each sample's nearest upsampled pixel, rounded half up in place
+    # (truncation is the floor once clamped to >= 0); sample s of pair p
+    # sits at flat position p * count + s.
+    at = start[:, :, None] + step[:, :, None] * _sample_offsets(count)
+    at += 0.5
+    np.maximum(at, 0.0, out=at)
+    last = np.array((pafs.width * factor - 1, pafs.height * factor - 1), dtype=np.float64)
+    np.minimum(at, last[:, None, None], out=at)
+    ix, iy = at.astype(np.intp).reshape(2, -1)
+    channels = np.array((x_channel, y_channel)).repeat(counts * count, axis=1)
+    field_x, field_y = _sample_upsampled(pafs.data, channels, factor, iy, ix).reshape(2, -1, count)
+    aligned = field_x * unit[0, :, None] + field_y * unit[1, :, None]
+    # ``mean``'s own arithmetic, without its Python-level wrapper.
+    affinity = np.where(nonzero, aligned.sum(axis=-1) / count, 0.0)
+    valid = np.where(nonzero, (aligned > cfg.paf_alignment_threshold).sum(axis=-1) / count, 0.0)
     return owner, ia, ib, affinity, valid
 
 
@@ -490,7 +497,7 @@ def _match(limb, frm, to, affinity, valid, cfg: DecoderConfig) -> list[int]:
     by descending affinity (ties by smaller from, then to) and accepted when
     neither endpoint is already used within the limb.
     """
-    rows = np.flatnonzero(_grouping_filter(affinity, valid, cfg))
+    rows = _grouping_filter(affinity, valid, cfg).nonzero()[0]
     limb, frm, to, affinity = limb[rows], frm[rows], to[rows], affinity[rows]
     order = np.lexsort((to, frm, -affinity, limb))
     accepted: list[int] = []
@@ -661,7 +668,7 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
     if not kind.size:
         return []
     counts = np.bincount(kind, minlength=NUM_KEYPOINTS)
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     from_kind, to_kind, x_channel, y_channel = _LIMB_COLUMNS
     limb, frm, to, affinity, valid = _score_pairs(
         pafs, factor, x, y,
@@ -673,10 +680,13 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
                               affinity[accepted].tolist()), kinds, scores, cfg)
     rows = [r for slots, _, _ in skeletons for r in slots if r != -1]
     xs, ys = geometry.map_to_original(x[rows], y[rows], factor)
-    # Keypoint(id, kind, x, y, score), built as the skeletons consume them.
-    moved = map(Keypoint, rows, kind[rows].tolist(), xs.tolist(), ys.tolist(),
-                score[rows].tolist())
-    return [PoseSkeleton(tuple(None if r == -1 else next(moved) for r in slots), total, count)
+    # Each output Keypoint(id, kind, x, y, score) sits at its peak's row; the
+    # last entry stays None, so an empty slot, -1, reads it.
+    table = [None] * (kind.size + 1)
+    for row, keypoint in zip(rows, map(Keypoint, rows, kind[rows].tolist(), xs.tolist(),
+                                       ys.tolist(), score[rows].tolist())):
+        table[row] = keypoint
+    return [PoseSkeleton(tuple(map(table.__getitem__, slots)), total, count)
             for slots, total, count in skeletons]
 
 

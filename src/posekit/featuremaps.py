@@ -133,28 +133,34 @@ def _phase_weights(factor: int) -> np.ndarray:
 
 def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
                       ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``up[channels, ys, xs]`` (index arrays that broadcast together), where
-    ``up`` is ``_resize_planes(src, factor)``, gathered without the resize.
+    """``up[channels, ys, xs]``, where ``up`` is ``_resize_planes(src,
+    factor)``, gathered without the resize.
 
-    Repeats the resize's float32 operations from ``_axis_tables``: columns
-    first, then rows, each as ``(b - a) * w + a``, so the values are
-    bit-equal to the dense upsample.
+    ``ys`` and ``xs`` are index arrays of one shape, flat per-sample arrays
+    in pair scoring; ``channels`` holds ``k`` channel sets along its first
+    axis, each broadcasting against them, and the result has shape
+    ``(k, *ys.shape)``. The four corners of every sample in every set come
+    from one gather shaped ``(k, 2, 2, *ys.shape)``, small axes first, and
+    the resize's float32 operations are repeated from ``_axis_tables``:
+    columns first, then rows, each as ``(b - a) * w + a``, so the values
+    are bit-equal to the dense upsample.
     """
     _, h, w = src.shape
     flat = src.reshape(-1)
-    planes = np.asarray(channels, dtype=np.intp) * h
+    planes = channels * (h * w)
     if factor == 1:
-        return flat[(planes + ys) * w + xs]
+        return flat.take(planes + (ys * w + xs))
     ylo, yhi, wy = _axis_tables(h, factor)
     xlo, xhi, wx = _axis_tables(w, factor)
-    x0, x1, fx = xlo[xs], xhi[xs], wx[xs]
-    row = (planes + ylo[ys]) * w
-    a = flat[row + x0]
-    top = (flat[row + x1] - a) * fx + a
-    row = (planes + yhi[ys]) * w
-    a = flat[row + x0]
-    bottom = (flat[row + x1] - a) * fx + a
-    return (bottom - top) * wy[ys] + top
+    # Each upsampled row's two source rows as flat offsets, each column's two source columns.
+    rows, cols = np.array((ylo, yhi)) * w, np.array((xlo, xhi))
+    corners = rows.take(ys, axis=1)[:, None] + cols.take(xs, axis=1)
+    v = flat.take(planes[:, None, None] + corners)
+    a = v[:, :, 0]
+    # Both source rows in one pass, then the blend between them.
+    pair = (v[:, :, 1] - a) * wx.take(xs) + a
+    top = pair[:, 0]
+    return (pair[:, 1] - top) * wy.take(ys) + top
 
 
 def _resize_axis(src: np.ndarray, out: np.ndarray, factor: int) -> None:

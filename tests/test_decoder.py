@@ -1403,6 +1403,21 @@ def test_slope_prune_keeps_few_of_the_hot_cells_on_a_crowded_frame():
     assert kept.size * 10 < hot.sum()
 
 
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
+def test_no_cell_when_every_keypoint_sample_is_below_the_limit(factor):
+    # Keypoint channels far below the threshold and the background at 1.0:
+    # no corner is hot, so the filter keeps no cell and decode finds nothing.
+    cfg = DecoderConfig(upsample_factor=factor)
+    rng = np.random.default_rng(factor)
+    heat = rng.uniform(-0.5, cfg.peak_threshold / 2, (NUM_HEATMAP_CHANNELS, 32, 57))
+    heat[BACKGROUND_CHANNEL] = 1.0
+    maps = FeatureMaps(heat.astype(np.float32))
+    padded, kept = posekit.decoder._peak_cells(maps.data, cfg)
+    assert padded.shape == (BACKGROUND_CHANNEL, 36, 61)
+    assert kept.size == 0 and kept.dtype == np.intp
+    assert decode(maps, _paf_stack(32, 57), identity_geometry(32, 57), cfg) == []
+
+
 def test_decode_from_concurrent_threads_matches_serial():
     scenes = []
     for persons, (h, w), geometry in ((20, (32, 57), identity_geometry(32, 57)),

@@ -94,7 +94,7 @@ def test_plateau_around_integer_peak_is_bit_exact():
         assert block[0, 0] == up.max()
 
 
-@pytest.mark.parametrize("factor", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5, 8])
 @pytest.mark.parametrize("shape", [(23, 31), (1, 9), (9, 1)])
 def test_point_sampler_is_bit_equal_to_dense_upsample(factor, shape):
     rng = np.random.default_rng(factor)
@@ -111,11 +111,19 @@ def test_point_sampler_is_bit_equal_to_dense_upsample(factor, shape):
         assert sampled.dtype == np.float32
         np.testing.assert_array_equal(sampled.view(np.uint32),
                                       dense[[2, 0, 1]].view(np.uint32))
-        # A channel per point, as limb scoring passes them.
+        # A channel per point.
         per_point = rng.integers(0, 3, size=ys.shape)
-        sampled = _sample_upsampled(maps, per_point, factor, ys, xs)
-        np.testing.assert_array_equal(sampled.view(np.uint32),
+        sampled = _sample_upsampled(maps, per_point[None], factor, ys, xs)
+        np.testing.assert_array_equal(sampled[0].view(np.uint32),
                                       dense[per_point, ys, xs].view(np.uint32))
+        # An x and a y channel per point on flat arrays, as pair scoring
+        # passes them.
+        pair = np.array((per_point, (per_point + 1) % 3)).reshape(2, -1)
+        sampled = _sample_upsampled(maps, pair, factor, ys.reshape(-1), xs.reshape(-1))
+        assert sampled.shape == pair.shape
+        np.testing.assert_array_equal(
+            sampled.view(np.uint32),
+            dense[pair, ys.reshape(-1), xs.reshape(-1)].view(np.uint32))
 
 
 def test_axis_tables_are_block_regular():
