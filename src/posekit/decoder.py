@@ -233,8 +233,9 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
     padded[:, 2:-2, 2:-2] = src
     padded[:, :2, 2:-2] = src[:, :1]
     padded[:, -2:, 2:-2] = src[:, -1:]
-    padded[:, :, :2] = padded[:, :, 2:3]
-    padded[:, :, -2:] = padded[:, :, -3:-2]
+    # One 2-D copy per edge column: faster than broadcasting into an inner axis of 2.
+    for col, edge in ((0, 2), (1, 2), (-2, -3), (-1, -3)):
+        padded[:, :, col] = padded[:, :, edge]
     flat = padded.reshape(-1)
     row = w + 4
     mask = _grid_mask(c, h, w)
@@ -546,15 +547,6 @@ def group_limbs(candidates_by_type, cfg: DecoderConfig = DecoderConfig()) -> lis
     return [flat[row] for row in _match(limb, frm, to, affinity, valid, cfg)]
 
 
-class _Builder:
-    __slots__ = ("slots", "kp_score", "affinity")
-
-    def __init__(self):
-        self.slots = [-1] * NUM_KEYPOINTS
-        self.kp_score = 0.0
-        self.affinity = 0.0
-
-
 def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, float, int]]:
     """Skeletons from accepted ``(from, to, affinity)`` connections between
     points, where ``kind[p]`` and ``score[p]`` describe point ``p``, by the
@@ -564,50 +556,47 @@ def _assemble(connections, kind, score, cfg: DecoderConfig) -> list[tuple[list, 
     ``slots[k]`` is its point of kind ``k`` or -1.
     """
     owner: dict = {}
-    builders: list[_Builder] = []
-
-    def _attach(builder: _Builder, point) -> bool:
-        if builder.slots[kind[point]] != -1:
-            return False
-        builder.slots[kind[point]] = point
-        builder.kp_score += score[point]
-        owner[point] = builder
-        return True
-
+    fragments: list[list] = []  # each [slots, keypoint-score sum, affinity sum]
     for f, t, affinity in connections:
-        bf = owner.get(f)
-        bt = owner.get(t)
-        if bf is None and bt is None:
-            builder = _Builder()
-            builders.append(builder)
-            _attach(builder, f)
-            _attach(builder, t)  # fails only for two free points of one kind
-        elif bf is None or bt is None:
-            builder, free = (bt, f) if bf is None else (bf, t)
-            if not _attach(builder, free):
+        frag = owner.get(f)
+        other = owner.get(t)
+        if frag is None and other is None:
+            slots = [-1] * NUM_KEYPOINTS
+            slots[kind[f]] = f
+            frag = owner[f] = [slots, 0.0 + score[f], 0.0]
+            fragments.append(frag)
+            if kind[t] != kind[f]:  # two free points of one kind: t stays free
+                slots[kind[t]] = t
+                frag[1] += score[t]
+                owner[t] = frag
+        elif frag is None or other is None:
+            frag, free = (other, f) if frag is None else (frag, t)
+            slots = frag[0]
+            if slots[kind[free]] != -1:
                 continue  # the slot is taken: drop the connection
-        elif bf is bt:
-            builder = bf  # a redundant edge inside one skeleton still counts
-        else:
-            if any(a != -1 and b != -1 for a, b in zip(bf.slots, bt.slots)):
+            slots[kind[free]] = free
+            frag[1] += score[free]
+            owner[free] = frag
+        elif frag is not other:  # else a redundant edge inside one skeleton, which still counts
+            slots = frag[0]
+            if any(a != -1 and b != -1 for a, b in zip(slots, other[0])):
                 continue  # conflicting slots: drop the connection
-            for k, point in enumerate(bt.slots):
+            for k, point in enumerate(other[0]):
                 if point != -1:
-                    bf.slots[k] = point
-                    owner[point] = bf
-            bf.kp_score += bt.kp_score
-            affinity = bt.affinity + affinity
-            builders.remove(bt)
-            builder = bf
-        builder.affinity += affinity
+                    slots[k] = point
+                    owner[point] = frag
+            frag[1] += other[1]
+            affinity = other[2] + affinity
+            fragments.remove(other)
+        frag[2] += affinity
 
     skeletons = []
-    for b in builders:
-        count = NUM_KEYPOINTS - b.slots.count(-1)
-        total = (b.kp_score + b.affinity) / count
+    for slots, kp_score, affinity in fragments:
+        count = NUM_KEYPOINTS - slots.count(-1)
+        total = (kp_score + affinity) / count
         if count < cfg.min_keypoints or total < cfg.min_skeleton_score:
             continue
-        skeletons.append((total, b.slots, count))
+        skeletons.append((total, slots, count))
     skeletons.sort(key=lambda item: -item[0])  # stable: ties keep creation order
     return [(slots, total, count) for total, slots, count in skeletons]
 
@@ -659,9 +648,10 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
     peak columns of the heatmaps upsampled by ``cfg.upsample_factor``.
 
     All limbs are scored in one batch against the stride-level ``pafs``,
-    then matched and assembled on peak ids. The x/y of the skeletons' peaks
-    go through one ``InputGeometry.map_to_original`` call, and each output
-    ``Keypoint`` and ``PoseSkeleton`` is built once.
+    then matched and assembled on peak ids. Every peak's x/y goes through
+    one ``InputGeometry.map_to_original`` call, which maps elementwise, and
+    each output ``Keypoint`` and ``PoseSkeleton`` is built once: a peak sits
+    in at most one skeleton.
     """
     factor = cfg.upsample_factor
     kind, x, y, score = peaks
@@ -678,15 +668,9 @@ def _group_peaks(pafs: FeatureMaps, peaks, cfg: DecoderConfig,
     kinds, scores = kind.tolist(), score.tolist()
     skeletons = _assemble(zip(frm[accepted].tolist(), to[accepted].tolist(),
                               affinity[accepted].tolist()), kinds, scores, cfg)
-    rows = [r for slots, _, _ in skeletons for r in slots if r != -1]
-    xs, ys = geometry.map_to_original(x[rows], y[rows], factor)
-    # Each output Keypoint(id, kind, x, y, score) sits at its peak's row; the
-    # last entry stays None, so an empty slot, -1, reads it.
-    table = [None] * (kind.size + 1)
-    for row, keypoint in zip(rows, map(Keypoint, rows, kind[rows].tolist(), xs.tolist(),
-                                       ys.tolist(), score[rows].tolist())):
-        table[row] = keypoint
-    return [PoseSkeleton(tuple(map(table.__getitem__, slots)), total, count)
+    xs, ys = (c.tolist() for c in geometry.map_to_original(x, y, factor))
+    return [PoseSkeleton(tuple([None if r == -1 else Keypoint(r, kinds[r], xs[r], ys[r], scores[r])
+                                for r in slots]), total, count)
             for slots, total, count in skeletons]
 
 

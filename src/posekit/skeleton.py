@@ -70,15 +70,32 @@ class LimbType:
 LIMBS = tuple(LimbType(i, a, b, 2 * i, 2 * i + 1) for i, (a, b) in enumerate(_LIMB_KINDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Keypoint:
-    """A detected body part. Coordinates are continuous pixel positions."""
+    """A detected body part. Coordinates are continuous pixel positions.
+
+    ``__init__`` is written out because decode builds one per skeleton
+    keypoint per frame: the generated frozen one sets each field through
+    ``object.__setattr__`` and took two to three times as long. It takes
+    the same parameters, stores them as given, and the instance stays
+    frozen. Writing ``__dict__`` gives each instance its own dict, so on
+    Python 3.11 and 3.12 reading a field costs a little more; decode
+    builds each record once and reads none.
+    """
 
     id: int
     kind: int
     x: float
     y: float
     score: float
+
+    def __init__(self, id: int, kind: int, x: float, y: float, score: float):
+        d = self.__dict__
+        d["id"] = id
+        d["kind"] = kind
+        d["x"] = x
+        d["y"] = y
+        d["score"] = score
 
 
 @dataclass(frozen=True)
@@ -92,17 +109,24 @@ class LimbConnection:
     valid_ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PoseSkeleton:
     """An assembled person: one optional keypoint per kind, plus a score.
 
     ``score`` is the sum of keypoint scores and accepted connection
     affinities, normalized by the number of keypoints present.
+    ``__init__`` is written out for the reason ``Keypoint`` gives.
     """
 
     keypoints: tuple  # 18 entries of Keypoint | None
     score: float
     num_keypoints: int
+
+    def __init__(self, keypoints: tuple, score: float, num_keypoints: int):
+        d = self.__dict__
+        d["keypoints"] = keypoints
+        d["score"] = score
+        d["num_keypoints"] = num_keypoints
 
     def keypoint(self, kind: int) -> Keypoint | None:
         return self.keypoints[kind]

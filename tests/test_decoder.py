@@ -961,6 +961,118 @@ def test_assembly_rejects_a_kind_out_of_range(kind):
         assemble_skeletons([_conn(_limb_for(1, 2), 0, 1, 0.5)], [kps])
 
 
+# The assembler of posekit 0.13.0, one builder object per fragment, copied
+# verbatim as the oracle for `decoder._assemble`, which keeps each fragment
+# as a plain list. It shares the rules but not the code; a scalar assembler
+# written from README step 4 is meant to replace it (ROADMAP item 14).
+class _Builder:
+    __slots__ = ("slots", "kp_score", "affinity")
+
+    def __init__(self):
+        self.slots = [-1] * NUM_KEYPOINTS
+        self.kp_score = 0.0
+        self.affinity = 0.0
+
+
+def _builder_assemble(connections, kind, score,
+                      cfg: DecoderConfig) -> list[tuple[list, float, int]]:
+    """Skeletons from accepted ``(from, to, affinity)`` connections between
+    points, where ``kind[p]`` and ``score[p]`` describe point ``p``, by the
+    rules ``assemble_skeletons`` states.
+
+    Returns each kept skeleton as ``(slots, score, count)``, where
+    ``slots[k]`` is its point of kind ``k`` or -1.
+    """
+    owner: dict = {}
+    builders: list[_Builder] = []
+
+    def _attach(builder: _Builder, point) -> bool:
+        if builder.slots[kind[point]] != -1:
+            return False
+        builder.slots[kind[point]] = point
+        builder.kp_score += score[point]
+        owner[point] = builder
+        return True
+
+    for f, t, affinity in connections:
+        bf = owner.get(f)
+        bt = owner.get(t)
+        if bf is None and bt is None:
+            builder = _Builder()
+            builders.append(builder)
+            _attach(builder, f)
+            _attach(builder, t)  # fails only for two free points of one kind
+        elif bf is None or bt is None:
+            builder, free = (bt, f) if bf is None else (bf, t)
+            if not _attach(builder, free):
+                continue  # the slot is taken: drop the connection
+        elif bf is bt:
+            builder = bf  # a redundant edge inside one skeleton still counts
+        else:
+            if any(a != -1 and b != -1 for a, b in zip(bf.slots, bt.slots)):
+                continue  # conflicting slots: drop the connection
+            for k, point in enumerate(bt.slots):
+                if point != -1:
+                    bf.slots[k] = point
+                    owner[point] = bf
+            bf.kp_score += bt.kp_score
+            affinity = bt.affinity + affinity
+            builders.remove(bt)
+            builder = bf
+        builder.affinity += affinity
+
+    skeletons = []
+    for b in builders:
+        count = NUM_KEYPOINTS - b.slots.count(-1)
+        total = (b.kp_score + b.affinity) / count
+        if count < cfg.min_keypoints or total < cfg.min_skeleton_score:
+            continue
+        skeletons.append((total, b.slots, count))
+    skeletons.sort(key=lambda item: -item[0])  # stable: ties keep creation order
+    return [(slots, total, count) for total, slots, count in skeletons]
+
+
+@st.composite
+def _assembly_inputs(draw):
+    """Points drawn from 2 to 18 kinds, so slots collide more or less often,
+    and connections among them: new fragments, attaches, taken slots,
+    redundant edges, merges that hold or conflict, same-kind pairs and a
+    point joined to itself."""
+    n = draw(st.integers(2, 16))
+    kinds = draw(st.lists(st.integers(0, draw(st.integers(1, NUM_KEYPOINTS - 1))),
+                          min_size=n, max_size=n))
+    # Mostly uniform doubles, whose sums round, so two summation orders
+    # differ; the small floats Hypothesis favours would add exactly. Some
+    # simple values stay, for -0.0 and for exact score ties.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    simple = st.sampled_from([None] * 7 + [-0.0, 0.5, 1.0])
+
+    def value():
+        v = draw(simple)
+        return float(rng.uniform(-1.0, 2.0)) if v is None else v
+
+    scores = [value() for _ in range(n)]
+    # Disjoint pairs first, so later connections meet several fragments.
+    pairs = draw(st.permutations([(2 * i, 2 * i + 1) for i in range(n // 2)]))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    connections = [(f, t, value()) for f, t in pairs + ends]
+    cfg = DecoderConfig(min_keypoints=draw(st.integers(1, 4)),
+                        min_skeleton_score=draw(st.sampled_from([-1.0, 0.0, 0.2, 1.0])))
+    return connections, kinds, scores, cfg
+
+
+@settings(max_examples=500, deadline=None)
+@given(inputs=_assembly_inputs())
+def test_assemble_matches_the_builder_oracle(inputs):
+    # Same skeletons in the same order, and the same score bits: the list
+    # fragments add in the oracle's order.
+    connections, kinds, scores, cfg = inputs
+    got = posekit.decoder._assemble(iter(connections), kinds, scores, cfg)
+    want = _builder_assemble(iter(connections), kinds, scores, cfg)
+    assert [(slots, total.hex(), count) for slots, total, count in got] == \
+        [(slots, total.hex(), count) for slots, total, count in want]
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------
