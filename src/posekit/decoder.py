@@ -13,17 +13,17 @@ ratio) for every scored pair. Matching drops the unusable candidates, and
 it and assembly work on ids. Each output ``Keypoint`` and
 ``PoseSkeleton`` is built once, in original-image pixels. The public stage
 functions convert their object arguments to these columns, run the same
-code and convert back. All stages are deterministic and run on the calling
-thread, with scratch buffers kept per thread, so concurrent decodes are
-safe. Each entry point takes one ``DecoderConfig``, ``DecoderConfig()``
-unless given. ``decode`` and ``extract_keypoints`` still accept a
-``threads`` keyword for compatibility; it is deprecated and changes nothing.
+code and convert back. All stages are deterministic, run on the calling
+thread and return plain values. Decode keeps no state between calls except
+read-only per-shape tables, so concurrent decodes are safe. Each entry
+point takes one ``DecoderConfig``, ``DecoderConfig()`` unless given.
+``decode`` and ``extract_keypoints`` still accept a ``threads`` keyword
+for compatibility; it is deprecated and changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from functools import lru_cache
 
@@ -56,24 +56,6 @@ __all__ = [
     "assemble_skeletons",
     "decode",
 ]
-
-_scratch = threading.local()
-
-
-def _buffer(name: str, shape) -> np.ndarray:
-    """A per-thread float32 scratch array of ``shape``, reused across calls.
-
-    Storage only grows, so repeated frames fault in no fresh pages (fresh
-    megabyte temporaries made glibc trim and refault the heap on every
-    frame), and concurrent decodes never share a buffer.
-    """
-    size = math.prod(shape)
-    buf = getattr(_scratch, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype=np.float32)
-        setattr(_scratch, name, buf)
-    return buf[:size].reshape(shape)
-
 
 def _require_channels(maps: FeatureMaps, count: int, what: str) -> None:
     if maps.channels != count:
@@ -229,7 +211,7 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
         return None
     src = heat[:BACKGROUND_CHANNEL]
     c, h, w = src.shape
-    padded = _buffer("padded", (c, h + 4, w + 4))
+    padded = np.empty((c, h + 4, w + 4), dtype=np.float32)
     padded[:, 2:-2, 2:-2] = src
     padded[:, :2, 2:-2] = src[:, :1]
     padded[:, -2:, 2:-2] = src[:, -1:]
@@ -257,8 +239,7 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
     # Along rows (step 1), then columns (step row); ``across`` is the step
     # to the cell's other corner line.
     for step, across in ((1, row), (row, 1)):
-        slope = _buffer("slope", (flat.size - step,))
-        np.subtract(flat[step:], flat[:-step], out=slope)
+        slope = flat[step:] - flat[:-step]
         for gentle, side in ((slope <= delta, step), (slope >= -delta, -step)):
             # Not both corner lines steep: across this interval, or the next one on ``side``.
             either = gentle[:-across] | gentle[across:]

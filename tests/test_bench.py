@@ -293,9 +293,9 @@ def test_load_scenario_rejects_mismatched_truth(tmp_path):
         load_scenario(tmp_path)
 
 
-def test_decode_reuses_scratch_buffers_without_drift():
-    # Decode reuses its scratch buffers; crowd- and wide-size maps in turn
-    # make them shrink and grow between frames.
+def test_decode_alternating_map_sizes_without_drift():
+    # Crowd- and wide-size maps in turn: a frame's pose document does not
+    # depend on the size or content of the frame decoded before it.
     frames = [_scenario(20, seed=20), _scenario(3, height=46, width=82, seed=21)]
     cfg = DecoderConfig()
 

@@ -1233,8 +1233,8 @@ def test_decode_never_upsamples_the_paf_stack(monkeypatch):
     geometry = compute_input_geometry(720, 1280, 368)
     _, heatmaps, pafs = generate_scene(3, RenderConfig(46, 82, seed=7))
     for factor in (4, 8):
-        # A fresh thread starts with no scratch buffers, so their first
-        # allocation counts too.
+        # Decode keeps nothing between calls, so every allocation a call
+        # makes counts.
         result, peak = [], []
 
         def run(factor):
@@ -1560,6 +1560,72 @@ def test_decode_from_concurrent_threads_matches_serial():
         sys.setswitchinterval(interval)
     for slot in range(workers_count):
         assert results[slot] == [serial[(k + slot) % 2] for k in range(rounds)]
+
+
+def test_stage_results_are_values():
+    # A stage's result is its own: calling the cell filter on another frame
+    # in between leaves the first frame's padded stack and cells as they were.
+    a = make_canonical_scenario().heatmaps
+    _, b, _ = generate_scene(3, RenderConfig(32, 57, seed=5))
+    cfg = DecoderConfig()
+    cells_a = posekit.decoder._peak_cells(a.data, cfg)
+    posekit.decoder._peak_cells(b.data, cfg)
+    got = posekit.decoder._block_peaks(a, posekit.decoder._cell_blocks(cells_a, 4), cfg)
+    fresh_cells = posekit.decoder._peak_cells(a.data, cfg)
+    fresh = posekit.decoder._block_peaks(a, posekit.decoder._cell_blocks(fresh_cells, 4), cfg)
+    assert len(fresh[0]) == 72
+    for column, expected in zip(got, fresh):
+        np.testing.assert_array_equal(column, expected)
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+@pytest.mark.parametrize("shape", [(32, 57), (46, 82)])
+def test_shared_per_shape_tables_are_read_only(shape, factor):
+    # Concurrent decodes share only these cached tables, so none may be written.
+    tables = {"_axis_tables": [], "_grid_mask": [], "_block_layout": [], "_sample_offsets": []}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def record(*args):
+            result = original(*args)
+            tables[name].extend(result if isinstance(result, tuple) else (result,))
+            return result
+        return record
+
+    _, heatmaps, pafs = generate_scene(3, RenderConfig(*shape, seed=factor))
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((posekit.featuremaps, "_axis_tables"),
+                             (posekit.decoder, "_axis_tables"),
+                             (posekit.decoder, "_grid_mask"),
+                             (posekit.decoder, "_block_layout"),
+                             (posekit.decoder, "_sample_offsets")):
+            patch.setattr(module, name, spy(module, name))
+        assert decode(heatmaps, pafs, identity_geometry(*shape),
+                      DecoderConfig(upsample_factor=factor))
+    for name, arrays in tables.items():
+        assert arrays, name
+        for arr in arrays:
+            assert not arr.flags.writeable, name
+            first = (0,) * arr.ndim
+            with pytest.raises(ValueError):
+                arr[first] = arr[first]
+
+
+def test_decode_faults_in_no_fresh_pages_per_frame():
+    # A decode whose temporaries made the allocator trim and refault the heap
+    # read hundreds of minor faults per frame; a steady loop reads ~0.
+    resource = pytest.importorskip("resource")
+    sc = make_canonical_scenario()
+    cfg = DecoderConfig()
+    for _ in range(20):
+        decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
+    frames = 200
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(frames):
+        decode(sc.heatmaps, sc.pafs, sc.geometry, cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / frames < 1.0
 
 
 def _dense_decode(heatmaps, pafs, geometry, cfg) -> list[PoseSkeleton]:
