@@ -6,7 +6,8 @@ naive mode mirrors a first straightforward implementation: heatmaps and PAFs
 are resized all the way to network input size channel by channel in float64
 with fresh allocations, extraction walks every pixel in Python
 single-threaded, pair scoring loops over samples one candidate at a
-time, and greedy matching picks one candidate at a time in its own code.
+time, and greedy matching and assembly take one candidate or connection
+at a time in their own code, not ``decoder``'s.
 The optimized mode runs ``decoder.decode``'s stages one by one: its
 extract stage finds the cells that can hold a peak, its resize stage
 interpolates one block of the heatmap upsample around each, the extract
@@ -47,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from . import decoder
-from .decoder import assemble_skeletons
 from .errors import DimensionMismatchError, GateFailureError
 from .featuremaps import (
     STRIDE,
@@ -236,8 +236,62 @@ def _naive_match(candidates_by_type, cfg: DecoderConfig) -> list:
     return accepted
 
 
+def _naive_assemble(connections, kind, score, cfg: DecoderConfig) -> list:
+    """Greedy part assembly, written from README step 4 and the
+    ``assemble_skeletons`` docstring, not from ``decoder._assemble``.
+
+    ``connections`` holds accepted ``(from, to, affinity)`` point triples;
+    ``kind[p]`` and ``score[p]`` describe point ``p``. Returns each kept
+    skeleton as ``(slots, score, count)``, ``slots[k]`` its point of kind
+    ``k`` or -1.
+    """
+    skeletons = {}  # number of the starting connection -> partial skeleton
+    home = {}  # point -> number of the skeleton that holds it
+
+    def join(number, point):
+        skeleton = skeletons[number]
+        skeleton["slots"][kind[point]] = point
+        skeleton["keypoint_sum"] += score[point]
+        home[point] = number
+
+    for number, (f, t, affinity) in enumerate(connections):
+        if f not in home and t not in home:  # start a skeleton
+            skeletons[number] = {"slots": {}, "keypoint_sum": 0.0, "affinity_sum": 0.0}
+            join(number, f)
+            if kind[t] != kind[f]:
+                join(number, t)
+        elif f not in home or t not in home:  # attach the free end
+            number, free = (home[t], f) if f not in home else (home[f], t)
+            if kind[free] in skeletons[number]["slots"]:
+                continue  # the slot is taken: drop
+            join(number, free)
+        elif home[f] != home[t]:  # merge the to point's skeleton into the from point's
+            number, absorbed = home[f], skeletons[home[t]]
+            if absorbed["slots"].keys() & skeletons[number]["slots"].keys():
+                continue  # both hold a kind: drop
+            del skeletons[home[t]]
+            for point in absorbed["slots"].values():
+                home[point] = number
+            skeletons[number]["slots"].update(absorbed["slots"])
+            skeletons[number]["keypoint_sum"] += absorbed["keypoint_sum"]
+            affinity = absorbed["affinity_sum"] + affinity
+        else:  # a redundant edge inside one skeleton
+            number = home[f]
+        skeletons[number]["affinity_sum"] += affinity
+
+    kept = []
+    for skeleton in skeletons.values():
+        count = len(skeleton["slots"])
+        total = (skeleton["keypoint_sum"] + skeleton["affinity_sum"]) / count
+        if count >= cfg.min_keypoints and total >= cfg.min_skeleton_score:
+            kept.append(([skeleton["slots"].get(k, -1) for k in range(NUM_KEYPOINTS)],
+                         total, count))
+    kept.sort(key=lambda item: item[1], reverse=True)  # stable: ties keep creation order
+    return kept
+
+
 def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
-    """Per-pair Python-loop scoring followed by the greedy matching.
+    """Per-pair Python-loop scoring, then ``_naive_match`` and ``_naive_assemble``.
 
     Scores the full cross-product of keypoints for every limb type and hands
     all of it to ``_naive_match``, which filters. Coincident endpoints have
@@ -278,7 +332,12 @@ def _naive_group(up_paf: list, keypoints: list, cfg: DecoderConfig) -> list:
                                    valid_ratio=valid / cfg.paf_sample_count)
                 )
         candidates_by_type.append(cands)
-    return assemble_skeletons(_naive_match(candidates_by_type, cfg), keypoints, cfg)
+    by_id = {kp.id: kp for bucket in keypoints for kp in bucket}
+    skeletons = _naive_assemble(
+        [(c.from_kp, c.to_kp, c.affinity) for c in _naive_match(candidates_by_type, cfg)],
+        {i: kp.kind for i, kp in by_id.items()}, {i: kp.score for i, kp in by_id.items()}, cfg)
+    return [PoseSkeleton(tuple(None if p == -1 else by_id[p] for p in slots), total, count)
+            for slots, total, count in skeletons]
 
 
 def _naive_map_back(skeletons: list, geometry: InputGeometry, factor: int) -> list:

@@ -55,19 +55,29 @@ def test_naive_and_optimized_pipelines_agree():
     assert compare_skeletons(naive, optimized) is None
 
 
-def test_naive_decode_matches_without_the_decoders_matcher(monkeypatch):
-    # The naive path matches with its own scalar rule, so the gate checks
-    # decode's _match against a second implementation, not against itself.
+def _check_naive_decode_without(monkeypatch, *names):
+    # The naive path groups with its own scalar code, so the gate checks
+    # decode's matching and assembly against a second implementation, not
+    # against themselves.
     sc = _scenario(4)
     optimized = decode(sc.heatmaps, sc.pafs, sc.geometry)
 
     def refuse(*args):
-        raise AssertionError("naive_decode reached decoder._match")
+        raise AssertionError(f"naive_decode reached one of decoder's {names}")
 
-    monkeypatch.setattr(posekit.decoder, "_match", refuse)
+    for name in names:
+        monkeypatch.setattr(posekit.decoder, name, refuse)
     naive = naive_decode(sc.heatmaps, sc.pafs, sc.geometry)
     assert len(naive) == 4
     assert compare_skeletons(naive, optimized) is None
+
+
+def test_naive_decode_matches_without_the_decoders_matcher(monkeypatch):
+    _check_naive_decode_without(monkeypatch, "_match")
+
+
+def test_naive_decode_assembles_without_the_decoders_assembler(monkeypatch):
+    _check_naive_decode_without(monkeypatch, "_assemble", "assemble_skeletons")
 
 
 def test_compare_skeletons_reports_count_mismatch():
