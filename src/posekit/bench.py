@@ -196,28 +196,8 @@ def _naive_extract(up_heat: list, threshold: float) -> list:
                 if (v < plane[y, x + 1] or v < plane[y + 1, x - 1]
                         or v < plane[y + 1, x] or v < plane[y + 1, x + 1]):
                     continue
-                ties = [(y + sy, x + sx) for sy, sx in ((0, 1), (1, -1), (1, 0), (1, 1))
-                        if plane[y + sy, x + sx] == v]
-                if not ties:
-                    dx = _naive_refine(plane[y, x - 1], v, plane[y, x + 1])
-                    dy = _naive_refine(plane[y - 1, x], v, plane[y + 1, x])
-                else:
-                    # The plateau is a peak only if nothing next to a tied
-                    # neighbour beats it.
-                    if any(plane[min(max(ty + ay, 0), h - 1), min(max(tx + ax, 0), w - 1)] > v
-                           for ty, tx in ties for ay in (-1, 0, 1) for ax in (-1, 0, 1)):
-                        continue
-                    # The first tie is the partner: the pair's midpoint along
-                    # the tie; across a row or column tie, a fit on the two
-                    # samples' summed profiles.
-                    ty, tx = ties[0]
-                    dy, dx = (ty - y) / 2, (tx - x) / 2
-                    if ty == y:
-                        dy = _naive_refine(plane[y - 1, x] + plane[y - 1, tx], 2 * v,
-                                           plane[y + 1, x] + plane[y + 1, tx])
-                    elif tx == x:
-                        dx = _naive_refine(plane[y, x - 1] + plane[ty, x - 1], 2 * v,
-                                           plane[y, x + 1] + plane[ty, x + 1])
+                dx = _naive_refine(plane[y, x - 1], v, plane[y, x + 1])
+                dy = _naive_refine(plane[y - 1, x], v, plane[y + 1, x])
                 found.append((-v, y + dy, x + dx, v))
         found.sort()
         bucket = []

@@ -2,23 +2,23 @@
 
 ``decode`` upsamples no map stack. It finds heatmap peaks by evaluating the
 upsample only in the cells that can hold one: a cell is kept when a source
-corner comes near the threshold and its corners do not rise or fall steeply
-through it. Each kept cell interpolates one block, its own samples, a
-one-sample ring around them and one more row and column after the ring, and
-the peak search runs inside the blocks. One batch scores every limb's pairs
-on the stride-level PAFs. Both read values bit-equal to the dense upsample.
-From the peaks to the output, ``decode`` passes NumPy columns, not objects:
-peaks as (kind, x, y, score) with id = row, candidates as (limb, from id,
-to id, affinity, valid ratio) for every scored pair. Matching drops the
-unusable candidates, and it and assembly work on ids. Each output
-``Keypoint`` and ``PoseSkeleton`` is built once, in original-image pixels.
-The public stage functions convert their object arguments to these columns,
-run the same code and convert back. All stages are deterministic, run on
-the calling thread and return plain values. Decode keeps no state between
-calls except read-only per-shape tables, so concurrent decodes are safe.
-Each entry point takes one ``DecoderConfig``, ``DecoderConfig()`` unless
-given. ``decode`` and ``extract_keypoints`` still accept a ``threads``
-keyword for compatibility; it is deprecated and changes nothing.
+corner comes near the threshold and its corners do not rise or fall
+steeply through it. Each kept cell interpolates one block, its own samples
+and a one-sample ring around them, and the peak search runs inside the
+blocks. One batch scores every limb's pairs on the stride-level PAFs. Both
+read values bit-equal to the dense upsample. From the peaks to the
+output, ``decode`` passes NumPy columns, not objects: peaks as (kind, x, y,
+score) with id = row, candidates as (limb, from id, to id, affinity, valid
+ratio) for every scored pair. Matching drops the unusable candidates, and
+it and assembly work on ids. Each output ``Keypoint`` and
+``PoseSkeleton`` is built once, in original-image pixels. The public stage
+functions convert their object arguments to these columns, run the same
+code and convert back. All stages are deterministic, run on the calling
+thread and return plain values. Decode keeps no state between calls except
+read-only per-shape tables, so concurrent decodes are safe. Each entry
+point takes one ``DecoderConfig``, ``DecoderConfig()`` unless given.
+``decode`` and ``extract_keypoints`` still accept a ``threads`` keyword
+for compatibility; it is deprecated and changes nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .featuremaps import (
     FeatureMaps,
     InputGeometry,
     _axis_tables,
-    _phase_weights,
     _sample_upsampled,
 )
 from .skeleton import (
@@ -77,10 +76,9 @@ def _deprecated_threads(threads) -> None:
 def _refine_axis(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vertex offset of the parabola through ``(lo, values, hi)``, in (-0.5, 0.5].
 
-    ``_peaks`` refines only float32 samples, or sums of two, which float64
-    holds exactly, strictly above ``lo`` and at least equal to ``hi``, so in
-    float64 ``lo - 2 * values + hi`` is finite and strictly negative: every
-    triple is concave. The clip only absorbs rounding.
+    ``_peaks`` refines only float32 samples strictly above ``lo`` and at least
+    equal to ``hi``, so in float64 ``lo - 2 * values + hi`` is finite and
+    strictly negative: every triple is concave. The clip only absorbs rounding.
     """
     return ((lo - hi) / (2.0 * (lo - 2.0 * values + hi))).clip(-0.5, 0.5)
 
@@ -103,56 +101,20 @@ def _divmod(x: np.ndarray, d):
     return q, x - q * d
 
 
-# A sample's later neighbours in row-major order, as (row, column) steps,
-# in the order of ``_peaks``' tie codes.
-_LATER = ((0, 1), (1, -1), (1, 0), (1, 1))
-# The first set bit of each 4-bit tie code, least significant first, or 4.
-_FIRST_TIE = np.array([(code & -code).bit_length() - 1 if code else 4 for code in range(16)])
-# The steps to the ten samples two away from a sample that lie next to a
-# later neighbour, and for each tie code which of them lie next to a tied
-# one. ``_peaks`` reads a winner's neighbours, then these.
-_RIM = np.array([(-1, 2), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (2, -1), (2, -2), (1, -2),
-                 (0, -2)])
-_RIM_OF_TIES = np.array([[any(code >> k & 1 and max(abs(dy - sy), abs(dx - sx)) == 1
-                              for k, (sy, sx) in enumerate(_LATER)) for dy, dx in _RIM]
-                         for code in range(16)])
-_WINDOW = np.concatenate((((0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, 1)),
-                          _RIM))
-for _table in (_FIRST_TIE, _RIM, _RIM_OF_TIES, _WINDOW):
-    _table.flags.writeable = False
-
-
-def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, row: int):
+def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, up: np.ndarray, down: np.ndarray):
     """Second half of the peak rule, on candidates that passed ``_row_maxima``.
 
-    ``flat`` holds a map whose neighbors sit ``col`` apart within a row and
-    ``row`` apart within a column, and every candidate ``flat[idx]`` must
-    have its whole 8-neighborhood in the map. A peak is a local maximum
-    over its 8-neighborhood: it wins against earlier neighbors (row-major
-    order) only when strictly greater, and against later neighbors when
-    greater or equal, so plateaus of equal values yield at most one peak,
-    the first in scan order.
-
-    Rounding makes such ties on an upsampled map. A winner and the later
-    neighbours that tie it hold a plateau, which is a peak only if it is a
-    maximum: the winner is beaten when a neighbour of a tied one is larger.
-    The winner is at least each of its own neighbours, so only the ``_RIM``
-    samples two steps away are read; where the map ends or does not hold
-    them the caller reads them again, clipped onto the map. A winner's
-    partner is its first tied neighbour in ``_LATER`` order: the two stand
-    for one peak, placed the same whichever way the map is read. Across a
-    partner along a row or a column, the fit runs on the sums of the two
-    samples' profiles, and along it the tie refines to 0.5 as it is; each
-    sum has a strictly smaller earlier side, so its fit is strictly
-    concave. A diagonal partner puts the peak half-way to it on both axes.
-
-    Returns which candidates win, and for the winners the float64 scores,
-    the ``dy``/``dx`` refinements, which later neighbours tie them, as a
-    4-bit code in ``_LATER`` order, least significant first, and which are
-    beaten; the last two are None when no winner ties.
+    ``flat`` holds a map whose neighbors sit ``col`` apart within a row;
+    ``up`` and ``down`` index the samples above and below each candidate
+    ``flat[idx]``, and every candidate must have its whole 8-neighborhood in
+    the map. A peak is a local maximum over its 8-neighborhood: it wins
+    against earlier neighbors (row-major order) only when strictly greater,
+    and against later neighbors when greater or equal, so plateaus of equal
+    values yield exactly one peak, the first in scan order. Returns which
+    candidates are peaks, and the peaks' float64 scores and quadratic
+    ``dy``/``dx`` refinements.
     """
     v = flat[idx]
-    up, down = idx - row, idx + row
     # Neighbors that precede the center in row-major order: must be strictly smaller.
     keep = v > flat[up - col]
     keep &= v > flat[up]
@@ -161,60 +123,25 @@ def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, row: int):
     keep &= v >= flat[down - col]
     keep &= v >= flat[down]
     keep &= v >= flat[down + col]
-    # Each winner, its four later neighbours in ``_LATER`` order, its left
-    # and upper neighbours, the one above its right neighbour, and its rim.
-    near = flat.take(idx[keep] + (_WINDOW[:, :1] * row + _WINDOW[:, 1:] * col), mode="clip")
-    ties = np.packbits(near[1:5] == near[0], axis=0, bitorder="little")[0]
-    tied = ties.any()
-    beaten = ((near[8:] > near[0]) & _RIM_OF_TIES[ties].T).any(axis=0) if tied else None
-    near = near[:8].astype(np.float64)
-    v = near[0]
-    centre_x = centre_y = v
-    if tied:
-        partner = _FIRST_TIE[ties]
-        # The sums run in place on the profile rows; a winner has one partner.
-        along_row, along_col = partner == 0, partner == 2
-        centre_y = v * (1 + along_row)
-        np.add(near[6], near[7], out=near[6], where=along_row)
-        np.add(near[3], near[4], out=near[3], where=along_row)
-        centre_x = v * (1 + along_col)
-        np.add(near[5], near[2], out=near[5], where=along_col)
-        np.add(near[1], near[4], out=near[1], where=along_col)
-    dx = _refine_axis(centre_x, near[5], near[1])
-    dy = _refine_axis(centre_y, near[6], near[3])
-    if not tied:
-        return keep, v, dy, dx, None, None
-    diagonal = partner % 2 == 1
-    if diagonal.any():
-        dy = np.where(diagonal, 0.5, dy)
-        dx = np.where(diagonal, np.where(partner == 1, -0.5, 0.5), dx)
-    return keep, v, dy, dx, ties, beaten
-
-
-def _rim_beaten(ties, score, near):
-    """``_peaks``' beaten flags for winners with the given ``ties`` and
-    ``score``, from ``near``, their samples at the ``_RIM`` steps."""
-    return ((near > score[:, None]) & _RIM_OF_TIES[ties]).any(axis=1)
-
-
-def _unbeaten(beaten):
-    """An index of the winners that are no beaten plateau: a slice when all."""
-    return slice(None) if beaten is None or not beaten.any() else ~beaten
+    idx, up, down = idx[keep], up[keep], down[keep]
+    v = flat[idx].astype(np.float64)
+    dx = _refine_axis(v, flat[idx - col].astype(np.float64), flat[idx + col].astype(np.float64))
+    dy = _refine_axis(v, flat[up].astype(np.float64), flat[down].astype(np.float64))
+    return keep, v, dy, dx
 
 
 def _hot_margin(max_abs: float) -> float:
     """How far below the threshold a hot cell's corners may sit.
 
     An upsampled sample is two float32 passes of ``(b - a) * w + a`` with
-    ``a`` the nearer source and ``0 <= w < 1/2``. With ``u = 2**-24`` and
-    all corners within ``M`` of 0, one pass rounds three times:
-    ``|b - a| <= 2M`` picks up ``2Mu`` in the subtraction and ``2Mu`` more
-    in the product, and the sum, below ``M(1 + 5u)``, adds ``Mu``; so a
-    pass lands within ``5Mu(1 + 2u)`` of its exact convex value, and two
-    passes within ``10Mu(1 + 6u)`` of the exact bilinear value of the
-    corners, which lies in their range. ``32u * max(1, M)`` covers that
-    with a safety factor of about 3, and the 1 keeps subnormal rounding
-    (``2**-150`` per operation) far inside it. Corners
+    ``0 <= w < 1``. With ``u = 2**-24`` and all corners within ``M`` of 0,
+    one pass rounds three times: ``|b - a| <= 2M`` picks up ``2Mu`` in the
+    subtraction and ``2Mu`` more in the product, and the sum, below
+    ``M(1 + 5u)``, adds ``Mu``; so a pass lands within ``5Mu(1 + 2u)`` of its
+    exact convex value, and two passes within ``10Mu(1 + 6u)`` of the exact
+    bilinear value of the corners, which lies in their range. ``32u *
+    max(1, M)`` covers that with a safety factor of about 3, and the 1 keeps
+    subnormal rounding (``2**-150`` per operation) far inside it. Corners
     must stay below half the float32 range, else the resize's own ``b - a``
     overflows; ``FeatureMaps`` refuses any value of 2**127 or more in
     magnitude, so every map that reaches here complies.
@@ -323,42 +250,32 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
 @lru_cache(maxsize=8)
 def _block_layout(width: int, factor: int):
     """``_cell_blocks``' per-shape constants for a padded row of ``width``:
-    the flat offsets of a 4x4 source neighbourhood, the ``f + 3`` steps
-    from a block's first sample, and for each step its nearer and its
-    farther source in the neighbourhood."""
+    the flat offsets of a 4x4 source neighbourhood, the ``f + 2`` steps
+    from a block's first sample, and the source interval of each of them."""
     offsets = np.arange(4)[:, None] * width + np.arange(4)
-    step = np.arange(factor + 3)[:, None]
-    pattern = np.repeat(np.arange(3), (1, factor, 2))
-    # Every block starts at the same phase; a clamped step blends two equal
-    # samples, so either source serves it.
-    phase = (np.arange(factor + 3) - (factor + 1) // 2 - 1 - factor // 2) % factor
-    later = _phase_weights(factor)[1][phase]
-    near, far = pattern + later, pattern + 1 - later
-    for arr in (offsets, step, near, far):
+    step = np.arange(factor + 2)[:, None]
+    pattern = np.repeat(np.arange(3), (1, factor, 1))
+    for arr in (offsets, step, pattern):
         arr.flags.writeable = False
-    return offsets[:, :, None], step, near, far
+    return offsets[:, :, None], step, pattern
 
 
 def _cell_blocks(cells, factor: int):
-    """Decode's resize stage: each kept cell's ``(f + 3) x (f + 3)`` block of
-    the dense upsample: its own ``f x f`` samples, a one-sample ring, and
-    one more row and column after the ring, for the plateau part of the
-    peak rule in ``_peaks``.
+    """Decode's resize stage: each kept cell's ``(f + 2) x (f + 2)`` block of
+    the dense upsample, its own ``f x f`` samples and a one-sample ring.
 
     Along an axis, cell ``a``'s block starts at sample
-    ``a * f - ceil(f / 2) - 1`` and may stick out of the map. Its samples
-    lie in the intervals ``[0, 1 x f, 2, 2]`` of the cell's 4x4 source
-    neighbourhood, each sample takes the ``_axis_tables`` weight of its
-    position, clamped to the map, and the pass is the resize's
-    ``(b - a) * w + a`` from the nearer source in float32: columns first,
-    then rows. So every block sample inside the map is bit-equal to
-    ``_resize_planes``, and a clamped one, whose weight is -0.0, copies its
-    edge sample, -0.0 included. A sample off the map copies the clamped
-    edge sample beside it, as the padded neighbourhood repeats the edge.
-    Samples of cold or dropped cells in the ring hold their real values.
-    Returns each cell's kind and the upsampled row and column of its
-    block's first sample, and the blocks as ``V[i, j, cell]`` (cells last,
-    so every operation runs along a long axis); None for None.
+    ``a * f - ceil(f / 2) - 1`` and may stick out of the map, where nothing
+    reads it. Its samples lie in the intervals ``[0, 1 x f, 2]`` of the
+    cell's 4x4 source neighbourhood, each sample takes the ``_axis_tables``
+    weight of its position, clamped to the map, and the pass is the
+    resize's ``(b - a) * w + a`` in float32: columns first, then rows. So
+    every block sample inside the map is bit-equal to ``_resize_planes``,
+    and a clamped one, whose weight is -0.0, copies its edge sample, -0.0
+    included. Samples of cold or dropped cells in the ring hold their real
+    values. Returns each cell's kind and the upsampled row and column of
+    its block's first sample, and the blocks as ``V[i, j, cell]`` (cells
+    last, so every operation runs along a long axis); None for None.
     """
     if cells is None:
         return None
@@ -366,23 +283,19 @@ def _cell_blocks(cells, factor: int):
     _, height, width = padded.shape
     kind, rest = _divmod(cell, height * width)
     a, b = _divmod(rest, width)
-    offsets, step, nearer, farther = _block_layout(width, factor)
+    offsets, step, pattern = _block_layout(width, factor)
     near = padded.reshape(-1).take(offsets + cell)
     lead = (factor + 1) // 2 + 1
     top, left = a * factor - lead, b * factor - lead
     # The padding adds two samples on every side.
     wx = _axis_tables(width - 4, factor)[2].take(left + step, mode="clip")
     wy = _axis_tables(height - 4, factor)[2].take(top + step, mode="clip")
-    base = near.take(nearer, axis=1)
-    cols = near.take(farther, axis=1)
-    cols -= base
+    cols = (near[:, 1:] - near[:, :-1]).take(pattern, axis=1)
     cols *= wx
-    cols += base
-    base = cols.take(nearer, axis=0)
-    v = cols.take(farther, axis=0)
-    v -= base
+    cols += near.take(pattern, axis=1)
+    v = (cols[1:] - cols[:-1]).take(pattern, axis=0)
     v *= wy[:, None]
-    v += base
+    v += cols.take(pattern, axis=0)
     return kind, top, left, v
 
 
@@ -392,11 +305,10 @@ def _block_peaks(heatmaps: FeatureMaps, blocks, cfg: DecoderConfig):
     maps themselves when ``blocks`` is None."""
     if blocks is None:
         return _dense_peaks(heatmaps.data, cfg.peak_threshold)
-    cell_kind, top, left, v = blocks
-    size, _, m = v.shape
-    f = size - 3
-    own = slice(1, f + 1)
-    p = _row_maxima(v[own, own], v[own, :f], v[own, 2:f + 2],
+    kind, top, left, v = blocks
+    f2, _, m = v.shape
+    f = f2 - 2
+    p = _row_maxima(v[1:-1, 1:-1], v[1:-1, :-2], v[1:-1, 2:],
                     cfg.peak_threshold).reshape(-1).nonzero()[0]
     i, rest = _divmod(p, f * m)
     j, n = _divmod(rest, m)
@@ -406,23 +318,11 @@ def _block_peaks(heatmaps: FeatureMaps, blocks, cfg: DecoderConfig):
     y, x = top[n] + i, left[n] + j
     inside = (y > 0) & (y < heatmaps.height * f - 1) & (x > 0) & (x < heatmaps.width * f - 1)
     i, j, n = i[inside], j[inside], n[inside]
-    idx = (i * size + j) * m + n
-    flat = v.reshape(-1)
-    keep, score, dy, dx, ties, beaten = _peaks(flat, idx, m, size * m)
-    idx, i, j, n = idx[keep], i[keep], j[keep], n[keep]
-    kind, y, x = cell_kind[n], top[n] + i, left[n] + j
-    if beaten is not None:
-        # The block holds two samples past a winner on every side but the
-        # left: a tied down-left neighbour of a winner in the first own
-        # column has neighbours beyond it, sampled from the maps.
-        redo = (((ties & 2) > 0) & (j == 1)).nonzero()[0]
-        if redo.size:
-            ys = np.minimum(y[redo, None] + _RIM[:, 0], heatmaps.height * f - 1)
-            xs = np.clip(x[redo, None] + _RIM[:, 1], 0, heatmaps.width * f - 1)
-            near = _sample_upsampled(heatmaps.data, kind[redo, None][None], f, ys, xs)[0]
-            beaten[redo] = _rim_beaten(ties[redo], score[redo], near)
-    stays = _unbeaten(beaten)
-    return _sort_peaks(kind[stays], (x + dx)[stays], (y + dy)[stays], score[stays])
+    row = f2 * m
+    idx = (i * f2 + j) * m + n
+    keep, score, dy, dx = _peaks(v.reshape(-1), idx, m, idx - row, idx + row)
+    n = n[keep]
+    return _sort_peaks(kind[n], left[n] + j[keep] + dx, top[n] + i[keep] + dy, score)
 
 
 def _sort_peaks(kind, x, y, score):
@@ -443,19 +343,9 @@ def _dense_peaks(data: np.ndarray, threshold: float):
     ys, xs = _divmod(pos, w)
     inside = (ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)
     idx = idx[inside]
-    keep, score, dy, dx, ties, beaten = _peaks(flat, idx, 1, w)
-    inside[inside] = keep  # now marks the winners among all candidates
-    kind, ys, xs = kind[inside], ys[inside], xs[inside]
-    if beaten is not None:
-        # Beside the last interior row or the first or last interior column
-        # the rim leaves the plane: read it clipped onto the plane.
-        redo = ((ties > 0) & ((ys == h - 2) | (xs == 1) | (xs == w - 2))).nonzero()[0]
-        if redo.size:
-            near = data[kind[redo, None], np.minimum(ys[redo, None] + _RIM[:, 0], h - 1),
-                        np.clip(xs[redo, None] + _RIM[:, 1], 0, w - 1)]
-            beaten[redo] = _rim_beaten(ties[redo], score[redo], near)
-    stays = _unbeaten(beaten)
-    return _sort_peaks(kind[stays], (xs + dx)[stays], (ys + dy)[stays], score[stays])
+    keep, score, dy, dx = _peaks(flat, idx, 1, idx - w, idx + w)
+    inside[inside] = keep  # now marks the peaks among all candidates
+    return _sort_peaks(kind[inside], xs[inside] + dx, ys[inside] + dy, score)
 
 
 def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig = DecoderConfig(),

@@ -6,17 +6,11 @@ below 2**127 in magnitude) and ``InputGeometry`` the rule for a valid
 geometry; each checks it once, when a value is built.
 All resampling uses the half-pixel-center convention, i.e. output sample ``i``
 reads source coordinate ``(i + 0.5) / factor - 0.5``, with edge clamping.
-A sample between two source samples is ``(b - a) * w + a`` in float32,
-where ``a`` is the source sample nearer to it, ``b`` the other one and
-``0 <= w < 1/2`` its distance from ``a`` (no sample is equally near both).
-Read backwards, an axis gives every sample the same ``a``, ``b`` and
-``w``, so it upsamples to the same samples read backwards, bit for bit up
-to the sign of a zero that sits on a source sample: the resize commutes
-with a mirror or a flip. A clamped edge sample, whose coordinate lies
-before the first or after the last source sample, copies that source
-sample bit for bit, -0.0 included. ``_axis_tables`` holds this rule for
-every reader; ``_phase_weights`` holds the weights of the samples between
-two sources.
+A sample between source samples ``a`` and ``b`` is ``(b - a) * w + a`` in
+float32. A clamped edge sample, whose coordinate lies before the first or
+after the last source sample, copies that source sample bit for bit, -0.0
+included. ``_axis_tables`` holds this rule for every reader;
+``_phase_weights`` holds the weights of the samples between two sources.
 """
 
 from __future__ import annotations
@@ -117,36 +111,24 @@ def _axis_tables(size: int, factor: int):
     """Index/weight tables for one axis of a half-pixel bilinear upsample.
 
     Returns ``(lo, hi, w)`` where output sample ``i`` equals
-    ``(src[hi[i]] - src[lo[i]]) * w[i] + src[lo[i]]`` in float32: ``lo`` is
-    the source sample nearer to it, the earlier one at distance 0, and
-    ``w`` its distance from ``lo``. A clamped sample (``lo == hi``) has
-    weight -0.0, which makes it ``src[lo[i]]`` bit for bit, -0.0 included:
-    the copy rule of the module docstring.
+    ``(src[hi[i]] - src[lo[i]]) * w[i] + src[lo[i]]`` in float32. A clamped
+    sample (``lo == hi``) has weight -0.0, which makes it ``src[lo[i]]`` bit
+    for bit, -0.0 included: the copy rule of the module docstring.
     """
-    # Twice the factor times a sample's source coordinate is an integer, so
-    # which source is nearer, and the distance, come out exact and mirrored.
-    twice = 2 * np.arange(size * factor) + 1 - factor
-    left = twice // (2 * factor)
-    offset = twice - left * (2 * factor)
-    later = offset > factor
-    lo = np.clip(left + later, 0, size - 1)
-    hi = np.clip(left + ~later, 0, size - 1)
-    distance = np.where(later, 2 * factor - offset, offset) / (2 * factor)
-    w = np.where(lo == hi, np.float32(-0.0), distance.astype(np.float32))
+    coords = (np.arange(size * factor, dtype=np.float64) + 0.5) / factor - 0.5
+    base = np.floor(coords)
+    lo = np.clip(base, 0, size - 1).astype(np.intp)
+    hi = np.clip(base + 1, 0, size - 1).astype(np.intp)
+    w = np.where(lo == hi, np.float32(-0.0), (coords - base).astype(np.float32))
     for arr in (lo, hi, w):
         arr.flags.writeable = False
     return lo, hi, w
 
 
-def _phase_weights(factor: int):
-    """The resize body's ``factor`` phase weights, read from a 2-pixel axis,
-    and which phases blend from the later source: on any axis, sample
-    ``q * factor + factor // 2 + k`` takes weight ``k`` and blends from
-    ``src[q + 1]`` toward ``src[q]`` where ``k`` is later, else the other
-    way."""
-    lo, _, w = _axis_tables(2, factor)
-    body = slice(factor // 2, factor // 2 + factor)
-    return w[body], lo[body] == 1
+def _phase_weights(factor: int) -> np.ndarray:
+    """The resize body's ``factor`` phase weights, read from a 2-pixel axis:
+    on any axis, sample ``q * factor + factor // 2 + k`` takes weight ``k``."""
+    return _axis_tables(2, factor)[2][factor // 2:factor // 2 + factor]
 
 
 def _sample_upsampled(src: np.ndarray, channels: np.ndarray, factor: int,
@@ -188,18 +170,17 @@ def _resize_axis(src: np.ndarray, out: np.ndarray, factor: int) -> None:
     after the body copy ``src[..., -1]``. Body sample ``q * factor + k``
     interpolates between ``src[..., q]`` and ``src[..., q + 1]`` with a
     weight that depends only on ``k``, so each phase ``k`` is one strided
-    ``(b - a) * w + a`` from its nearer source and no index gathers are
-    built.
+    ``(b - a) * w + a`` and no index gathers are built.
     """
     size = src.shape[-1]
     head, span = factor // 2, (size - 1) * factor
-    earlier, later = src[..., :-1], src[..., 1:]
-    toward = {False: later - earlier, True: earlier - later}
+    diff = src[..., 1:] - src[..., :-1]
+    base = src[..., :-1]
     # A 1-pixel axis has no body: its phases are empty slices.
-    for k, (weight, from_later) in enumerate(zip(*_phase_weights(factor))):
+    for k, weight in enumerate(_phase_weights(factor)):
         phase = out[..., head + k:head + k + span:factor]
-        np.multiply(toward[from_later], weight, out=phase)
-        np.add(phase, later if from_later else earlier, out=phase)
+        np.multiply(diff, weight, out=phase)
+        np.add(phase, base, out=phase)
     out[..., :head] = src[..., :1]
     out[..., head + span:] = src[..., -1:]
 

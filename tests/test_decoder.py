@@ -128,64 +128,6 @@ def test_quadratic_refinement_recovers_fractional_apex():
     assert kp.y == pytest.approx(9.7, abs=1e-4)
 
 
-def _plateau_plane():
-    """One kind's 8x5 plane whose middle column rises 0.3, 0.5, 0.5, 0.9, 0.9
-    and falls to 0.4: a plateau that rises on, then a maximum of two tied
-    samples, with unequal sides so the fit across the tie is off-centre."""
-    plane = np.zeros((8, 5), dtype=np.float32)
-    plane[1:7, 1] = (0.2, 0.3, 0.3, 0.6, 0.5, 0.2)
-    plane[1:7, 2] = (0.3, 0.5, 0.5, 0.9, 0.9, 0.4)
-    plane[1:7, 3] = (0.1, 0.2, 0.2, 0.4, 0.6, 0.1)
-    return plane
-
-
-def _vertex(lo, c, hi):
-    """The parabola's vertex offset through float32 samples, or their sums."""
-    lo, c, hi = (sum(float(np.float32(v)) for v in vs) for vs in (lo, c, hi))
-    return (lo - hi) / (2.0 * (lo - 2.0 * c + hi))
-
-
-def test_a_plateau_of_two_is_one_peak_at_its_midpoint_either_way():
-    # Rounding makes exact ties on upsampled maps. A tied pair that a pixel
-    # next to its later sample beats is no maximum, so no peak; a tied
-    # maximum is one peak, half-way along the tie and refined across it on
-    # the sums of the two samples' rows. Read backwards, along either axis, the plane gives
-    # the same peak, and the scalar naive extract agrees.
-    plane = _plateau_plane()
-    dx = _vertex((0.6, 0.5), (0.9, 0.9), (0.4, 0.6))
-    expected = {(False, False): (2 + dx, 4.5), (True, False): (2 + dx, 2.5),
-                (False, True): (2 - dx, 4.5), (True, True): (2 - dx, 2.5)}
-    for (flip, mirror), (x, y) in expected.items():
-        moved = plane[::-1 if flip else 1, ::-1 if mirror else 1]
-        for swap in (False, True):
-            data = moved.T if swap else moved
-            heat = _heat_stack(*data.shape, [(3, data)])
-            (kp,) = extract_keypoints(heat)[3]
-            (naive,) = posekit.bench._naive_extract(list(heat.data.astype(np.float64)), 0.1)[3]
-            for k in (kp, naive):
-                got = (k.y, k.x) if swap else (k.x, k.y)
-                assert got == pytest.approx((x, y), abs=1e-12)
-
-
-def test_a_2x2_plateau_beaten_at_one_corner_is_no_peak_either_way():
-    # A pixel below one corner of a 2x2 plateau beats it, so the plateau is
-    # no maximum: whichever way the plane is read, the one peak is that
-    # pixel's, for the extract and the scalar naive extract alike.
-    plane = np.zeros((8, 7), dtype=np.float32)
-    plane[2:4, 2:4] = 0.8
-    plane[4, 2] = 0.9
-    for flip in (False, True):
-        for mirror in (False, True):
-            for swap in (False, True):
-                moved = plane[::-1 if flip else 1, ::-1 if mirror else 1]
-                data = moved.T if swap else moved
-                heat = _heat_stack(*data.shape, [(3, data)])
-                naive = posekit.bench._naive_extract(list(heat.data.astype(np.float64)), 0.1)
-                for kps in (extract_keypoints(heat)[3], naive[3]):
-                    (kp,) = kps
-                    assert data[round(kp.y), round(kp.x)] == np.float32(0.9)
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        h=st.integers(min_value=1, max_value=12),
@@ -646,17 +588,14 @@ def _candidate_rows(candidates_by_type):
 
 # sha256 of the candidate rows, computed with the per-limb scorer that the
 # batched one replaced: (score_connections over every pair on upsampled PAFs,
-# the candidate lists decode hands to group_limbs). Factors 4 and 8 were
-# recomputed in 0.14.0, when the resize began to blend from the nearer
-# source sample and tied peaks began to pair; no skeleton of these scenes
-# moved by more than bench.COORD_TOL.
+# the candidate lists decode hands to group_limbs).
 SCORER_DIGESTS = {
     1: ("3448e945e77858a35e59195478ccc6c8ad834a2e3f3fb28935e159b59a91caf0",
         "5eeafa580747736103fdec46563f913b776bcfbef92125d899dffb4e533f876b"),
-    4: ("71a8462046d91758e41655ca62c1121be7986cecd6cec5c52a2962a9d794aa8f",
-        "874560cfcafab00c7bff805599b8294575e618f5c578231bb11ee925e9357484"),
-    8: ("60d687fa560c556b96a88e22f91bc24e06a428a7e2eea8ab8259eb7bdbebec19",
-        "89e348f5a47b9a3467bfa60ff5f52b8bbf7f26c4282f55c528d260620edccf97"),
+    4: ("a0787331dffa5c05131160ecf60ae9a79c659e51ec399c9dcfcd8ece40de95fe",
+        "13ec9aa385f0d853d14ecf31611b536048db36528814ad953312b30c066d5f55"),
+    8: ("f249854d53fb505decc20fdbe38f3e4bf02be2d5b6d2762acaa92412813ddc91",
+        "e6687926acf907985b9dfe6a6bf456b4b233284b27031304b5ecd5329af1377f"),
 }
 
 
@@ -712,14 +651,13 @@ def _skeleton_bits(skeletons):
 # decode and the public stages share that code now, so comparing the two
 # cannot catch a change in it. Factors 2 and 3 (odd factors put a cell's
 # first row on a shared source sample) were computed on the assembly that kept
-# a liveness flag and an order key, not on the code they now check. All but
-# factor 1 were recomputed in 0.14.0 with the SCORER_DIGESTS.
+# a liveness flag and an order key, not on the code they now check.
 DECODE_DIGESTS = {
     1: "5d5305c61e57ec1d14e77cad4329c208f3e7a90925465997b4962417619e4ae3",
-    2: "4b8a5bd8b9ae6a68665893895301151af2fd3ba0faff86a49b0a1cad81042aaf",
-    3: "4b06c689246788c5ce90d8113d2e5b147a5046cb854b92bded92c16269f4ca51",
-    4: "e774fffbf7e1c0eb5a442b190ce891983f5fea886a56419d95ebc2adb6497ad1",
-    8: "5ac1b2bde4f60825d426e8047cf90ece95e9d8e496a670552e79728aaac08795",
+    2: "0cde577f8a8b49eebe6de8069c3130b78547fc3e12e80ec3e4ba31aaa815091b",
+    3: "412feb45374061b319d9268850155ffccbe5328b1ed0ae71f97b6eccc70bf1e6",
+    4: "f3a574e566fc8b3e5969993e90148c0c3da3787f9f437e2fbde394c6746d07e7",
+    8: "f6a56af2565c55e730b2bd02b64f7d9e8f6a473d840e49e04a65cad61a339ce7",
 }
 
 
@@ -754,8 +692,8 @@ def test_padded_geometry_decode_bits_are_pinned():
 
 # sha256 of decode's skeletons as _skeleton_bits on noisy scenes whose
 # fragments merge with affinities that round differently when the merged sum
-# is reassociated. Recomputed in 0.14.0 with the SCORER_DIGESTS.
-MERGE_DIGEST = "fbadfc001cca696a32425895b08513127e7127257d50a2efb6aa0cc7c7d151af"
+# is reassociated.
+MERGE_DIGEST = "60551a522810fe12c4bc87e648ec7d84189e1369f1c935a5dc80f560b146e8cb"
 
 
 def test_fragment_merge_bits_are_pinned():
@@ -1260,15 +1198,6 @@ def _dense_peak_pixels(up, threshold):
                 other = planes[:, 1 + dy:height - 1 + dy, 1 + dx:width - 1 + dx]
                 # Earlier neighbors in scan order must be strictly smaller.
                 mask &= (center > other) if (dy, dx) < (0, 0) else (center >= other)
-    # A plateau is a peak only if it is a maximum: no neighbour of a later
-    # neighbour that ties the center beats it. Off the map is -inf.
-    padded = np.pad(planes, ((0, 0), (2, 2), (2, 2)), constant_values=-np.inf)
-
-    def view(dy, dx):
-        return padded[:, 3 + dy:height + 1 + dy, 3 + dx:width + 1 + dx]
-    for sy, sx in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        rim = np.max([view(sy + ay, sx + ax) for ay in (-1, 0, 1) for ax in (-1, 0, 1)], axis=0)
-        mask &= ~((view(sy, sx) == center) & (rim > center))
     kind, y, x = np.nonzero(mask)
     return kind, y + 1, x + 1
 
@@ -1295,8 +1224,7 @@ def _hot_cell_peaks(heat, cfg):
                                       up[kind[inside], y[inside], x[inside]].view(np.uint32))
         # No two kept cells share an own sample, and every peak of the dense
         # upsample is one.
-        factor = cfg.upsample_factor
-        mine = inside & (i > 0) & (i <= factor) & (j > 0) & (j <= factor)
+        mine = inside & (i > 0) & (i < v.shape[0] - 1) & (j > 0) & (j < v.shape[1] - 1)
         own = np.zeros(up.shape, dtype=bool)
         own[kind[mine], y[mine], x[mine]] = True
         assert own.sum() == mine.sum()
@@ -1424,11 +1352,6 @@ def test_hot_cell_samples_are_the_dense_resize_bits(h, w, factor):
     assert (dense[:BACKGROUND_CHANNEL].view(np.uint32) == np.float32(-0.0).view(np.uint32)).any()
     np.testing.assert_array_equal(v[inside].view(np.uint32),
                                   dense[kind[inside], y[inside], x[inside]].view(np.uint32))
-    # A sample off the map copies the edge sample it clips onto; the plateau
-    # rule reads such samples as the clipped ones.
-    y, x = y.clip(0, h * factor - 1), x.clip(0, w * factor - 1)
-    np.testing.assert_array_equal(v[~inside].view(np.uint32),
-                                  dense[kind[~inside], y[~inside], x[~inside]].view(np.uint32))
 
 
 @settings(max_examples=300)
@@ -1854,9 +1777,8 @@ _METAMORPHIC_INPUTS = dict(seed=st.integers(min_value=0, max_value=2**31 - 1),
 def _noisy_subpixel_scene(seed, persons, sigma):
     """Heatmap and PAF arrays of a 32x57 scene whose persons are moved by up
     to half a pixel each, with Gaussian noise of ``sigma`` on every value.
-    Continuous noise keeps exact ties out of the source maps; the upsample
-    still rounds nearly equal samples into ties, which the peak rule places
-    the same whichever way the maps are read."""
+    Continuous noise keeps exact ties, which a transform may break the
+    other way, out of the draw."""
     rng = np.random.default_rng(seed)
     cfg = RenderConfig(32, 57, seed=seed)
     placed, _, _ = generate_scene(persons, cfg)
@@ -1905,9 +1827,6 @@ def _move_skeleton(sk, x=lambda x: x, y=lambda y: y):
 
 @settings(max_examples=40, deadline=None)
 @given(**_METAMORPHIC_INPUTS)
-# Two rows of one upsampled cell tie in pairs on a rising column: a plateau
-# that rises on, then a tied maximum (the plateau part of `decoder._peaks`).
-@example(seed=1287, persons=3, factor=4, sigma=0.005000000000000001)
 def test_decode_commutes_with_a_vertical_flip(seed, persons, factor, sigma):
     # The body model has no top-bottom pairs, so a flip swaps no kind: both
     # stacks flip along y and every limb's y component is negated. The

@@ -129,23 +129,20 @@ def test_point_sampler_is_bit_equal_to_dense_upsample(factor, shape):
 def test_axis_tables_are_block_regular():
     # The strided resize reads these tables as three blocks: ``factor // 2``
     # head samples that copy src[0], a body whose sample q * factor + k
-    # blends src[q] and src[q + 1] from the nearer of the two, with a weight
-    # and a direction that depend only on k, and a tail that copies src[-1].
-    # Clamped samples carry -0.0. ``_phase_weights`` gives those ``factor``
-    # weights and directions for every size; a 1-pixel axis has no body and
-    # is all head and tail.
+    # interpolates src[q] and src[q + 1] with a weight that depends only on
+    # k, and a tail that copies src[-1]. Clamped samples carry -0.0.
+    # ``_phase_weights`` gives those ``factor`` weights for every size; a
+    # 1-pixel axis has no body and is all head and tail.
     for factor in range(2, 17):
         head = factor // 2
-        weights, later = _phase_weights(factor)
-        phases = weights.view(np.uint32)
-        assert phases.shape == later.shape == (factor,)
-        assert ((weights >= 0.0) & (weights < 0.5)).all()
+        phases = _phase_weights(factor).view(np.uint32)
+        assert phases.shape == (factor,)
         for size in range(1, 1200):
             lo, hi, w = _axis_tables.__wrapped__(size, factor)
             stop = head + (size - 1) * factor
             q = np.arange(size - 1)[:, None]
-            assert (lo[head:stop].reshape(-1, factor) == q + later).all()
-            assert (hi[head:stop].reshape(-1, factor) == q + ~later).all()
+            assert (lo[head:stop].reshape(-1, factor) == q).all()
+            assert (hi[head:stop].reshape(-1, factor) == q + 1).all()
             assert (w[head:stop].reshape(-1, factor).view(np.uint32) == phases).all()
             assert (lo[:head] == 0).all() and (lo[stop:] == size - 1).all()
             assert (hi[:head] == 0).all() and (hi[stop:] == size - 1).all()
@@ -153,25 +150,9 @@ def test_axis_tables_are_block_regular():
             assert (clamped.view(np.uint32) == np.float32(-0.0).view(np.uint32)).all()
 
 
-@pytest.mark.parametrize("factor", [2, 3, 4, 5, 6, 7, 8])
-def test_resize_commutes_with_a_flip_and_a_mirror(factor):
-    # Every sample blends from its nearer source, so maps read backwards on
-    # either axis give each sample the same two sources and weight, and
-    # upsample to the same samples read backwards, bit for bit. Random data
-    # holds no zero, whose sign may differ on a source sample.
-    rng = np.random.default_rng(factor)
-    data = rng.uniform(-1.0, 1.0, size=(2, 7, 11)).astype(np.float32)
-    up = resize_bilinear(FeatureMaps(data), factor).data
-    for axis in (1, 2):
-        flipped = resize_bilinear(FeatureMaps(np.flip(data, axis).copy()), factor).data
-        np.testing.assert_array_equal(np.flip(flipped, axis).view(np.uint32), up.view(np.uint32))
-
-
 # sha256 of every (shape, factor) output below, computed with the resize
-# that chose per axis between strided blocks and an index-gather fallback,
-# and recomputed in 0.14.0, when each sample began to blend from its nearer
-# source.
-RESIZE_SWEEP_DIGEST = "5e72c55861a38cab57e03c7e84381c8f75a49d27323acdda29cbfe7c2f44b9c7"
+# that chose per axis between strided blocks and an index-gather fallback.
+RESIZE_SWEEP_DIGEST = "90e946c4ccbf8a06f3a1341f478d41f79deae2c72cb75db808d8b5a38f1ef8d8"
 
 
 def test_resize_bits_are_pinned():
