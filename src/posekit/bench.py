@@ -240,10 +240,9 @@ def _naive_assemble(connections, kind, score, cfg: DecoderConfig) -> list:
     """Greedy part assembly, written from README step 4 and the
     ``assemble_skeletons`` docstring, not from ``decoder._assemble``.
 
-    ``connections`` holds accepted ``(from, to, affinity)`` point triples;
-    ``kind[p]`` and ``score[p]`` describe point ``p``. Returns each kept
-    skeleton as ``(slots, score, count)``, ``slots[k]`` its point of kind
-    ``k`` or -1.
+    ``connections`` holds accepted ``(from, to, affinity)`` point triples, and
+    ``kind[p]`` and ``score[p]`` describe point ``p``. Returns each kept skeleton
+    as ``(slots, score, count)``, ``slots[k]`` its point of kind ``k`` or -1.
     """
     skeletons = {}  # number of the starting connection -> partial skeleton
     home = {}  # point -> number of the skeleton that holds it

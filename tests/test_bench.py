@@ -56,9 +56,8 @@ def test_naive_and_optimized_pipelines_agree():
 
 
 def _check_naive_decode_without(monkeypatch, *names):
-    # The naive path groups with its own scalar code, so the gate checks
-    # decode's matching and assembly against a second implementation, not
-    # against themselves.
+    # The naive path groups with its own scalar code, so the gate checks decode's
+    # matching and assembly against a second implementation, not themselves.
     sc = _scenario(4)
     optimized = decode(sc.heatmaps, sc.pafs, sc.geometry)
 

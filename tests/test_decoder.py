@@ -1005,6 +1005,15 @@ def test_assemble_matches_the_naive_assembler(inputs):
         [(slots, total.hex(), count) for slots, total, count in want]
 
 
+def test_a_merge_adds_the_absorbed_affinity_sum_and_its_own_as_one_term():
+    # 1 + (2**-53 + 2**-53) keeps a bit that (1 + 2**-53) + 2**-53 rounds away.
+    tiny, cfg = 2.0 ** -53, DecoderConfig(min_keypoints=1, min_skeleton_score=-1.0)
+    for assemble in (posekit.decoder._assemble, _naive_assemble):
+        [(slots, total, count)] = assemble([(0, 1, 1.0), (2, 3, tiny), (1, 2, tiny)],
+                                           range(4), [0.0] * 4, cfg)
+        assert (slots[:5], total.hex(), count) == ([0, 1, 2, 3, -1], (0.25 + tiny / 2).hex(), 4)
+
+
 # ---------------------------------------------------------------------------
 # Full pipeline
 # ---------------------------------------------------------------------------
