@@ -150,15 +150,27 @@ def _hot_margin(max_abs: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _grid_mask(channels: int, height: int, width: int) -> np.ndarray:
-    """Which flat positions of a ``(channels, height + 4, width + 4)`` stack,
-    up to the last one ``_peak_cells`` tests, are cells: ``[kind, a, b]``
-    with ``a <= height`` and ``b <= width``."""
-    mask = np.zeros((channels, height + 4, width + 4), dtype=bool)
-    mask[:, :height + 1, :width + 1] = True
-    mask = mask.reshape(-1)[:mask.size - 3 * (width + 4) - 3]
-    mask.flags.writeable = False
-    return mask
+def _cell_layout(shape: tuple, factor: int):
+    """The per-shape tables of decode's padded-cell layout (see
+    ``_peak_cells``), for a padded stack of ``shape`` upsampled by
+    ``factor``: the cell mask, which flat positions up to the last one
+    ``_peak_cells`` tests are cells, ``[kind, a, b]`` with ``a <= h`` and
+    ``b <= w``; for ``_cell_blocks``, the flat offsets of a 4x4 source
+    neighbourhood, the ``f + 2`` steps from a block's first sample and the
+    source interval of each of them; and the ``_axis_tables`` weights of
+    the map's columns and rows."""
+    _, height, width = shape
+    # The padding adds two samples on every side.
+    h, w = height - 4, width - 4
+    mask = np.zeros(shape, dtype=bool)
+    mask[:, :h + 1, :w + 1] = True
+    mask = mask.reshape(-1)[:mask.size - 3 * width - 3]
+    offsets = (np.arange(4)[:, None] * width + np.arange(4))[:, :, None]
+    step = np.arange(factor + 2)[:, None]
+    pattern = np.repeat(np.arange(3), (1, factor, 1))
+    for arr in (mask, offsets, step, pattern):
+        arr.flags.writeable = False
+    return mask, offsets, step, pattern, _axis_tables(w, factor)[2], _axis_tables(h, factor)[2]
 
 
 def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
@@ -202,9 +214,9 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
       interpolated sample inside the map.
 
     Both tests run on shifted slices of the flat padded stack; positions
-    that are no cell are masked off. Returns the padded stack and the kept
-    cells' sorted ids, or None at factor 1, where the maps are their own
-    upsample and the dense peak search is faster.
+    that are no cell are masked off by ``_cell_layout``'s mask. Returns the
+    padded stack and the kept cells' sorted ids, or None at factor 1, where
+    the maps are their own upsample and the dense peak search is faster.
     """
     factor = cfg.upsample_factor
     if factor == 1:
@@ -220,7 +232,7 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
         padded[:, :, col] = padded[:, :, edge]
     flat = padded.reshape(-1)
     row = w + 4
-    mask = _grid_mask(c, h, w)
+    mask = _cell_layout(padded.shape, factor)[0]
     # Cell n has its corners at n + corner, + 1, + row and + row + 1.
     corner, size = row + 1, mask.size
     # Peaks must beat the float32 threshold; the corner limit rounds down.
@@ -247,19 +259,6 @@ def _peak_cells(heat: np.ndarray, cfg: DecoderConfig):
     return padded, np.flatnonzero(hot)
 
 
-@lru_cache(maxsize=8)
-def _block_layout(width: int, factor: int):
-    """``_cell_blocks``' per-shape constants for a padded row of ``width``:
-    the flat offsets of a 4x4 source neighbourhood, the ``f + 2`` steps
-    from a block's first sample, and the source interval of each of them."""
-    offsets = np.arange(4)[:, None] * width + np.arange(4)
-    step = np.arange(factor + 2)[:, None]
-    pattern = np.repeat(np.arange(3), (1, factor, 1))
-    for arr in (offsets, step, pattern):
-        arr.flags.writeable = False
-    return offsets[:, :, None], step, pattern
-
-
 def _cell_blocks(cells, factor: int):
     """Decode's resize stage: each kept cell's ``(f + 2) x (f + 2)`` block of
     the dense upsample, its own ``f x f`` samples and a one-sample ring.
@@ -267,7 +266,7 @@ def _cell_blocks(cells, factor: int):
     Along an axis, cell ``a``'s block starts at sample
     ``a * f - ceil(f / 2) - 1`` and may stick out of the map, where nothing
     reads it. Its samples lie in the intervals ``[0, 1 x f, 2]`` of the
-    cell's 4x4 source neighbourhood, each sample takes the ``_axis_tables``
+    cell's 4x4 source neighbourhood, each sample takes the ``_cell_layout``
     weight of its position, clamped to the map, and the pass is the
     resize's ``(b - a) * w + a`` in float32: columns first, then rows. So
     every block sample inside the map is bit-equal to ``_resize_planes``,
@@ -283,13 +282,12 @@ def _cell_blocks(cells, factor: int):
     _, height, width = padded.shape
     kind, rest = _divmod(cell, height * width)
     a, b = _divmod(rest, width)
-    offsets, step, pattern = _block_layout(width, factor)
+    _, offsets, step, pattern, wx, wy = _cell_layout(padded.shape, factor)
     near = padded.reshape(-1).take(offsets + cell)
     lead = (factor + 1) // 2 + 1
     top, left = a * factor - lead, b * factor - lead
-    # The padding adds two samples on every side.
-    wx = _axis_tables(width - 4, factor)[2].take(left + step, mode="clip")
-    wy = _axis_tables(height - 4, factor)[2].take(top + step, mode="clip")
+    wx = wx.take(left + step, mode="clip")
+    wy = wy.take(top + step, mode="clip")
     cols = (near[:, 1:] - near[:, :-1]).take(pattern, axis=1)
     cols *= wx
     cols += near.take(pattern, axis=1)
@@ -398,9 +396,6 @@ def _score_pairs(pafs: FeatureMaps, factor: int, x, y, ends, cfg: DecoderConfig)
     """
     a_start, na, b_start, nb, x_channel, y_channel = ends
     counts = na * nb
-    if not counts.any():
-        rows = np.empty(0, dtype=np.intp)
-        return rows, rows, rows, np.empty(0), np.empty(0)
     # Pair p belongs to limb ``owner[p]``; its offset inside that limb's
     # na x nb block gives the row-major (i, j).
     owner = np.arange(len(counts)).repeat(counts)

@@ -1514,7 +1514,7 @@ def test_stage_results_are_values():
 @pytest.mark.parametrize("shape", [(32, 57), (46, 82)])
 def test_shared_per_shape_tables_are_read_only(shape, factor):
     # Concurrent decodes share only these cached tables, so none may be written.
-    tables = {"_axis_tables": [], "_grid_mask": [], "_block_layout": [], "_sample_offsets": []}
+    tables = {"_axis_tables": [], "_cell_layout": [], "_sample_offsets": []}
 
     def spy(module, name):
         original = getattr(module, name)
@@ -1529,8 +1529,7 @@ def test_shared_per_shape_tables_are_read_only(shape, factor):
     with pytest.MonkeyPatch.context() as patch:
         for module, name in ((posekit.featuremaps, "_axis_tables"),
                              (posekit.decoder, "_axis_tables"),
-                             (posekit.decoder, "_grid_mask"),
-                             (posekit.decoder, "_block_layout"),
+                             (posekit.decoder, "_cell_layout"),
                              (posekit.decoder, "_sample_offsets")):
             patch.setattr(module, name, spy(module, name))
         assert decode(heatmaps, pafs, identity_geometry(*shape),
