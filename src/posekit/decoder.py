@@ -101,20 +101,22 @@ def _divmod(x: np.ndarray, d):
     return q, x - q * d
 
 
-def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, up: np.ndarray, down: np.ndarray):
+def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, row: int, kind, y, x):
     """Second half of the peak rule, on candidates that passed ``_row_maxima``.
 
-    ``flat`` holds a map whose neighbors sit ``col`` apart within a row;
-    ``up`` and ``down`` index the samples above and below each candidate
-    ``flat[idx]``, and every candidate must have its whole 8-neighborhood in
-    the map. A peak is a local maximum over its 8-neighborhood: it wins
-    against earlier neighbors (row-major order) only when strictly greater,
-    and against later neighbors when greater or equal, so plateaus of equal
-    values yield exactly one peak, the first in scan order. Returns which
-    candidates are peaks, and the peaks' float64 scores and quadratic
-    ``dy``/``dx`` refinements.
+    ``flat`` holds a map whose neighbors sit ``col`` apart within a row and
+    ``row`` apart within a column; candidate ``flat[idx]`` is of ``kind``
+    at integer ``(y, x)`` and must have its whole 8-neighborhood in the map.
+    A peak is a local maximum over its 8-neighborhood: it wins against
+    earlier neighbors (row-major order) only when strictly greater, and
+    against later neighbors when greater or equal, so plateaus of equal
+    values yield exactly one peak, the first in scan order. Returns the peak
+    columns ``(kind, x, y, score)``, each axis refined by a quadratic
+    offset, by kind, then descending score (ties by row, then column): a
+    peak's id is its row.
     """
     v = flat[idx]
+    up, down = idx - row, idx + row
     # Neighbors that precede the center in row-major order: must be strictly smaller.
     keep = v > flat[up - col]
     keep &= v > flat[up]
@@ -123,11 +125,16 @@ def _peaks(flat: np.ndarray, idx: np.ndarray, col: int, up: np.ndarray, down: np
     keep &= v >= flat[down - col]
     keep &= v >= flat[down]
     keep &= v >= flat[down + col]
-    idx, up, down = idx[keep], up[keep], down[keep]
+    # One index array gathers every column: faster than four boolean masks.
+    sel = keep.nonzero()[0]
+    idx, kind, x, y = idx.take(sel), kind.take(sel), x.take(sel), y.take(sel)
     v = flat[idx].astype(np.float64)
-    dx = _refine_axis(v, flat[idx - col].astype(np.float64), flat[idx + col].astype(np.float64))
-    dy = _refine_axis(v, flat[up].astype(np.float64), flat[down].astype(np.float64))
-    return keep, v, dy, dx
+    x = x + _refine_axis(v, flat[idx - col].astype(np.float64),
+                         flat[idx + col].astype(np.float64))
+    y = y + _refine_axis(v, flat[idx - row].astype(np.float64),
+                         flat[idx + row].astype(np.float64))
+    order = np.lexsort((x, y, -v, kind))
+    return kind[order], x[order], y[order], v[order]
 
 
 def _hot_margin(max_abs: float) -> float:
@@ -316,18 +323,8 @@ def _block_peaks(heatmaps: FeatureMaps, blocks, cfg: DecoderConfig):
     y, x = top[n] + i, left[n] + j
     inside = (y > 0) & (y < heatmaps.height * f - 1) & (x > 0) & (x < heatmaps.width * f - 1)
     i, j, n = i[inside], j[inside], n[inside]
-    row = f2 * m
     idx = (i * f2 + j) * m + n
-    keep, score, dy, dx = _peaks(v.reshape(-1), idx, m, idx - row, idx + row)
-    n = n[keep]
-    return _sort_peaks(kind[n], left[n] + j[keep] + dx, top[n] + i[keep] + dy, score)
-
-
-def _sort_peaks(kind, x, y, score):
-    """The peak columns ``(kind, x, y, score)`` by kind, then descending
-    score (ties by row, then column); a peak's id is its row."""
-    order = np.lexsort((x, y, -score, kind))
-    return kind[order], x[order], y[order], score[order]
+    return _peaks(v.reshape(-1), idx, m, f2 * m, kind[n], y[inside], x[inside])
 
 
 def _dense_peaks(data: np.ndarray, threshold: float):
@@ -340,10 +337,7 @@ def _dense_peaks(data: np.ndarray, threshold: float):
     kind, pos = _divmod(idx, h * w)
     ys, xs = _divmod(pos, w)
     inside = (ys > 0) & (ys < h - 1) & (xs > 0) & (xs < w - 1)
-    idx = idx[inside]
-    keep, score, dy, dx = _peaks(flat, idx, 1, idx - w, idx + w)
-    inside[inside] = keep  # now marks the peaks among all candidates
-    return _sort_peaks(kind[inside], xs[inside] + dx, ys[inside] + dy, score)
+    return _peaks(flat, idx[inside], 1, w, kind[inside], ys[inside], xs[inside])
 
 
 def extract_keypoints(heatmaps: FeatureMaps, cfg: DecoderConfig = DecoderConfig(),

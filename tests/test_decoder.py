@@ -242,9 +242,21 @@ def test_equal_scores_keep_row_then_column_order():
     for y, x in spots:
         plane[y, x] = 0.5
     plane[1, 10] = 0.7
-    (bucket,) = [b for b in extract_keypoints(_heat_stack(12, 12, [(6, plane)])) if b]
+    heat = _heat_stack(12, 12, [(6, plane)])
+    (bucket,) = [b for b in extract_keypoints(heat) if b]
     assert [(kp.y, kp.x) for kp in bucket] == [(1.0, 10.0)] + sorted(spots)
     assert [kp.id for kp in bucket] == list(range(len(spots) + 1))
+    # Decode's stages keep the same order at every factor, where pixel p's
+    # centre sits at (p + 0.5) * f - 0.5 (about 3e-8 off at factor 3).
+    for factor in (1, 2, 3, 4, 5, 8):
+        cfg = DecoderConfig(upsample_factor=factor)
+        cells = posekit.decoder._peak_cells(heat.data, cfg)
+        kind, x, y, score = posekit.decoder._block_peaks(
+            heat, posekit.decoder._cell_blocks(cells, factor), cfg)
+        assert (kind == 6).all()
+        assert score[0] > score[1] and (score[1:] == score[1]).all()
+        centres = (np.array([(1, 10)] + sorted(spots)) + 0.5) * factor - 0.5
+        np.testing.assert_allclose(np.column_stack((y, x)), centres, rtol=0, atol=1e-6)
 
 
 @settings(max_examples=30, deadline=None)

@@ -56,13 +56,26 @@ def test_factor_two_golden_values_exact():
     np.testing.assert_array_equal(up.data[0], GOLDEN_X2)
 
 
-@pytest.mark.parametrize("factor", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 7, 8, 16])
 def test_matches_scalar_reference(factor):
     rng = np.random.default_rng(11)
-    plane = rng.uniform(-3.0, 3.0, size=(6, 9)).astype(np.float32)
-    up = resize_bilinear(FeatureMaps(plane[None]), factor)
-    expected = _reference_upsample(plane.astype(np.float64), factor)
-    np.testing.assert_allclose(up.data[0], expected, rtol=0, atol=1e-5)
+    for shape in ((6, 9), (1, 9), (6, 1), (1, 1)):
+        plane = rng.uniform(-3.0, 3.0, size=shape).astype(np.float32)
+        up = resize_bilinear(FeatureMaps(plane[None]), factor)
+        expected = _reference_upsample(plane.astype(np.float64), factor)
+        np.testing.assert_allclose(up.data[0], expected, rtol=0, atol=1e-5)
+        if 1 not in shape:
+            continue
+        # A 1-pixel axis has nothing to blend: along it every output sample
+        # copies its source sample bit for bit, -0.0 included.
+        plane.reshape(-1)[::2] = -0.0
+        bits = resize_bilinear(FeatureMaps(plane[None]), factor).data[0].view(np.uint32)
+        if shape[0] == 1:
+            assert (bits == bits[:1]).all()
+        if shape[1] == 1:
+            assert (bits == bits[:, :1]).all()
+        if shape == (1, 1):
+            assert (bits == plane.view(np.uint32)).all()
 
 
 def test_factor_one_is_identity():
